@@ -1,5 +1,6 @@
 #include "common/string_util.hpp"
 
+#include <array>
 #include <cctype>
 
 namespace datanet::common {
@@ -38,18 +39,36 @@ std::optional<double> parse_double(std::string_view s) {
   return v;
 }
 
+namespace {
+
+// Byte -> its lowercase form if it is a word character ([A-Za-z0-9'], the
+// C locale's isalnum plus the apostrophe), else 0.
+constexpr std::array<char, 256> kWordChar = [] {
+  std::array<char, 256> t{};
+  for (int c = '0'; c <= '9'; ++c) t[c] = static_cast<char>(c);
+  for (int c = 'a'; c <= 'z'; ++c) t[c] = static_cast<char>(c);
+  for (int c = 'A'; c <= 'Z'; ++c) t[c] = static_cast<char>(c - 'A' + 'a');
+  t['\''] = '\'';
+  return t;
+}();
+
+[[nodiscard]] char word_char(char ch) {
+  return kWordChar[static_cast<unsigned char>(ch)];
+}
+
+}  // namespace
+
 void tokenize_words(std::string_view text, std::vector<std::string>& out) {
-  std::string cur;
-  for (char ch : text) {
-    const auto uc = static_cast<unsigned char>(ch);
-    if (std::isalnum(uc) || ch == '\'') {
-      cur.push_back(static_cast<char>(std::tolower(uc)));
-    } else if (!cur.empty()) {
-      out.push_back(std::move(cur));
-      cur.clear();
-    }
+  const std::size_t n = text.size();
+  std::size_t i = 0;
+  while (i < n) {
+    while (i < n && word_char(text[i]) == 0) ++i;
+    const std::size_t start = i;
+    while (i < n && word_char(text[i]) != 0) ++i;
+    if (i == start) break;
+    std::string& word = out.emplace_back(i - start, '\0');
+    for (std::size_t k = start; k < i; ++k) word[k - start] = word_char(text[k]);
   }
-  if (!cur.empty()) out.push_back(std::move(cur));
 }
 
 }  // namespace datanet::common

@@ -1,13 +1,12 @@
 #include "mapred/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <bit>
 #include <chrono>
 #include <memory>
-#include <optional>
-#include <queue>
+#include <span>
 #include <stdexcept>
-#include <unordered_map>
+#include <utility>
 
 #include "common/arena.hpp"
 #include "common/hash.hpp"
@@ -102,8 +101,7 @@ std::uint64_t apply_speculative_backups(
 
 namespace {
 
-// Seed of the shuffle partitioner; also seeds the cached sort hash so one
-// hash per pair serves both partitioning and grouping.
+// Seed of the shuffle partitioner; the same hash orders the grouped keys.
 constexpr std::uint64_t kPartitionSeed = 0x9e3779b9;
 
 // The flat counter list lives on Emitter (the base count() bumps it without
@@ -111,98 +109,121 @@ constexpr std::uint64_t kPartitionSeed = 0x9e3779b9;
 // merges tasks into the report.
 using CounterList = Emitter::CounterList;
 
-// Collects emitted pairs in order into the task's arena; partitions lazily
-// afterwards. Wires the base-class counter sink to its own list.
-class VectorEmitter final : public Emitter {
- public:
-  explicit VectorEmitter(common::Arena& arena)
-      : pairs_(common::ArenaAllocator<std::pair<Key, Value>>(arena)) {
-    counters_ = &counter_list_;
-  }
-  void emit(Key key, Value value) override {
-    pairs_.emplace_back(std::move(key), std::move(value));
-  }
-  [[nodiscard]] common::ArenaVector<std::pair<Key, Value>>& pairs() {
-    return pairs_;
-  }
-  [[nodiscard]] CounterList& counters() { return counter_list_; }
-
- private:
-  common::ArenaVector<std::pair<Key, Value>> pairs_;
-  CounterList counter_list_;
-};
-
 // A map-output pair with its partition hash computed once and carried along
-// so grouping and partitioning never rehash (or re-compare) the full key.
+// so the reduce stage never rehashes the key.
 struct HashedPair {
   std::uint64_t hash = 0;
   Key key;
   Value value;
 };
 
-template <class PairVec>
-common::ArenaVector<HashedPair> hash_pairs(PairVec pairs,
-                                           common::Arena& arena) {
-  common::ArenaVector<HashedPair> out{
-      common::ArenaAllocator<HashedPair>(arena)};
-  out.reserve(pairs.size());
-  for (auto& [key, value] : pairs) {
-    const std::uint64_t h = common::hash_bytes(key, kPartitionSeed);
-    out.push_back(HashedPair{h, std::move(key), std::move(value)});
-  }
-  return out;
-}
+// The one grouping routine, shared by the combiner and the reducer. Pairs
+// arrive as (hash, key, value); a flat open-addressing table keyed by
+// (hash, key) gives each distinct key a dense group id, and values are kept
+// in arrival order. reduce() then calls the reducer once per distinct key in
+// (hash, key) order with that key's values in arrival order — the call
+// sequence a stable sort of the pairs by (hash, key) produces, without
+// sorting the pairs: only the distinct keys are sorted, and the values are
+// placed by a counting sort over their group ids. As an Emitter it groups a
+// combiner job's map output as it is emitted, counting into `counters`.
+class KeyGrouper final : public Emitter {
+ public:
+  explicit KeyGrouper(CounterList* counters = nullptr) { counters_ = counters; }
 
-// Group pairs by key, then apply a reducer. The sort key is (hash, key):
-// equal keys share a hash, so grouping is exact, while distinct keys almost
-// always order by the cached hash without touching the strings — string
-// comparisons no longer dominate grouping of long common-prefix keys. The
-// stable sort keeps values in emission order within a key; which key the
-// reducer sees first is hash order, but every consumer of reducer output
-// (JobReport.output, counters) is order-insensitive. Counter emissions are
-// merged into `counters` when provided. Output lives in `arena`.
-template <class HashedVec>
-common::ArenaVector<std::pair<Key, Value>> reduce_pairs(
-    Reducer& reducer, HashedVec pairs, common::Arena& arena,
-    CounterList* counters = nullptr) {
-  std::stable_sort(pairs.begin(), pairs.end(),
-                   [](const HashedPair& a, const HashedPair& b) {
-                     if (a.hash != b.hash) return a.hash < b.hash;
-                     return a.key < b.key;
-                   });
-  VectorEmitter out(arena);
-  std::size_t i = 0;
-  std::vector<Value> values;
-  while (i < pairs.size()) {
-    std::size_t j = i;
-    values.clear();
-    while (j < pairs.size() && pairs[j].hash == pairs[i].hash &&
-           pairs[j].key == pairs[i].key) {
-      values.push_back(std::move(pairs[j].value));
-      ++j;
-    }
-    reducer.reduce(pairs[i].key, values, out);
-    i = j;
+  void emit(Key key, Value value) override {
+    // add() takes references, so `key` is hashed before anything moves it.
+    add(partition_hash(key), std::move(key), std::move(value));
   }
-  if (counters) {
-    for (auto& [name, v] : out.counters()) {
-      bool found = false;
-      for (auto& [cname, total] : *counters) {
-        if (cname == name) {
-          total += v;
-          found = true;
-          break;
-        }
+
+  void add(std::uint64_t hash, Key&& key, Value&& value) {
+    if (2 * (groups_.size() + 1) > slots_.size()) grow();
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = slot_of(hash);
+    while (true) {
+      Slot& s = slots_[i];
+      if (s.group == kEmpty) {
+        s = {hash, static_cast<std::uint32_t>(groups_.size())};
+        groups_.push_back({hash, std::move(key), 0});
+        break;
       }
-      if (!found) counters->emplace_back(std::move(name), v);
+      if (s.hash == hash && groups_[s.group].key == key) break;
+      i = (i + 1) & mask;
+    }
+    const std::uint32_t g = slots_[i].group;
+    ++groups_[g].count;
+    ids_.push_back(g);
+    values_.push_back(std::move(value));
+  }
+
+  void reduce(Reducer& reducer, Emitter& out) {
+    std::vector<std::uint32_t> order(groups_.size());
+    for (std::uint32_t g = 0; g < order.size(); ++g) order[g] = g;
+    std::sort(order.begin(), order.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                const Group& x = groups_[a];
+                const Group& y = groups_[b];
+                if (x.hash != y.hash) return x.hash < y.hash;
+                return x.key < y.key;
+              });
+    // Each group's values land contiguously, groups in visiting order.
+    std::vector<std::uint32_t> next(groups_.size());
+    std::uint32_t offset = 0;
+    for (const std::uint32_t g : order) {
+      next[g] = offset;
+      offset += groups_[g].count;
+    }
+    std::vector<Value> grouped(values_.size());
+    for (std::size_t i = 0; i < values_.size(); ++i) {
+      grouped[next[ids_[i]]++] = std::move(values_[i]);
+    }
+    const std::span<const Value> all(grouped);
+    offset = 0;
+    for (const std::uint32_t g : order) {
+      reducer.reduce(groups_[g].key, all.subspan(offset, groups_[g].count),
+                     out);
+      offset += groups_[g].count;
     }
   }
-  return std::move(out.pairs());
-}
+
+ private:
+  static constexpr std::uint32_t kEmpty = 0xffffffff;
+  struct Slot {
+    std::uint64_t hash = 0;
+    std::uint32_t group = kEmpty;
+  };
+  struct Group {
+    std::uint64_t hash;
+    Key key;
+    std::uint32_t count;
+  };
+
+  // Top bits: every key of one reduce partition shares hash % R, so the low
+  // bits would cluster.
+  [[nodiscard]] std::size_t slot_of(std::uint64_t hash) const {
+    return static_cast<std::size_t>(hash >> shift_);
+  }
+
+  void grow() {
+    const std::size_t capacity = slots_.empty() ? 64 : 2 * slots_.size();
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
+    slots_.assign(capacity, Slot{});
+    for (std::uint32_t g = 0; g < groups_.size(); ++g) {
+      std::size_t i = slot_of(groups_[g].hash);
+      while (slots_[i].group != kEmpty) i = (i + 1) & (capacity - 1);
+      slots_[i] = {groups_[g].hash, g};
+    }
+  }
+
+  std::vector<Slot> slots_;  // power-of-two size, at most half full
+  unsigned shift_ = 64;
+  std::vector<Group> groups_;
+  std::vector<std::uint32_t> ids_;  // group of each value, arrival order
+  std::vector<Value> values_;       // arrival order
+};
 
 struct TaskResult {
-  // The task's scratch arena backs `partitions` and everything that fed it;
-  // declared first so the vectors die before their memory does.
+  // The task's scratch arena backs `partitions`; declared first so the
+  // vectors die before their memory does.
   std::unique_ptr<common::Arena> arena;
   // Post-combiner map output, already split into one vector per reducer
   // (index = hash % R) — the serial global partition loop is gone.
@@ -214,7 +235,51 @@ struct TaskResult {
   std::uint64_t skipped = 0;
 };
 
+// Hashes each emitted key once and appends the pair to its reducer's slice
+// of the task result, in emission order. Counts go to `counters`; null drops
+// them (combiner counts never reached the report).
+class PartitionEmitter final : public Emitter {
+ public:
+  PartitionEmitter(TaskResult& r, std::uint32_t num_reducers,
+                   CounterList* counters)
+      : r_(r) {
+    counters_ = counters;
+    r.partitions.reserve(num_reducers);
+    for (std::uint32_t p = 0; p < num_reducers; ++p) {
+      r.partitions.emplace_back(common::ArenaAllocator<HashedPair>(*r.arena));
+    }
+    r.partition_bytes.assign(num_reducers, 0);
+  }
+  void emit(Key key, Value value) override {
+    const std::uint64_t h = partition_hash(key);
+    const auto p = static_cast<std::uint32_t>(h % r_.partitions.size());
+    r_.partition_bytes[p] += key.size() + value.size() + 2;
+    r_.partitions[p].push_back(HashedPair{h, std::move(key), std::move(value)});
+    ++r_.pair_count;
+  }
+
+ private:
+  TaskResult& r_;
+};
+
+// Collects reducer output in emission order.
+class VectorEmitter final : public Emitter {
+ public:
+  explicit VectorEmitter(CounterList& counters) { counters_ = &counters; }
+  void emit(Key key, Value value) override {
+    pairs_.emplace_back(std::move(key), std::move(value));
+  }
+  [[nodiscard]] std::vector<std::pair<Key, Value>>& pairs() { return pairs_; }
+
+ private:
+  std::vector<std::pair<Key, Value>> pairs_;
+};
+
 }  // namespace
+
+std::uint64_t partition_hash(std::string_view key) {
+  return common::hash_bytes(key, kPartitionSeed);
+}
 
 Engine::Engine(EngineOptions options) : options_(std::move(options)) {
   if (options_.num_nodes == 0) throw std::invalid_argument("num_nodes == 0");
@@ -247,8 +312,8 @@ JobReport Engine::run(const Job& job, const std::vector<InputSplit>& splits) con
   JobReport report;
   const std::uint32_t R = job.config.num_reducers;
 
-  // One pool serves the whole run: map tasks, partition gathering, and the
-  // per-partition reduce stage all share it.
+  // One pool serves the whole run: map tasks and the per-partition
+  // group+reduce stage share it.
   const std::uint32_t threads =
       options_.execution_threads
           ? options_.execution_threads
@@ -263,46 +328,27 @@ JobReport Engine::run(const Job& job, const std::vector<InputSplit>& splits) con
   // ---- Real map execution (parallel, order-independent results). ----
   // Each task emits R pre-partitioned vectors with the key hash computed
   // once and cached alongside the pair; nothing after the map barrier ever
-  // rehashes a key.
+  // rehashes a key. With a combiner, map output is grouped by key as it is
+  // emitted, and the combiner's output is what gets partitioned.
   const auto wall_map_start = wall_now();
   std::vector<TaskResult> results(splits.size());
+  const bool combine = static_cast<bool>(job.combiner_factory);
   common::parallel_for(
       pool, splits.size(),
       [&](std::size_t t) {
-        const InputSplit& split = splits[t];
         TaskResult& r = results[t];
         r.arena = std::make_unique<common::Arena>();
-        common::Arena& arena = *r.arena;
+        PartitionEmitter partitioned(r, R, combine ? nullptr : &r.counters);
+        KeyGrouper grouper(&r.counters);
+        Emitter& out = combine ? static_cast<Emitter&>(grouper) : partitioned;
         auto mapper = job.mapper_factory();
-        VectorEmitter emitter(arena);
-        std::uint64_t records = 0;
-        const std::uint64_t skipped = workload::for_each_record(
-            split.data, [&](const workload::RecordView& rv) {
-              mapper->map(rv, emitter);
-              ++records;
+        r.skipped = workload::for_each_record(
+            splits[t].data, [&](const workload::RecordView& rv) {
+              mapper->map(rv, out);
+              ++r.records;
             });
-        mapper->finish(emitter);
-        r.records = records;
-        r.skipped = skipped;
-        r.counters = std::move(emitter.counters());
-        auto hashed = hash_pairs(std::move(emitter.pairs()), arena);
-        if (job.combiner_factory) {
-          auto combiner = job.combiner_factory();
-          hashed =
-              hash_pairs(reduce_pairs(*combiner, std::move(hashed), arena),
-                         arena);
-        }
-        r.pair_count = hashed.size();
-        r.partitions.reserve(R);
-        for (std::uint32_t p = 0; p < R; ++p) {
-          r.partitions.emplace_back(common::ArenaAllocator<HashedPair>(arena));
-        }
-        r.partition_bytes.assign(R, 0);
-        for (auto& hp : hashed) {
-          const auto p = static_cast<std::uint32_t>(hp.hash % R);
-          r.partition_bytes[p] += hp.key.size() + hp.value.size() + 2;
-          r.partitions[p].push_back(std::move(hp));
-        }
+        mapper->finish(out);
+        if (combine) grouper.reduce(*job.combiner_factory(), partitioned);
       },
       /*grain=*/1);  // map tasks are coarse; chunking would serialize them
   const auto wall_map_end = wall_now();
@@ -353,8 +399,9 @@ JobReport Engine::run(const Job& job, const std::vector<InputSplit>& splits) con
         std::min(report.first_map_finish_seconds, tt.finish);
   }
 
-  // ---- Shuffle: gather per-task partitions, sized per reducer. ----
+  // ---- Shuffle: size each reducer's partition. ----
   const auto wall_shuffle_start = wall_now();
+  std::vector<std::uint64_t> partition_bytes(R, 0);
   for (std::size_t t = 0; t < splits.size(); ++t) {
     report.input_records += results[t].records;
     report.skipped_lines += results[t].skipped;
@@ -363,28 +410,10 @@ JobReport Engine::run(const Job& job, const std::vector<InputSplit>& splits) con
     for (const auto& [name, v] : results[t].counters) {
       report.counters[name] += v;  // report.counters is a map: order-free
     }
-  }
-  // Each reducer's partition is the concatenation of every task's slice in
-  // task order — the same order the old serial partition loop produced.
-  // Partitions are independent, so the gather runs on the pool; each gets
-  // its own arena (shared with its reduce below — arenas are single-thread).
-  std::vector<std::unique_ptr<common::Arena>> reduce_arenas(R);
-  for (std::uint32_t p = 0; p < R; ++p) {
-    reduce_arenas[p] = std::make_unique<common::Arena>();
-  }
-  std::vector<std::optional<common::ArenaVector<HashedPair>>> partitions(R);
-  std::vector<std::uint64_t> partition_bytes(R, 0);
-  common::parallel_for(pool, R, [&](std::size_t p) {
-    auto& part = partitions[p].emplace(
-        common::ArenaAllocator<HashedPair>(*reduce_arenas[p]));
-    std::size_t total = 0;
-    for (const auto& r : results) total += r.partitions[p].size();
-    part.reserve(total);
-    for (auto& r : results) {
-      for (auto& hp : r.partitions[p]) part.push_back(std::move(hp));
-      partition_bytes[p] += r.partition_bytes[p];
+    for (std::uint32_t p = 0; p < R; ++p) {
+      partition_bytes[p] += results[t].partition_bytes[p];
     }
-  });
+  }
   for (std::uint32_t p = 0; p < R; ++p) report.shuffle_bytes += partition_bytes[p];
 
   report.shuffle_task_seconds.resize(R);
@@ -403,20 +432,26 @@ JobReport Engine::run(const Job& job, const std::vector<InputSplit>& splits) con
         : 0.0;
 
   // ---- Real reduce (parallel over partitions) + simulated timing. ----
-  // Each partition groups and reduces independently on the pool into
-  // per-partition buffers; the merge below runs serially in partition order,
-  // so output and counters are identical to the serial path.
-  std::vector<std::optional<common::ArenaVector<std::pair<Key, Value>>>>
-      reduced(R);
+  // Each partition groups every task's slice in task order — so each key's
+  // values arrive task-then-emit — and reduces independently on the pool
+  // into per-partition buffers; the merge below runs serially in partition
+  // order, so output and counters are identical at any thread count.
+  std::vector<std::vector<std::pair<Key, Value>>> reduced(R);
   std::vector<CounterList> reduce_counters(R);
   common::parallel_for(pool, R, [&](std::size_t p) {
-    auto reducer = job.reducer_factory();
-    reduced[p] = reduce_pairs(*reducer, std::move(*partitions[p]),
-                              *reduce_arenas[p], &reduce_counters[p]);
+    KeyGrouper grouper;
+    for (auto& r : results) {
+      for (auto& hp : r.partitions[p]) {
+        grouper.add(hp.hash, std::move(hp.key), std::move(hp.value));
+      }
+    }
+    VectorEmitter out(reduce_counters[p]);
+    grouper.reduce(*job.reducer_factory(), out);
+    reduced[p] = std::move(out.pairs());
   });
   report.reduce_task_seconds.resize(R);
   for (std::uint32_t p = 0; p < R; ++p) {
-    for (auto& kv : *reduced[p]) report.output.insert(std::move(kv));
+    for (auto& kv : reduced[p]) report.output.insert(std::move(kv));
     for (const auto& [name, v] : reduce_counters[p]) report.counters[name] += v;
     report.reduce_task_seconds[p] =
         job.config.cost.reduce_seconds(partition_bytes[p]);

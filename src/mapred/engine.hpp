@@ -18,6 +18,18 @@
 // output (key hash computed once per pair and cached), and the per-partition
 // group+reduce stage runs on the same thread pool as the map stage. All
 // results and simulated timings are bit-identical at any thread count.
+//
+// Grouping is by hash, with one routine for the combiner and the reducer: a
+// flat open-addressing table keyed by (partition_hash(key), key) collects
+// each key's values as they arrive — a combiner job's map output is grouped
+// while it is emitted — and only the distinct keys are sorted. Ordering
+// contract: a combiner or reducer sees its keys in ascending
+// (partition_hash(key), key) order, each with its values in arrival order.
+// For a combiner that is the mapper's emission order within the task; for a
+// reducer it is task order, then emission order (the mapper's, or the
+// combiner's) within a task. That is exactly the call sequence a stable sort
+// of the pairs by (hash, key) yields, so stateful reducers see the same
+// input whatever the grouping method.
 
 #include <cstdint>
 #include <functional>
@@ -171,6 +183,11 @@ std::uint64_t apply_speculative_backups(
     std::vector<TaskTiming>& map_tasks, std::vector<double>& node_map_seconds,
     const std::function<double(std::size_t task, std::uint32_t node)>&
         backup_duration);
+
+// The shuffle partitioner's key hash: a pair goes to reducer
+// partition_hash(key) % num_reducers, and grouped keys are visited in
+// ascending (partition_hash(key), key) order.
+[[nodiscard]] std::uint64_t partition_hash(std::string_view key);
 
 // Cut `data` (newline-separated records) into ~`pieces` contiguous chunks of
 // roughly data.size()/pieces bytes, each extended to the next record

@@ -8,13 +8,21 @@
 #include <map>
 #include <unordered_map>
 
+#include "apps/distinct_users.hpp"
 #include "apps/filter.hpp"
 #include "apps/histogram.hpp"
 #include "apps/moving_average.hpp"
+#include "apps/sessionize.hpp"
 #include "apps/topk_search.hpp"
 #include "apps/word_count.hpp"
+#include "common/hash.hpp"
 #include "common/string_util.hpp"
+#include "datanet/datanet.hpp"
+#include "datanet/experiment.hpp"
+#include "datanet/selection_runtime.hpp"
 #include "mapred/engine.hpp"
+#include "mapred/report_json.hpp"
+#include "scheduler/datanet_sched.hpp"
 
 namespace da = datanet::apps;
 namespace dm = datanet::mapred;
@@ -243,4 +251,66 @@ TEST(Filter, TargetedStatsOnlyOneKey) {
 TEST(Filter, IsIoBoundCostProfile) {
   const auto f = da::make_filter_stats_job("x");
   EXPECT_LT(f.config.cost.cpu_s_per_mib, f.config.cost.io_s_per_mib);
+}
+
+// ---- golden reports ----
+
+// Every app job over one fixed fig5 selection (32 nodes, 256 x 128 KiB
+// movie blocks, the hottest key), serialized with its full output. The
+// hashes pin the engine's observable behaviour: key order and per-key value
+// order into every reducer (the stateful ones included), output, counters
+// and every simulated field. Any engine change must leave them untouched,
+// at every execution thread count.
+TEST(AppGolden, Fig5SelectionReportsPinned) {
+  namespace dc = datanet::core;
+  dc::ExperimentConfig cfg;
+  cfg.num_nodes = 32;
+  cfg.block_size = 128 * 1024;
+  cfg.replication = 3;
+  cfg.slots_per_node = 2;
+  cfg.seed = 2016;
+  const auto ds = dc::make_movie_dataset(cfg, 256, 2000);
+  const dc::DataNet net(*ds.dfs, ds.path, {.alpha = 0.3});
+  const std::string key = ds.hot_keys[0];
+
+  const std::vector<std::pair<std::string, dm::Job>> jobs = {
+      {"WordCount", da::make_word_count_job()},
+      {"Histogram", da::make_word_histogram_job()},
+      {"TopK", da::make_topk_search_job("a quietly brilliant film", 10)},
+      {"DistinctUsers", da::make_distinct_users_job("rating=")},
+      {"Sessionize", da::make_sessionize_job("rating=", 3600)},
+      {"MovingAverage", da::make_moving_average_job(86400)},
+      {"FilterStats", da::make_filter_stats_job("")},
+  };
+  const std::map<std::string, std::uint64_t> golden = {
+      {"Selection", 0xcceed0e708e4ca4bULL},
+      {"WordCount", 0x587146e395fa388fULL},
+      {"Histogram", 0x6c0840c98ab326ccULL},
+      {"TopK", 0xa9d91ef3a0a27523ULL},
+      {"DistinctUsers", 0xf7b0b98ed01d94c0ULL},
+      {"Sessionize", 0x1b9f3e43a728b0d3ULL},
+      {"MovingAverage", 0xfbd9af97c0042b08ULL},
+      {"FilterStats", 0x957c9416ebdae436ULL},
+  };
+  const auto hash_of = [](const dm::JobReport& r) {
+    return datanet::common::hash_bytes(dm::report_to_json(r, true));
+  };
+  for (const std::uint32_t threads : {1u, 8u}) {
+    cfg.execution_threads = threads;
+    dc::DirectReadPolicy read(*ds.dfs, cfg.remote_read_penalty);
+    dc::NoFaults faults;
+    dc::AnalyticBackend timing;
+    datanet::scheduler::DataNetScheduler sched;
+    const auto sel = dc::SelectionRuntime(read, faults, timing)
+                         .run(*ds.dfs, ds.path, key, sched, &net, cfg);
+    std::map<std::string, std::uint64_t> got = {
+        {"Selection", hash_of(sel.report)}};
+    for (const auto& [name, job] : jobs) {
+      got[name] = hash_of(dc::run_analysis(job, sel, cfg));
+    }
+    for (const auto& [name, h] : got) {
+      EXPECT_EQ(h, golden.at(name))
+          << name << " threads=" << threads << " got 0x" << std::hex << h;
+    }
+  }
 }

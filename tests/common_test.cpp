@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
 #include <set>
 #include <unordered_set>
 
@@ -242,6 +243,62 @@ TEST(StringUtil, TokenizeWordsEmpty) {
   std::vector<std::string> words;
   dc::tokenize_words("  ,,, ", words);
   EXPECT_TRUE(words.empty());
+}
+
+namespace {
+
+// The tokenizer before it became table-driven: per-char std::isalnum and
+// std::tolower in the C locale (nothing in the repo calls setlocale).
+std::vector<std::string> reference_tokenize(std::string_view text) {
+  std::vector<std::string> out;
+  std::string cur;
+  for (char ch : text) {
+    const auto uc = static_cast<unsigned char>(ch);
+    if (std::isalnum(uc) || ch == '\'') {
+      cur.push_back(static_cast<char>(std::tolower(uc)));
+    } else if (!cur.empty()) {
+      out.push_back(std::move(cur));
+      cur.clear();
+    }
+  }
+  if (!cur.empty()) out.push_back(std::move(cur));
+  return out;
+}
+
+std::vector<std::string> tokenize(std::string_view text) {
+  std::vector<std::string> out;
+  dc::tokenize_words(text, out);
+  return out;
+}
+
+}  // namespace
+
+TEST(StringUtil, TokenizeWordsMatchesCLocaleOnEveryByte) {
+  for (int b = 0; b < 256; ++b) {
+    const std::string c(1, static_cast<char>(b));
+    for (const std::string& text :
+         {c, c + c + c, "aB" + c + "9z", c + " Word " + c, "x'" + c}) {
+      EXPECT_EQ(tokenize(text), reference_tokenize(text)) << "byte " << b;
+    }
+  }
+}
+
+TEST(StringUtil, TokenizeWordsMatchesCLocaleOnRandomBytes) {
+  dc::Rng rng(1234);
+  for (int i = 0; i < 3000; ++i) {
+    std::string text(rng.bounded(80), '\0');
+    const bool ascii_heavy = rng.bernoulli(0.5);
+    for (char& ch : text) {
+      ch = ascii_heavy && rng.bernoulli(0.7)
+               ? "aZ09' .,\t-Q"[rng.bounded(11)]
+               : static_cast<char>(rng.bounded(256));
+    }
+    std::vector<std::string> appended{"pre"};
+    dc::tokenize_words(text, appended);
+    auto want = reference_tokenize(text);
+    want.insert(want.begin(), "pre");
+    ASSERT_EQ(appended, want) << "case " << i;
+  }
 }
 
 // ---- units ----

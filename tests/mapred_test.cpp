@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <charconv>
 #include <map>
+#include <mutex>
 
+#include "common/hash.hpp"
+#include "common/rng.hpp"
 #include "mapred/engine.hpp"
 #include "workload/record.hpp"
 
@@ -304,7 +308,7 @@ class CountingReducer final : public dm::Reducer {
 
 TEST(Engine, DeterministicShuffleAndReduceAcrossThreadCounts) {
   // Shuffle-heavy job: many distinct keys across many splits, >= 8 reducers,
-  // so the parallel partition-gather and reduce stages actually fan out.
+  // so the parallel group+reduce stage actually fans out.
   // Everything observable must be bit-identical at 1 and 8 threads.
   std::vector<std::string> blocks;
   for (int s = 0; s < 6; ++s) {
@@ -372,6 +376,196 @@ TEST(Counters, AbsentWhenUnused) {
   const auto report =
       engine.run(key_count_job(), {{.node = 0, .data = b, .charged_bytes = 0}});
   EXPECT_TRUE(report.counters.empty());
+}
+
+// ---- grouping order ----
+
+namespace {
+
+// Every (key, values) call one combiner or reducer instance received.
+using CallLog = std::vector<std::pair<std::string, std::vector<std::string>>>;
+
+// Gathers the logs of every instance a factory made. Instances run on pool
+// threads, so appends are locked and the logs compare as a sorted set.
+struct LogSink {
+  std::mutex mu;
+  std::vector<CallLog> logs;
+  std::vector<CallLog> sorted() {
+    std::sort(logs.begin(), logs.end());
+    return logs;
+  }
+};
+
+// Logs each call. As a combiner it emits 0, 1 or 2 pairs per key, the
+// second under a different key; as a reducer, one.
+class RecordingReducer final : public dm::Reducer {
+ public:
+  RecordingReducer(LogSink& sink, bool combiner)
+      : sink_(sink), combiner_(combiner) {}
+  ~RecordingReducer() override {
+    const std::lock_guard lock(sink_.mu);
+    sink_.logs.push_back(std::move(log_));
+  }
+  void reduce(const dm::Key& key, std::span<const dm::Value> values,
+              dm::Emitter& out) override {
+    log_.emplace_back(key, std::vector<std::string>(values.begin(), values.end()));
+    std::string joined;
+    for (const auto& v : values) joined += v + ",";
+    if (!combiner_) {
+      out.emit(key, joined);
+      return;
+    }
+    switch (datanet::common::hash_bytes(key) % 3) {
+      case 0:
+        break;
+      case 1:
+        out.emit(key, joined);
+        break;
+      default:
+        out.emit(key, joined);
+        out.emit("derived_" + key.substr(key.size() / 2), key);
+    }
+  }
+
+ private:
+  LogSink& sink_;
+  bool combiner_;
+  CallLog log_;
+};
+
+// Emits each record's key with its unique timestamp, every third record a
+// pair under a shared key, and at finish() the record count plus the last
+// key seen again.
+class OrderMapper final : public dm::Mapper {
+ public:
+  void map(const dw::RecordView& r, dm::Emitter& out) override {
+    out.emit(std::string(r.key), std::to_string(r.timestamp));
+    if (r.timestamp % 3 == 0) out.emit("shared", "s" + std::to_string(r.timestamp));
+    ++records_;
+    last_ = r.key;
+  }
+  void finish(dm::Emitter& out) override {
+    out.emit("finish_count", std::to_string(records_));
+    if (!last_.empty()) out.emit(last_, "last");
+  }
+
+ private:
+  std::uint64_t records_ = 0;
+  std::string last_;
+};
+
+class PairCollector final : public dm::Emitter {
+ public:
+  void emit(dm::Key key, dm::Value value) override {
+    pairs.emplace_back(std::move(key), std::move(value));
+  }
+  std::vector<std::pair<dm::Key, dm::Value>> pairs;
+};
+
+// The engine's former grouping: stable sort by (partition hash, key), then
+// one reduce call per run of equal keys.
+std::vector<std::pair<dm::Key, dm::Value>> sort_and_reduce(
+    dm::Reducer& reducer, std::vector<std::pair<dm::Key, dm::Value>> pairs) {
+  std::stable_sort(pairs.begin(), pairs.end(), [](const auto& a, const auto& b) {
+    const auto ha = dm::partition_hash(a.first);
+    const auto hb = dm::partition_hash(b.first);
+    return ha != hb ? ha < hb : a.first < b.first;
+  });
+  PairCollector out;
+  for (std::size_t i = 0; i < pairs.size();) {
+    std::vector<dm::Value> values;
+    std::size_t j = i;
+    for (; j < pairs.size() && pairs[j].first == pairs[i].first; ++j) {
+      values.push_back(pairs[j].second);
+    }
+    reducer.reduce(pairs[i].first, values, out);
+    i = j;
+  }
+  return std::move(out.pairs);
+}
+
+// Serial reference run: per task, map then sort-and-combine; partition by
+// hash; per partition, concatenate the tasks' slices in order and
+// sort-and-reduce.
+void reference_run(const dm::Job& job, const std::vector<dm::InputSplit>& splits) {
+  const std::uint32_t R = job.config.num_reducers;
+  std::vector<std::vector<std::pair<dm::Key, dm::Value>>> partitions(R);
+  for (const auto& split : splits) {
+    PairCollector map_out;
+    auto mapper = job.mapper_factory();
+    (void)dw::for_each_record(split.data, [&](const dw::RecordView& rv) {
+      mapper->map(rv, map_out);
+    });
+    mapper->finish(map_out);
+    auto pairs = std::move(map_out.pairs);
+    if (job.combiner_factory) {
+      pairs = sort_and_reduce(*job.combiner_factory(), std::move(pairs));
+    }
+    for (auto& kv : pairs) {
+      partitions[dm::partition_hash(kv.first) % R].push_back(std::move(kv));
+    }
+  }
+  for (auto& part : partitions) {
+    (void)sort_and_reduce(*job.reducer_factory(), std::move(part));
+  }
+}
+
+}  // namespace
+
+TEST(Engine, GroupingOrderMatchesStableSortReference) {
+  const std::string prefix = "subdataset_with_a_long_shared_prefix_";
+  const std::uint32_t reducer_counts[] = {1, 3, 8, 16, 5};
+  for (std::uint64_t seed = 0; seed < 5; ++seed) {
+    datanet::common::Rng rng(seed + 100);
+    std::vector<std::string> blocks(1 + rng.bounded(9));
+    std::uint64_t ts = 0;
+    for (auto& block : blocks) {
+      const auto records = rng.bounded(300);
+      for (std::uint64_t i = 0; i < records; ++i) {
+        const auto k = rng.bounded(60);
+        const std::string key =
+            k < 50 ? prefix + std::to_string(k) : "k" + std::to_string(k);
+        block += std::to_string(ts++) + "\t" + key + "\tpayload\n";
+      }
+    }
+    std::vector<dm::InputSplit> splits;
+    for (std::size_t s = 0; s < blocks.size(); ++s) {
+      splits.push_back({.node = static_cast<std::uint32_t>(s % 3),
+                        .data = blocks[s],
+                        .charged_bytes = 0});
+    }
+    for (const bool combiner : {false, true}) {
+      LogSink ref_combine, ref_reduce;
+      const auto make_job = [&](LogSink& combine_sink, LogSink& reduce_sink) {
+        dm::Job job;
+        job.config.num_reducers = reducer_counts[seed];
+        job.mapper_factory = [] { return std::make_unique<OrderMapper>(); };
+        job.reducer_factory = [&reduce_sink] {
+          return std::make_unique<RecordingReducer>(reduce_sink, false);
+        };
+        if (combiner) {
+          job.combiner_factory = [&combine_sink] {
+            return std::make_unique<RecordingReducer>(combine_sink, true);
+          };
+        }
+        return job;
+      };
+      reference_run(make_job(ref_combine, ref_reduce), splits);
+      for (const std::uint32_t threads : {1u, 8u}) {
+        LogSink combine_sink, reduce_sink;
+        dm::Engine engine(
+            {.num_nodes = 3, .slots_per_node = 2, .execution_threads = threads});
+        const auto report =
+            engine.run(make_job(combine_sink, reduce_sink), splits);
+        const std::string where = "seed=" + std::to_string(seed) +
+                                  " combiner=" + std::to_string(combiner) +
+                                  " threads=" + std::to_string(threads);
+        EXPECT_FALSE(report.output.empty()) << where;
+        EXPECT_EQ(combine_sink.sorted(), ref_combine.sorted()) << where;
+        EXPECT_EQ(reduce_sink.sorted(), ref_reduce.sorted()) << where;
+      }
+    }
+  }
 }
 
 // ---- JSON report serialization ----
