@@ -1,5 +1,5 @@
-// Hot-path speed recovery bench (PR 6): real-wall numbers for the four
-// optimizations this PR stacks on the selection path —
+// Hot-path speed recovery bench: real-wall numbers for the
+// optimizations stacked on the selection path —
 //
 //   1. kernel sweep    — filter_lines pinned to each available scan kernel
 //                        (scalar memchr reference, SSE2, AVX2) plus the
@@ -8,11 +8,7 @@
 //   2. copy vs zero-copy — the old per-task `std::string(block)` copy
 //                        before filtering vs filtering the DFS-owned bytes
 //                        in place;
-//   3. armed vs unarmed — full selection with an armed-but-empty fault
-//                        policy (tracked attempt loop) vs NoFaults (the
-//                        bookkeeping-free fast path), with a report
-//                        equality check;
-//   4. thread scaling  — selection wall at 1/2/4/8 engine threads.
+//   3. thread scaling  — selection wall at 1/2/4/8 engine threads.
 //
 // Wall times are host-dependent; every simulated figure and all report
 // bytes are deterministic. The machine-readable twin of this bench is the
@@ -26,8 +22,6 @@
 
 #include "bench_util.hpp"
 #include "common/simd_scan.hpp"
-#include "dfs/fault_injector.hpp"
-#include "mapred/report_json.hpp"
 #include "scheduler/datanet_sched.hpp"
 
 namespace {
@@ -56,8 +50,8 @@ double best_of(int reps, Fn&& fn) {
 int main() {
   using namespace datanet;
   benchutil::print_header(
-      "Hot-path speed recovery: SIMD scan, zero-copy, lazy bookkeeping",
-      "selection wall time tracks the scan kernel, not the bookkeeping");
+      "Hot-path speed recovery: SIMD scan, zero-copy, thread sweep",
+      "selection wall time tracks the scan kernel");
 
   const auto cfg = benchutil::paper_config();
   auto ds = core::make_movie_dataset(cfg, 256, 2000);
@@ -131,34 +125,9 @@ int main() {
   std::printf("  zero-copy view       %.4fs   (%.2fx)\n", zero_secs,
               copy_secs / zero_secs);
 
-  // ---- 3. armed vs unarmed fault policy --------------------------------
-  std::printf("\n[resilience bookkeeping: armed vs unarmed, clean run]\n");
-  scheduler::DataNetScheduler sched;
-  core::SelectionResult unarmed_result;
-  const double unarmed_secs = best_of(3, [&] {
-    unarmed_result =
-        benchutil::run_selection(*ds.dfs, ds.path, key, sched, &net, cfg);
-  });
-  core::SelectionResult armed_result;
-  const double armed_secs = best_of(3, [&] {
-    dfs::FaultInjector injector(*ds.dfs, {});  // empty plan, still armed
-    core::DirectReadPolicy read(*ds.dfs, cfg.remote_read_penalty);
-    core::InjectedFaults faults(injector);
-    core::AnalyticBackend timing;
-    armed_result = core::SelectionRuntime(read, faults, timing)
-                       .run(*ds.dfs, ds.path, key, sched, &net, cfg);
-  });
-  const bool identical =
-      mapred::report_to_json(unarmed_result.report, true) ==
-          mapred::report_to_json(armed_result.report, true) &&
-      unarmed_result.node_local_data == armed_result.node_local_data;
-  std::printf("  armed (tracked loop) %.4fs\n", armed_secs);
-  std::printf("  unarmed (fast path)  %.4fs   (%.2fx, reports %s)\n",
-              unarmed_secs, armed_secs / unarmed_secs,
-              identical ? "bit-identical" : "DIVERGED -- BUG");
-
-  // ---- 4. thread scaling ----------------------------------------------
+  // ---- 3. thread scaling ----------------------------------------------
   std::printf("\n[selection wall vs engine threads]\n");
+  scheduler::DataNetScheduler sched;
   for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
     auto tcfg = cfg;
     tcfg.execution_threads = threads;
@@ -167,5 +136,5 @@ int main() {
     });
     std::printf("  threads=%u  %.4fs\n", threads, secs);
   }
-  return identical ? 0 : 1;
+  return 0;
 }

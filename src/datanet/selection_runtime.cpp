@@ -183,48 +183,17 @@ SelectionResult SelectionRuntime::run_graph(const dfs::MiniDfs& dfs,
   std::vector<mapred::InputSplit> splits;
   std::uint64_t retries = 0;
   mapred::AttemptCounters counters;
-  // One pin slot per task, held at function scope: splits (and task_data in
-  // the tracked loop) are string_views into pinned DFS bytes, and the timing
-  // backend's report() below is their last consumer — so the pins must
-  // outlive it. Re-executions overwrite a task's slot, releasing the old pin.
+  // One pin slot per task, held at function scope: splits and task_data are
+  // string_views into pinned DFS bytes, and the timing backend's report()
+  // below is their last consumer — so the pins must outlive it.
+  // Re-executions overwrite a task's slot, releasing the old pin.
   std::vector<dfs::BlockPin> task_pins(num_tasks);
 
-  // Pay-as-you-go bookkeeping: with no fault policy armed and no monitor
-  // attached, nothing in the tracked loop below can ever fire — every task
-  // executes exactly once on its assigned node in task order. The fast path
-  // replays that schedule with zero per-task tracker/heap state and filters
-  // straight into the node-local buffers (the tracked loop's per-task output
-  // staging exists only so retries can discard partial work). Reports stay
-  // bit-identical: dispatch order, split order, charge accounting, and the
-  // lost-block path match the tracked loop's clean execution exactly. The
-  // one precondition checked up front is that every assigned node is active
-  // (a pre-damaged cluster re-routes via the tracked loop's failover logic).
-  bool fast_clean = materialize && !faults_->armed() && monitor_ == nullptr;
-  if (fast_clean) {
-    for (std::size_t j = 0; j < num_tasks && fast_clean; ++j) {
-      fast_clean = dfs.is_active(result.assignment.block_to_node[j]);
-    }
-  }
-
-  if (fast_clean) {
-    splits.reserve(num_tasks);
-    for (std::size_t j = 0; j < num_tasks; ++j) {
-      const dfs::NodeId node = result.assignment.block_to_node[j];
-      const dfs::BlockId bid = graph.block(j).block_id;
-      ReplicaRead read = read_->read(bid, node);
-      task_pins[j] = std::move(read.pin);
-      retries += read.failed_attempts;
-      if (!read.ok) {
-        result.lost_block_ids.push_back(bid);
-        continue;
-      }
-      result.node_filtered_bytes[node] +=
-          filter_lines(read.data, key, result.node_local_data[node]);
-      splits.push_back(mapred::InputSplit{
-          .node = node, .data = read.data, .charged_bytes = read.charged_bytes});
-    }
-    counters.attempts = num_tasks;  // one dispatch per task, nothing else
-  } else if (materialize) {
+  // The one materialize loop (the paper's Algorithm 1 task-request loop,
+  // made straggler-resilient). A clean run is the same loop with a policy
+  // that never fires: every task executes once on its assigned node, in
+  // task order.
+  if (materialize) {
     // Per-task state. Output is buffered per task (not per node) so a killed
     // node's contribution can be discarded and rebuilt deterministically.
     std::vector<std::string> task_output(num_tasks);
@@ -460,13 +429,21 @@ SelectionResult SelectionRuntime::run_graph(const dfs::MiniDfs& dfs,
     }
 
     // Rebuild the node-local view in task order, so the final buffers are
-    // independent of the retry history.
+    // independent of the retry history. Each task's staging is handed over
+    // (moved into an empty node buffer, else appended and freed) as it is
+    // consumed, so staging and node buffers are never both fully alive.
     splits.reserve(num_tasks);
     for (std::size_t j = 0; j < num_tasks; ++j) {
       if (!done[j]) continue;
       const dfs::NodeId node = result.assignment.block_to_node[j];
-      result.node_local_data[node].append(task_output[j]);
+      std::string& buffer = result.node_local_data[node];
       result.node_filtered_bytes[node] += task_output[j].size();
+      if (buffer.empty()) {
+        buffer = std::move(task_output[j]);
+      } else {
+        buffer.append(task_output[j]);
+      }
+      std::string().swap(task_output[j]);
       splits.push_back(mapred::InputSplit{
           .node = node, .data = task_data[j], .charged_bytes = task_charge[j]});
     }

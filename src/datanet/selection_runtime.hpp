@@ -20,8 +20,10 @@
 //     drives the same scheduler with discrete-event pull-on-slot-free
 //     ordering instead.
 //
-// The materialize loop is straggler-resilient (core::AttemptTracker): every
-// dispatched task is a TaskAttempt on a deterministic logical clock;
+// There is exactly one materialize loop, and it is straggler-resilient
+// (core::AttemptTracker): every run — NoFaults or injected faults, with or
+// without a ReplicationMonitor — goes through it. Every dispatched task is a
+// TaskAttempt on a deterministic logical clock;
 // attempts parked on a stalled node time out and are re-dispatched with
 // exponential backoff onto scheduler::pick_failover_node's choice, nodes
 // accumulating timeouts are blacklisted, near-drained runs launch
@@ -110,13 +112,6 @@ class ChecksumRetryReadPolicy final : public ReplicaReadPolicy {
 class FaultPolicy {
  public:
   virtual ~FaultPolicy() = default;
-  // Whether this policy can ever fire a fault. When false (and no
-  // ReplicationMonitor is attached) the runtime takes the bookkeeping-free
-  // fast path: no AttemptTracker state, no advance()/is_stalled()/
-  // take_transient_read_failure() probes, no monitor ticks — chosen once per
-  // run, with reports bit-identical to the tracked clean run. Defaults to
-  // true: a custom policy must opt in to being skippable.
-  [[nodiscard]] virtual bool armed() const { return true; }
   // Called with the number of executed task attempts so far (0 before the
   // first); applies due faults and returns true when a node kill fired —
   // the runtime then re-enqueues the dead node's pending AND completed work.
@@ -137,7 +132,6 @@ class FaultPolicy {
 // The empty plan: no events, ever.
 class NoFaults final : public FaultPolicy {
  public:
-  [[nodiscard]] bool armed() const override { return false; }
   bool advance(std::uint64_t) override { return false; }
 };
 
@@ -166,8 +160,9 @@ class TimingBackend {
       const std::vector<std::uint64_t>& block_bytes) = 0;
   // Selection-phase JobReport over the materialized splits. `node_speeds`
   // is the FaultPolicy's post-run view (empty = homogeneous); `attempts`
-  // the materialize loop's attempt counters (all-zero on clean runs) — the
-  // backend prices wasted/duplicated work from them.
+  // the materialize loop's attempt counters (one attempt per task and
+  // nothing else on clean runs) — the backend prices wasted/duplicated work
+  // from them.
   [[nodiscard]] virtual mapred::JobReport report(
       const std::string& key, const std::vector<mapred::InputSplit>& splits,
       const ExperimentConfig& cfg, const std::vector<double>& node_speeds,

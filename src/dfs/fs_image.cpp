@@ -14,9 +14,9 @@ namespace datanet::dfs {
 namespace {
 
 constexpr std::uint64_t kMagic = 0x30474d4946534644ull;  // "DFSFIMG0"
-// v2 appends an open-block section (id, file, extents_applied per open
-// block) after the block table so checkpoints taken mid-ingestion restore
-// in-flight blocks. v1 images (no open blocks) still load.
+// The one image version. Its open-block section (id, file, extents_applied
+// per open block) after the block table lets checkpoints taken
+// mid-ingestion restore in-flight blocks.
 constexpr std::uint32_t kVersion = 2;
 
 std::string read_whole_file(const std::string& path) {
@@ -39,7 +39,6 @@ std::string_view checked_body(const std::string& raw, const std::string& path) {
 }
 
 struct Header {
-  std::uint32_t version = kVersion;
   DfsOptions options;
   std::vector<RackId> rack_of;
   std::vector<bool> active;
@@ -50,8 +49,7 @@ struct Header {
 Header read_header(wire::Cursor& c, const std::string& path) {
   Header h;
   if (c.u64() != kMagic) throw FsImageError("FsImage: bad magic in " + path);
-  h.version = c.u32();
-  if (h.version < 1 || h.version > kVersion) {
+  if (c.u32() != kVersion) {
     throw FsImageError("FsImage: unsupported version in " + path);
   }
   h.options.block_size = c.u64();
@@ -112,7 +110,7 @@ void FsImage::save(const MiniDfs& dfs, const std::string& path) {
     wire::put_bytes(out, dfs.block_data_[b.id]);
   }
 
-  // Open-block section (v2): which dense ids are still unsealed, the file
+  // Open-block section: which dense ids are still unsealed, the file
   // each belongs to (absent from the file table until seal), and the extent
   // count — persisted so checkpoint + journal-suffix replay stays idempotent
   // (kAppendExtent frames at or below extents_applied are skipped).
@@ -195,20 +193,18 @@ MiniDfs FsImage::load(const std::string& path) {
       dfs.files_.emplace(std::move(name), std::move(ids));
     }
 
-    if (h.version >= 2) {
-      const std::uint64_t num_open = c.u64();
-      for (std::uint64_t i = 0; i < num_open; ++i) {
-        const BlockId id = c.u64();
-        if (id >= num_blocks) throw FsImageError("FsImage: bad open block id");
-        std::string file = c.bytes();
-        const std::uint64_t extents = c.u64();
-        if (!dfs.files_.contains(file)) {
-          throw FsImageError("FsImage: open block in unknown file");
-        }
-        dfs.blocks_[id].file = file;
-        dfs.open_blocks_.emplace(
-            id, MiniDfs::OpenBlockState{std::move(file), extents});
+    const std::uint64_t num_open = c.u64();
+    for (std::uint64_t i = 0; i < num_open; ++i) {
+      const BlockId id = c.u64();
+      if (id >= num_blocks) throw FsImageError("FsImage: bad open block id");
+      std::string file = c.bytes();
+      const std::uint64_t extents = c.u64();
+      if (!dfs.files_.contains(file)) {
+        throw FsImageError("FsImage: open block in unknown file");
       }
+      dfs.blocks_[id].file = file;
+      dfs.open_blocks_.emplace(
+          id, MiniDfs::OpenBlockState{std::move(file), extents});
     }
     if (!c.exhausted()) throw FsImageError("FsImage: trailing bytes in " + path);
     // Blocks were loaded behind the incremental counter's back.
@@ -245,19 +241,17 @@ FsImage::Stats FsImage::inspect(const std::string& path) {
     for (std::uint64_t j = 0; j < nblocks; ++j) (void)c.u64();
   }
   s.num_blocks = c.u64();
-  if (h.version >= 2) {
-    // Skip the block table to reach the open-block section.
-    for (std::uint64_t i = 0; i < s.num_blocks; ++i) {
-      (void)c.u64();  // id
-      (void)c.u32();  // index_in_file
-      (void)c.u64();  // num_records
-      (void)c.u32();  // checksum
-      const std::uint32_t nreps = c.u32();
-      for (std::uint32_t r = 0; r < nreps; ++r) (void)c.u32();
-      (void)c.bytes();
-    }
-    s.num_open_blocks = c.u64();
+  // Skip the block table to reach the open-block section.
+  for (std::uint64_t i = 0; i < s.num_blocks; ++i) {
+    (void)c.u64();  // id
+    (void)c.u32();  // index_in_file
+    (void)c.u64();  // num_records
+    (void)c.u32();  // checksum
+    const std::uint32_t nreps = c.u32();
+    for (std::uint32_t r = 0; r < nreps; ++r) (void)c.u32();
+    (void)c.bytes();
   }
+  s.num_open_blocks = c.u64();
   return s;
 }
 

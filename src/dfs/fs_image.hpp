@@ -34,7 +34,7 @@ class FsImage {
     std::uint64_t journal_covered = 0;   // journal offset the image reflects
     std::uint64_t num_files = 0;
     std::uint64_t num_blocks = 0;
-    std::uint64_t num_open_blocks = 0;  // unsealed blocks in the image (v2)
+    std::uint64_t num_open_blocks = 0;  // unsealed blocks in the image
     std::uint32_t num_nodes = 0;
     std::uint32_t active_nodes = 0;
   };

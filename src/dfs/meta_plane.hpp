@@ -19,8 +19,7 @@
 // Epochs: mutation_epoch generalizes for free — each shard's MiniDfs keeps
 // its own counter, exposed as shard_epoch(k). Replica churn on one shard no
 // longer advances the epochs other shards' cached metadata was validated
-// against; the server's dataset cache and the lease-based ClientMetaCache
-// both key on the owning shard's epoch only.
+// against; the server's dataset cache keys on the owning shard's epoch only.
 //
 // Concurrency: routing state (the ring) is immutable after construction.
 // Each shard inherits MiniDfs's single-mutator/many-readers contract

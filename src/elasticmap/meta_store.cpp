@@ -12,15 +12,10 @@ namespace datanet::elasticmap {
 namespace {
 
 constexpr std::uint64_t kMagic = 0x44417441534e4554ULL;  // "DAtASNET"
-// v1: no blob checksums. v2 appends a CRC32 to each index entry and is what
-// save() writes; both versions load.
 constexpr std::uint64_t kVersion = 2;
 
-std::uint64_t checked_version(std::uint64_t v) {
-  if (v != 1 && v != kVersion) {
-    throw MetaStoreCorruptError("MetaStore: bad version");
-  }
-  return v;
+void check_version(std::uint64_t v) {
+  if (v != kVersion) throw MetaStoreCorruptError("MetaStore: bad version");
 }
 
 void put_u64(std::ofstream& f, std::uint64_t v) {
@@ -66,11 +61,9 @@ std::uint64_t bytes_remaining(std::istream& f) {
   return static_cast<std::uint64_t>(end - pos);
 }
 
-// Per-entry index footprint: global_index + block_id + offset + length,
-// plus a CRC32 (stored widened to u64) in v2.
-constexpr std::uint64_t index_entry_bytes(std::uint64_t version) {
-  return version >= 2 ? 40 : 32;
-}
+// Per-entry index footprint: global_index + block_id + offset + length +
+// CRC32 (stored widened to u64).
+constexpr std::uint64_t kIndexEntryBytes = 40;
 
 struct StoredEntry {
   std::uint64_t global_index;
@@ -78,12 +71,10 @@ struct StoredEntry {
   std::string blob;
 };
 
-// Write one store file holding the given (already serialized) entries, in
-// the requested format version (v1 drops the per-entry CRC32).
+// Write one store file holding the given (already serialized) entries.
 void write_store(const std::string& file_path, const std::string& dataset_path,
                  std::uint64_t raw_bytes, const BuildOptions& options,
-                 const std::vector<StoredEntry>& entries,
-                 std::uint64_t version = kVersion) {
+                 const std::vector<StoredEntry>& entries) {
   // Crash atomicity: build the file beside the target and rename over it, so
   // the live store is never open for writing and a crash mid-save leaves the
   // previous version intact.
@@ -92,7 +83,7 @@ void write_store(const std::string& file_path, const std::string& dataset_path,
     std::ofstream f(tmp_path, std::ios::binary | std::ios::trunc);
     if (!f) throw std::runtime_error("MetaStore: cannot open " + tmp_path);
     put_u64(f, kMagic);
-    put_u64(f, checked_version(version));
+    put_u64(f, kVersion);
     put_u64(f, raw_bytes);
     put_f64(f, options.alpha);
     put_f64(f, options.bloom_fpp);
@@ -109,7 +100,7 @@ void write_store(const std::string& file_path, const std::string& dataset_path,
       put_u64(f, e.block_id);
       put_u64(f, offset);
       put_u64(f, e.blob.size());
-      if (version >= 2) put_u64(f, common::crc32(e.blob));
+      put_u64(f, common::crc32(e.blob));
       offset += e.blob.size();
     }
     for (const auto& e : entries) {
@@ -134,7 +125,7 @@ StoreContents read_store(const std::string& file_path) {
   std::ifstream f(file_path, std::ios::binary);
   if (!f) throw std::runtime_error("MetaStore: cannot open " + file_path);
   if (get_u64(f) != kMagic) throw MetaStoreCorruptError("MetaStore: bad magic");
-  const std::uint64_t version = checked_version(get_u64(f));
+  check_version(get_u64(f));
   StoreContents out;
   out.raw_bytes = get_u64(f);
   out.options.alpha = get_f64(f);
@@ -147,7 +138,7 @@ StoreContents read_store(const std::string& file_path) {
   f.read(out.dataset_path.data(), static_cast<std::streamsize>(path_len));
   if (!f) throw MetaStoreCorruptError("MetaStore: truncated file");
   const std::uint64_t n = get_u64(f);
-  if (n > bytes_remaining(f) / index_entry_bytes(version)) {
+  if (n > bytes_remaining(f) / kIndexEntryBytes) {
     throw MetaStoreCorruptError("MetaStore: corrupt entry count");
   }
   struct RawIdx {
@@ -160,7 +151,7 @@ StoreContents read_store(const std::string& file_path) {
     e.bid = get_u64(f);
     e.off = get_u64(f);
     e.len = get_u64(f);
-    e.crc = version >= 2 ? static_cast<std::uint32_t>(get_u64(f)) : 0;
+    e.crc = static_cast<std::uint32_t>(get_u64(f));
   }
   const auto blobs_begin = f.tellg();
   const std::uint64_t blob_region = bytes_remaining(f);
@@ -175,7 +166,7 @@ StoreContents read_store(const std::string& file_path) {
     f.seekg(blobs_begin + static_cast<std::streamoff>(idx[i].off));
     f.read(out.entries[i].blob.data(), static_cast<std::streamsize>(idx[i].len));
     if (!f) throw MetaStoreCorruptError("MetaStore: truncated blob");
-    if (version >= 2 && common::crc32(out.entries[i].blob) != idx[i].crc) {
+    if (common::crc32(out.entries[i].blob) != idx[i].crc) {
       throw MetaStoreCorruptError("MetaStore: blob checksum mismatch");
     }
   }
@@ -224,17 +215,11 @@ ElasticMapArray MetaStore::load(const std::string& file_path) {
   return assemble(read_store(file_path));
 }
 
-void MetaStore::rewrite_as_v1(const std::string& file_path) {
-  auto contents = read_store(file_path);  // verifies CRCs before dropping them
-  write_store(file_path, contents.dataset_path, contents.raw_bytes,
-              contents.options, contents.entries, /*version=*/1);
-}
-
 MetaStore::Reader::Reader(const std::string& file_path)
     : file_(file_path, std::ios::binary) {
   if (!file_) throw std::runtime_error("MetaStore::Reader: cannot open " + file_path);
   if (get_u64(file_) != kMagic) throw MetaStoreCorruptError("Reader: bad magic");
-  version_ = checked_version(get_u64(file_));
+  check_version(get_u64(file_));
   raw_bytes_ = get_u64(file_);
   (void)get_f64(file_);  // alpha
   (void)get_f64(file_);  // fpp
@@ -246,7 +231,7 @@ MetaStore::Reader::Reader(const std::string& file_path)
   file_.read(dataset_path_.data(), static_cast<std::streamsize>(path_len));
   if (!file_) throw MetaStoreCorruptError("Reader: truncated file");
   const std::uint64_t n = get_u64(file_);
-  if (n > bytes_remaining(file_) / index_entry_bytes(version_)) {
+  if (n > bytes_remaining(file_) / kIndexEntryBytes) {
     throw MetaStoreCorruptError("Reader: corrupt entry count");
   }
   index_.resize(n);
@@ -256,7 +241,7 @@ MetaStore::Reader::Reader(const std::string& file_path)
     e.block_id = get_u64(file_);
     e.offset = get_u64(file_);
     e.length = get_u64(file_);
-    e.crc = version_ >= 2 ? static_cast<std::uint32_t>(get_u64(file_)) : 0;
+    e.crc = static_cast<std::uint32_t>(get_u64(file_));
     // The lazy reader addresses blocks positionally, so it requires a full
     // (non-sharded) store whose entries are in global order.
     if (global != i) throw MetaStoreCorruptError("Reader: store is sharded/unordered");
@@ -277,7 +262,7 @@ BlockMeta MetaStore::Reader::load_block(std::uint64_t block_index) {
   file_.seekg(blobs_begin_ + static_cast<std::streamoff>(e.offset));
   file_.read(blob.data(), static_cast<std::streamsize>(e.length));
   if (!file_) throw MetaStoreCorruptError("Reader: truncated blob");
-  if (version_ >= 2 && common::crc32(blob) != e.crc) {
+  if (common::crc32(blob) != e.crc) {
     throw MetaStoreCorruptError("Reader: blob checksum mismatch");
   }
   return BlockMeta::deserialize(blob);

@@ -12,11 +12,11 @@
 //    (block i lives in shard i % S), modeling meta-data spread over
 //    multiple master machines.
 
-// Durability (format v2): every blob carries a CRC32 in its index entry, so
-// a bit-flipped store fails with MetaStoreCorruptError instead of feeding
+// Durability: every blob carries a CRC32 in its index entry, so a
+// bit-flipped store fails with MetaStoreCorruptError instead of feeding
 // garbage to BlockMeta::deserialize; writes go to `<path>.tmp` and rename
 // over the target, so a crash mid-save leaves the previous store intact.
-// v1 files (no CRCs) are still readable.
+// The format has exactly one version (2); any other header is corrupt.
 
 #include <cstdint>
 #include <fstream>
@@ -31,7 +31,7 @@ namespace datanet::elasticmap {
 
 // A store file that is structurally invalid: bad magic/version, truncated,
 // out-of-bounds index, or a blob whose CRC32 no longer matches its index
-// entry. Derives from std::runtime_error so pre-v2 handlers keep working.
+// entry. Derives from std::runtime_error so generic handlers catch it too.
 class MetaStoreCorruptError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -44,12 +44,6 @@ class MetaStore {
 
   // Read the whole file back into memory.
   static ElasticMapArray load(const std::string& file_path);
-
-  // Downgrade a store file in place to format v1 (32-byte index entries, no
-  // per-blob CRCs) — the compat escape hatch for tooling that still speaks
-  // v1, and the fixture generator for mixed-format load tests. Lossless for
-  // the metadata itself; only the checksums are dropped.
-  static void rewrite_as_v1(const std::string& file_path);
 
   // Lazy access: header and index in memory, block metas read on demand.
   class Reader {
@@ -73,12 +67,11 @@ class MetaStore {
       std::uint64_t offset;
       std::uint64_t length;
       dfs::BlockId block_id;
-      std::uint32_t crc = 0;  // v2 stores; load_block verifies
+      std::uint32_t crc = 0;  // load_block verifies
     };
     std::ifstream file_;
     std::string dataset_path_;
     std::uint64_t raw_bytes_ = 0;
-    std::uint64_t version_ = 0;
     std::vector<Entry> index_;
     std::streamoff blobs_begin_ = 0;
   };

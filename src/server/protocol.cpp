@@ -91,7 +91,7 @@ std::string encode_query(const QueryRequest& q) {
   wire::put_bytes(out, q.key);
   wire::put_bytes(out, q.scheduler);
   out.push_back(q.use_datanet_meta ? 1 : 0);
-  wire::put_u32(out, q.deadline_ms);  // v2 suffix
+  wire::put_u32(out, q.deadline_ms);
   return out;
 }
 
@@ -102,8 +102,8 @@ std::string encode_query_ok(const QueryReply& r) {
   wire::put_u64(out, r.blocks_scanned);
   wire::put_u64(out, r.service_micros);
   wire::put_u64(out, r.queue_micros);
-  out.push_back(r.degraded ? 1 : 0);    // v2 suffix
-  wire::put_u64(out, r.staleness_micros);  // v3 suffix
+  out.push_back(r.degraded ? 1 : 0);
+  wire::put_u64(out, r.staleness_micros);
   return out;
 }
 
@@ -147,7 +147,7 @@ std::string encode_stats_ok(const ServerStats& s) {
     wire::put_u64(out, t.completed);
     wire::put_u64(out, t.queue_wait_micros);
   }
-  wire::put_u64(out, s.cache_delta_applies);  // v3 suffix
+  wire::put_u64(out, s.cache_delta_applies);
   return out;
 }
 
@@ -171,9 +171,7 @@ QueryRequest decode_query(std::string_view payload) {
     q.key = c.bytes();
     q.scheduler = c.bytes();
     q.use_datanet_meta = c.u8() != 0;
-    // v1 payloads end here; v2 appends the deadline budget (back-compat
-    // decode — the wire version bump without a flag day).
-    if (!c.exhausted()) q.deadline_ms = c.u32();
+    q.deadline_ms = c.u32();
     expect_drained(c);
     return q;
   } catch (const ProtocolError&) {
@@ -194,10 +192,8 @@ QueryReply decode_query_ok(std::string_view payload) {
     r.blocks_scanned = c.u64();
     r.service_micros = c.u64();
     r.queue_micros = c.u64();
-    // v1 payloads end here; v2 appends the degraded flag, v3 the staleness
-    // age of a degraded reply's bundle.
-    if (!c.exhausted()) r.degraded = c.u8() != 0;
-    if (!c.exhausted()) r.staleness_micros = c.u64();
+    r.degraded = c.u8() != 0;
+    r.staleness_micros = c.u64();
     expect_drained(c);
     return r;
   } catch (const ProtocolError&) {
@@ -240,9 +236,10 @@ ServerStats decode_stats_ok(std::string_view payload) {
     s.circuit_rejected = c.u64();
     s.meta_shards = c.u32();
     const std::uint32_t n = c.u32();
-    // Each row is at least 2 bytes of name length + 7 counters; an n that
-    // cannot fit in the remaining payload is a corrupt count, not a row list.
-    if (n > c.remaining()) {
+    // Each row is at least 64 bytes (an 8-byte name length + 7 u64
+    // counters); an n that cannot fit in the remaining payload is a corrupt
+    // count, not a row list, and must not size an allocation.
+    if (n > c.remaining() / 64) {
       throw ProtocolError("datanetd protocol: corrupt tenant count");
     }
     s.tenants.resize(n);
@@ -256,8 +253,7 @@ ServerStats decode_stats_ok(std::string_view payload) {
       t.completed = c.u64();
       t.queue_wait_micros = c.u64();
     }
-    // v2 payloads end here; v3 appends the delta-apply counter.
-    if (!c.exhausted()) s.cache_delta_applies = c.u64();
+    s.cache_delta_applies = c.u64();
     expect_drained(c);
     return s;
   } catch (const ProtocolError&) {

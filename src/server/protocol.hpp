@@ -30,14 +30,6 @@ constexpr std::size_t kFrameHeaderBytes = 12;
 // length field, not a legitimate message.
 constexpr std::uint32_t kMaxPayloadBytes = 1u << 20;
 
-// Message-layer version. v2 (PR 9) appends a deadline budget to kQuery and a
-// degraded flag to kQueryOk. v3 (PR 10) appends a staleness age to kQueryOk
-// and a delta-apply counter to kStatsOk. The frame magic is unchanged;
-// decoders accept older payloads (appended fields default off), so an old
-// client can talk to a new server and vice versa — the back-compat contract
-// the round-trip tests pin.
-constexpr std::uint32_t kWireVersion = 3;
-
 enum class MsgType : std::uint8_t {
   kQuery = 1,       // client -> server: run one selection
   kQueryOk = 2,     // server -> client: selection digest + counters
@@ -68,7 +60,7 @@ struct QueryRequest {
   std::string key;               // sub-dataset key to select
   std::string scheduler = "datanet";  // datanet | locality | lpt | maxflow
   bool use_datanet_meta = true;  // false = content-blind baseline graph
-  // Deadline budget in milliseconds, measured from admission (v2; 0 = no
+  // Deadline budget in milliseconds, measured from admission (0 = no
   // deadline). A worker picking the job up after the budget elapsed sheds it
   // with a typed kDeadlineExceeded rejection instead of doing stale work.
   std::uint32_t deadline_ms = 0;
@@ -80,11 +72,11 @@ struct QueryReply {
   std::uint64_t blocks_scanned = 0;
   std::uint64_t service_micros = 0;  // execution time, excluding queue wait
   std::uint64_t queue_micros = 0;    // admission -> dispatch wait
-  // v2: true when the reply was computed in degraded mode — the owning
+  // True when the reply was computed in degraded mode — the owning
   // metadata shard was down and the server answered from its epoch-cached
   // bundle (last validated DataNet + last-known block placement).
   bool degraded = false;
-  // v3: how long ago the bundle that answered a DEGRADED reply was last
+  // How long ago the bundle that answered a DEGRADED reply was last
   // known fresh (validated against the live namespace), in microseconds.
   // Zero on non-degraded replies: those were validated on this query.
   std::uint64_t staleness_micros = 0;
@@ -115,7 +107,7 @@ struct ServerStats {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_revalidations = 0;
   std::uint64_t cache_rebuilds = 0;
-  // Resilience counters (v2): queries answered from the epoch-cached bundle
+  // Resilience counters: queries answered from the epoch-cached bundle
   // while the owning shard was down, queries shed past their deadline, and
   // submissions rejected by an open per-tenant circuit breaker.
   std::uint64_t degraded_served = 0;
@@ -123,7 +115,7 @@ struct ServerStats {
   std::uint64_t circuit_rejected = 0;
   std::uint32_t meta_shards = 1;  // metadata plane shard count
   std::vector<TenantMeter> tenants;  // dispatcher registration order
-  // v3: dataset-cache growth absorbed by delta-apply (incremental ElasticMap
+  // Dataset-cache growth absorbed by delta-apply (incremental ElasticMap
   // extension) instead of a full rebuild.
   std::uint64_t cache_delta_applies = 0;
 };
@@ -159,8 +151,9 @@ void check_frame_payload(const FrameHeader& header, std::string_view payload);
 // or tags outside the MsgType range.
 [[nodiscard]] MsgType peek_type(std::string_view payload);
 
-// Each decoder checks the tag and consumes the whole payload (trailing bytes
-// are a protocol error, same as FsImage::load).
+// Each decoder checks the tag and reads every field of the one message
+// layout: a short payload is a ProtocolError, and so are trailing bytes
+// (same as FsImage::load).
 [[nodiscard]] QueryRequest decode_query(std::string_view payload);
 [[nodiscard]] QueryReply decode_query_ok(std::string_view payload);
 [[nodiscard]] Rejection decode_rejected(std::string_view payload);

@@ -10,7 +10,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <numeric>
 #include <set>
 
@@ -469,26 +472,43 @@ TEST(MetaStore, RingPartitionedShardsRoundTrip) {
   }
 }
 
-TEST(MetaStore, MixedFormatShardsLoadTogether) {
+TEST(MetaStore, RejectsVersionOneStore) {
   TempDir tmp;
   const auto ds = meta_dataset();
   const auto em = de::ElasticMapArray::build(*ds.dfs, ds.path, {.alpha = 0.3});
-  const auto prefix = tmp.file("mixed");
-  const datanet::dfs::HashRing ring(3);
-  de::ShardedMetaStore::save(em, prefix, ring);
+  de::MetaStore::save(em, tmp.file("meta.bin"));
 
-  // Downgrade one shard to format v1 in place; a v1 shard must load next to
-  // its v2 siblings (rolling-upgrade reality: masters rewrite at their own
-  // pace).
-  de::MetaStore::rewrite_as_v1(de::ShardedMetaStore::shard_file(prefix, 1));
-  const auto loaded = de::ShardedMetaStore::load(prefix, 3);
-  EXPECT_EQ(loaded.num_blocks(), em.num_blocks());
-  const auto hot = dw::subdataset_id(ds.hot_keys[0]);
-  EXPECT_EQ(loaded.estimate_total_size(hot), em.estimate_total_size(hot));
-  EXPECT_EQ(loaded.distribution(hot).size(), em.distribution(hot).size());
+  // Re-lay the store out as the retired version-1 format: version word 1 and
+  // 32-byte index entries without the CRC word. Only version 2 exists, so
+  // the header alone must be rejected with the typed error.
+  std::string bytes;
+  {
+    std::ifstream in(tmp.file("meta.bin"), std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const auto u64_at = [&](std::size_t pos) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + pos, 8);  // little-endian host
+    return v;
+  };
+  const std::size_t index_at = 48 + u64_at(40) + 8;
+  const std::uint64_t n = u64_at(index_at - 8);
+  std::string v1 = bytes.substr(0, index_at);
+  v1[8] = 1;
+  for (std::uint64_t i = 0; i < n; ++i) v1 += bytes.substr(index_at + i * 40, 32);
+  v1 += bytes.substr(index_at + n * 40);
+  {
+    std::ofstream out(tmp.file("v1.bin"), std::ios::binary | std::ios::trunc);
+    out << v1;
+  }
+
+  EXPECT_THROW((void)de::MetaStore::load(tmp.file("v1.bin")),
+               de::MetaStoreCorruptError);
+  EXPECT_THROW(de::MetaStore::Reader reader(tmp.file("v1.bin")),
+               de::MetaStoreCorruptError);
 }
 
-TEST(MetaStore, CorruptShardBlobFailsTypedWhileV1SiblingLoads) {
+TEST(MetaStore, CorruptShardBlobFailsTyped) {
   TempDir tmp;
   const auto ds = meta_dataset();
   const auto em = de::ElasticMapArray::build(*ds.dfs, ds.path, {.alpha = 0.3});
@@ -496,8 +516,8 @@ TEST(MetaStore, CorruptShardBlobFailsTypedWhileV1SiblingLoads) {
   de::ShardedMetaStore::save(em, prefix, datanet::dfs::HashRing(2));
   (void)de::ShardedMetaStore::load(prefix, 2);  // clean: loads fine
 
-  // Flip a byte inside some blob of shard 0 (past header+index): the v2 CRC
-  // catches it with the typed error, not garbage metadata.
+  // Flip a byte inside some blob of shard 0 (past header+index): the blob
+  // CRC catches it with the typed error, not garbage metadata.
   const auto victim = de::ShardedMetaStore::shard_file(prefix, 0);
   std::fstream f(victim, std::ios::in | std::ios::out | std::ios::binary);
   f.seekg(0, std::ios::end);

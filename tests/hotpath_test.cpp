@@ -1,16 +1,13 @@
 // PR 6 hot-path coverage: SIMD-vs-scalar scan equivalence fuzzing (every
 // alignment offset 0..63, empty lines, partial key prefixes, missing final
-// newline), Arena/ArenaAllocator unit tests, the armed-vs-unarmed
-// bookkeeping fast path producing bit-identical SelectionResults across all
-// schedulers and thread counts, the O(1) under-replication counter against
-// fsck after every mutation kind, the ReplicationMonitor's epoch-gated scan
-// skip, and parallel_for's inline small-range fast path.
+// newline), Arena/ArenaAllocator unit tests, the O(1) under-replication
+// counter against fsck after every mutation kind, the ReplicationMonitor's
+// epoch-gated scan skip, and parallel_for's inline small-range fast path.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <random>
 #include <string>
 #include <string_view>
@@ -22,21 +19,13 @@
 #include "common/thread_pool.hpp"
 #include "datanet/experiment.hpp"
 #include "datanet/selection_runtime.hpp"
-#include "dfs/fault_injector.hpp"
 #include "dfs/fs_image.hpp"
 #include "dfs/fsck.hpp"
 #include "dfs/replication_monitor.hpp"
-#include "mapred/report_json.hpp"
-#include "scheduler/datanet_sched.hpp"
-#include "scheduler/flow_sched.hpp"
-#include "scheduler/locality.hpp"
-#include "scheduler/lpt.hpp"
 
 namespace dc = datanet::core;
 namespace dco = datanet::common;
 namespace dfs = datanet::dfs;
-namespace dm = datanet::mapred;
-namespace dsch = datanet::scheduler;
 
 namespace {
 
@@ -140,27 +129,6 @@ dc::ExperimentConfig small_config() {
   cfg.block_size = 16 * 1024;
   cfg.seed = 5;
   return cfg;
-}
-
-std::vector<std::unique_ptr<dsch::TaskScheduler>> all_schedulers() {
-  std::vector<std::unique_ptr<dsch::TaskScheduler>> v;
-  v.push_back(std::make_unique<dsch::LocalityScheduler>(7));
-  v.push_back(std::make_unique<dsch::LptScheduler>());
-  v.push_back(std::make_unique<dsch::DataNetScheduler>());
-  v.push_back(std::make_unique<dsch::FlowScheduler>());
-  return v;
-}
-
-void expect_identical(const dc::SelectionResult& a, const dc::SelectionResult& b,
-                      const std::string& label) {
-  EXPECT_EQ(a.assignment.block_to_node, b.assignment.block_to_node) << label;
-  EXPECT_EQ(a.node_local_data, b.node_local_data) << label;
-  EXPECT_EQ(a.node_filtered_bytes, b.node_filtered_bytes) << label;
-  EXPECT_EQ(a.blocks_scanned, b.blocks_scanned) << label;
-  EXPECT_EQ(a.lost_block_ids, b.lost_block_ids) << label;
-  EXPECT_EQ(dm::report_to_json(a.report, /*include_output=*/true),
-            dm::report_to_json(b.report, /*include_output=*/true))
-      << label;
 }
 
 }  // namespace
@@ -360,47 +328,6 @@ TEST(Arena, ArenaVectorGrowsCorrectly) {
     s.push_back("value_" + std::to_string(i) + std::string(i, 'x'));
   }
   EXPECT_EQ(s[99], "value_99" + std::string(99, 'x'));
-}
-
-// ---- armed vs unarmed fast path ----
-
-TEST(HotPath, ArmedAndUnarmedReportsBitIdenticalAllSchedulersAllThreads) {
-  auto cfg = small_config();
-  const auto ds = dc::make_movie_dataset(cfg, 48, 300);
-  const dc::DataNet net(*ds.dfs, ds.path, {.alpha = 0.3});
-  const std::string key = ds.hot_keys[0];
-  for (const std::uint32_t threads : {1u, 4u}) {
-    cfg.execution_threads = threads;
-    for (const auto& sched : all_schedulers()) {
-      auto fresh = all_schedulers();
-      for (auto& other : fresh) {
-        if (other->name() != sched->name()) continue;
-        dc::DirectReadPolicy read(*ds.dfs, cfg.remote_read_penalty);
-        dc::AnalyticBackend timing;
-        dc::NoFaults none;  // unarmed: the bookkeeping-free fast path
-        const auto unarmed = dc::SelectionRuntime(read, none, timing)
-                                 .run(*ds.dfs, ds.path, key, *sched, &net, cfg);
-        dfs::FaultInjector injector(*ds.dfs, {});  // empty plan, still armed
-        dc::InjectedFaults armed_policy(injector);
-        const auto armed =
-            dc::SelectionRuntime(read, armed_policy, timing)
-                .run(*ds.dfs, ds.path, key, *other, &net, cfg);
-        expect_identical(unarmed, armed,
-                         std::string(sched->name()) + "/threads=" +
-                             std::to_string(threads));
-      }
-    }
-  }
-}
-
-TEST(HotPath, ArmedFlagDefaults) {
-  dc::NoFaults none;
-  EXPECT_FALSE(none.armed());
-  auto cfg = small_config();
-  const auto ds = dc::make_movie_dataset(cfg, 8, 50);
-  dfs::FaultInjector injector(*ds.dfs, {});
-  dc::InjectedFaults injected(injector);
-  EXPECT_TRUE(injected.armed());  // custom policies must opt in to skipping
 }
 
 // ---- O(1) under-replication counter vs fsck ----

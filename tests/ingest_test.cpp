@@ -1,7 +1,7 @@
 // Tests for the streaming-ingestion path (PR 10): the open-block journal ops
 // (kOpenBlock / kAppendExtent / kSealBlock) and their torn-tail behavior,
 // dfs::Ingestor group commit and FileWriter-identical block boundaries, the
-// open-block quarantine on the query surface, FsImage v2 checkpoints taken
+// open-block quarantine on the query surface, FsImage checkpoints taken
 // mid-ingestion, crash recovery with open-block adoption (a continued run is
 // content- and boundary-identical to one that never crashed), the fsck
 // open-block audit, and elasticmap::LiveMapMaintainer's delta maintenance
@@ -291,7 +291,7 @@ TEST(IngestRecovery, MidIngestionCheckpointCoversOpenBlock) {
   ing.flush();  // durable, block still open
   ASSERT_EQ(c.dfs->open_blocks().size(), 1u);
 
-  // FsImage v2: the open block (bytes + extent count) rides the checkpoint.
+  // FsImage: the open block (bytes + extent count) rides the checkpoint.
   const auto mid_image = c.tmp.file("mid.fsimage");
   dd::FsImage::save(*c.dfs, mid_image);
   EXPECT_EQ(dd::FsImage::journal_covered(mid_image),

@@ -3,9 +3,7 @@
 // routing + per-shard durability (kill one shard, recover from its own
 // image + journal suffix while the others keep serving), the shard-count-1
 // digest identity with a plain MiniDfs, placement identity at any shard
-// count, per-shard epoch isolation, plane-wide fsck, and the lease-based
-// ClientMetaCache discipline (lease hits with zero shard contact, renewal
-// on unchanged epoch, refetch on moved epoch, explicit invalidation).
+// count, per-shard epoch isolation, and plane-wide fsck.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +17,6 @@
 #include "common/hash.hpp"
 #include "dfs/fsck.hpp"
 #include "dfs/hash_ring.hpp"
-#include "dfs/meta_client.hpp"
 #include "dfs/meta_plane.hpp"
 #include "dfs/mini_dfs.hpp"
 
@@ -321,125 +318,4 @@ TEST(MetaPlane, PlaneFsckAggregatesAcrossShards) {
   std::uint64_t sum = 0;
   for (const auto& r : clean.shards) sum += r.total_blocks;
   EXPECT_EQ(sum, clean.combined.total_blocks);
-}
-
-// ---------------------------------------------------------------------------
-// ClientMetaCache
-
-TEST(ClientMetaCache, LeaseServesWithoutShardContact) {
-  TempDir tmp;
-  dd::MetaPlane plane(dd::ClusterTopology::flat(8), plane_options(2));
-  const auto path = path_on_shard(plane, 1, "/data/f");
-  write_file(plane, path, 12);
-  plane.attach_journals(tmp.path());
-
-  dd::ClientMetaCache cache(plane, {.lease_ticks = 16});
-  const auto blocks = cache.blocks_of(path);  // cold miss
-  EXPECT_EQ(cache.stats().refetches, 1u);
-  ASSERT_FALSE(blocks.empty());
-
-  // Within the lease the cache must not touch the plane at all — the owning
-  // shard being CRASHED proves it (any contact would throw).
-  plane.crash_shard(1);
-  cache.tick(10);
-  EXPECT_EQ(cache.blocks_of(path), blocks);
-  EXPECT_FALSE(cache.replicas(path, blocks.front()).empty());
-  EXPECT_GE(cache.stats().lease_hits, 2u);
-  EXPECT_EQ(cache.stats().refetches, 1u);
-  (void)plane.recover_shard(1);
-}
-
-TEST(ClientMetaCache, ExpiryRenewsOnUnchangedEpochRefetchesOnChurn) {
-  dd::MetaPlane plane(dd::ClusterTopology::flat(8), plane_options(2));
-  const auto path = path_on_shard(plane, 0, "/data/f");
-  write_file(plane, path, 12);
-
-  dd::ClientMetaCache cache(plane, {.lease_ticks = 4});
-  const auto blocks = cache.blocks_of(path);
-  ASSERT_FALSE(blocks.empty());
-  const auto before = cache.replicas(path, blocks.front());
-
-  // Expired lease, untouched shard: one cheap renewal, no refetch.
-  cache.tick(5);
-  (void)cache.blocks_of(path);
-  EXPECT_EQ(cache.stats().renewals, 1u);
-  EXPECT_EQ(cache.stats().refetches, 1u);
-
-  // Replica churn on the owning shard, lease expired again: refetch picks up
-  // the new placement.
-  auto& dfs = plane.dfs(0);
-  dd::NodeId target = 0;
-  while (std::find(before.begin(), before.end(), target) != before.end()) {
-    ++target;
-  }
-  dfs.move_replica(blocks.front(), before.front(), target);
-  cache.tick(5);
-  const auto after = cache.replicas(path, blocks.front());
-  EXPECT_EQ(cache.stats().refetches, 2u);
-  EXPECT_NE(std::find(after.begin(), after.end(), target), after.end());
-  EXPECT_EQ(std::find(after.begin(), after.end(), before.front()), after.end());
-}
-
-TEST(ClientMetaCache, ChurnOnAnotherShardNeverInvalidates) {
-  dd::MetaPlane plane(dd::ClusterTopology::flat(8), plane_options(2));
-  const auto mine = path_on_shard(plane, 0, "/data/f");
-  const auto theirs = path_on_shard(plane, 1, "/data/f");
-  write_file(plane, mine, 12);
-  write_file(plane, theirs, 12);
-
-  dd::ClientMetaCache cache(plane, {.lease_ticks = 4});
-  (void)cache.blocks_of(mine);
-
-  // Heavy churn on shard 1 while shard 0 is untouched.
-  auto& other = plane.dfs(1);
-  const auto b = other.blocks_of(theirs).front();
-  other.corrupt_replica(b, other.replicas_snapshot(b).front());
-
-  cache.tick(5);  // expired: revalidates against shard 0's epoch only
-  (void)cache.blocks_of(mine);
-  EXPECT_EQ(cache.stats().renewals, 1u);
-  EXPECT_EQ(cache.stats().refetches, 1u);
-}
-
-TEST(ClientMetaCache, ExplicitInvalidationForcesRefetch) {
-  dd::MetaPlane plane(dd::ClusterTopology::flat(8), plane_options(1));
-  write_file(plane, "/data/f", 12);
-  dd::ClientMetaCache cache(plane, {.lease_ticks = 100});
-  (void)cache.blocks_of("/data/f");
-  EXPECT_EQ(cache.entries(), 1u);
-
-  cache.invalidate("/data/f");
-  EXPECT_EQ(cache.stats().invalidations, 1u);
-  EXPECT_EQ(cache.entries(), 0u);
-  (void)cache.blocks_of("/data/f");  // mid-lease, but the entry is gone
-  EXPECT_EQ(cache.stats().refetches, 2u);
-
-  cache.invalidate("/data/f");
-  cache.invalidate("/no/such/entry");  // no-op
-  EXPECT_EQ(cache.stats().invalidations, 2u);
-  cache.invalidate_all();
-  EXPECT_EQ(cache.entries(), 0u);
-}
-
-TEST(ClientMetaCache, ZeroLeaseRevalidatesEveryAccess) {
-  dd::MetaPlane plane(dd::ClusterTopology::flat(8), plane_options(1));
-  write_file(plane, "/data/f", 12);
-  dd::ClientMetaCache cache(plane, {.lease_ticks = 0});
-  (void)cache.blocks_of("/data/f");
-  (void)cache.blocks_of("/data/f");
-  (void)cache.blocks_of("/data/f");
-  EXPECT_EQ(cache.stats().refetches, 1u);
-  EXPECT_EQ(cache.stats().renewals, 2u);
-  EXPECT_EQ(cache.stats().lease_hits, 0u);
-}
-
-TEST(ClientMetaCache, UnknownBlockRefetchesOnceThenThrows) {
-  dd::MetaPlane plane(dd::ClusterTopology::flat(8), plane_options(1));
-  write_file(plane, "/data/f", 12);
-  dd::ClientMetaCache cache(plane, {.lease_ticks = 100});
-  const auto blocks = cache.blocks_of("/data/f");
-  ASSERT_FALSE(blocks.empty());
-  const dd::BlockId bogus = blocks.back() + 1000;
-  EXPECT_THROW((void)cache.replicas("/data/f", bogus), std::invalid_argument);
-  EXPECT_THROW((void)cache.blocks_of("/no/such/file"), std::out_of_range);
 }

@@ -12,10 +12,12 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "datanet/datanet.hpp"
 #include "datanet/experiment.hpp"
 #include "datanet/selection_runtime.hpp"
@@ -25,6 +27,7 @@
 #include "dfs/fsck.hpp"
 #include "dfs/mini_dfs.hpp"
 #include "dfs/replication_monitor.hpp"
+#include "dfs/wire.hpp"
 #include "elasticmap/elastic_map.hpp"
 #include "elasticmap/meta_store.hpp"
 #include "mapred/report_json.hpp"
@@ -413,6 +416,32 @@ TEST(FsImage, BitFlipAndTruncationAreRejectedTyped) {
                dd::FsImageError);
 }
 
+TEST(FsImage, VersionOneImageIsRejectedTyped) {
+  DurableCluster c;
+  dw::ingest(*c.dfs, "/logs/a", small_records(20, 5));
+  const auto path = c.tmp.file("check.fsimage");
+  dd::FsImage::save(*c.dfs, path);
+
+  // Re-lay the image out as the retired version-1 format: version word 1,
+  // no open-block section (the trailing u64 count, zero here), and a fresh
+  // CRC32 trailer, so only the version can reject it.
+  std::string raw;
+  {
+    std::ifstream in(path, std::ios::binary);
+    raw.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  std::string body = raw.substr(0, raw.size() - 4 - 8);
+  body[8] = 1;  // u32 version right after the u64 magic
+  dd::wire::put_u32(body, datanet::common::crc32(body));
+  const auto v1 = c.tmp.file("v1.fsimage");
+  {
+    std::ofstream out(v1, std::ios::binary | std::ios::trunc);
+    out << body;
+  }
+  EXPECT_THROW((void)dd::FsImage::load(v1), dd::FsImageError);
+  EXPECT_THROW((void)dd::FsImage::inspect(v1), dd::FsImageError);
+}
+
 // --------------------------------------------------- ReplicationMonitor --
 
 namespace {
@@ -677,7 +706,7 @@ TEST(RuntimeRecovery, CleanRunsSurfaceUnderReplicationToo) {
   EXPECT_EQ(degraded.report.under_replicated, expected);
 }
 
-// -------------------------------------------------------- MetaStore v2 --
+// ------------------------------------------------ MetaStore durability --
 
 namespace {
 

@@ -127,27 +127,44 @@ TEST(SelectionRuntime, RepeatedRunsIdenticalOnGithubBaselineAndNet) {
 // ---- property: an empty fault plan changes nothing ----
 
 TEST(SelectionRuntime, EmptyFaultPlanIsInvisible) {
-  const auto cfg = small_config();
+  auto cfg = small_config();
   const auto ds = dc::make_movie_dataset(cfg, 48, 300);
   const dc::DataNet net(*ds.dfs, ds.path, {.alpha = 0.3});
   const std::string key = ds.hot_keys[0];
 
-  dsch::LocalityScheduler clean_sched(7);
-  const auto clean = runtime_clean(ds, key, clean_sched, &net, cfg);
-
-  // Full fault machinery — checksum-retry reads, injected faults, attempt
-  // tracking — but the plan is empty: every field must come out unchanged.
-  dfs::FaultInjector injector(*ds.dfs, {});
-  dc::ChecksumRetryReadPolicy read(*ds.dfs, cfg.remote_read_penalty);
-  dc::InjectedFaults faults(injector);
-  dc::AnalyticBackend timing;
-  dsch::LocalityScheduler sched(7);
-  const auto faulted = dc::SelectionRuntime(read, faults, timing)
-                           .run(*ds.dfs, ds.path, key, sched, &net, cfg);
-  expect_identical(faulted, clean, "empty-plan");
-  EXPECT_EQ(faulted.report.retries, 0u);
-  EXPECT_EQ(faulted.report.lost_blocks, 0u);
-  EXPECT_FALSE(faulted.report.degraded);
+  // Injected faults with an empty plan, under either read policy, must come
+  // out field-for-field equal to the NoFaults run, for every scheduler at 1
+  // and 4 engine threads.
+  for (const std::uint32_t threads : {1u, 4u}) {
+    cfg.execution_threads = threads;
+    auto clean_scheds = all_schedulers();
+    for (auto& clean_sched : clean_scheds) {
+      const auto clean = runtime_clean(ds, key, *clean_sched, &net, cfg);
+      dc::DirectReadPolicy direct(*ds.dfs, cfg.remote_read_penalty);
+      dc::ChecksumRetryReadPolicy checksum(*ds.dfs, cfg.remote_read_penalty);
+      for (dc::ReplicaReadPolicy* read :
+           {static_cast<dc::ReplicaReadPolicy*>(&direct),
+            static_cast<dc::ReplicaReadPolicy*>(&checksum)}) {
+        auto fresh = all_schedulers();
+        for (auto& sched : fresh) {
+          if (sched->name() != clean_sched->name()) continue;
+          dfs::FaultInjector injector(*ds.dfs, {});
+          dc::InjectedFaults faults(injector);
+          dc::AnalyticBackend timing;
+          const auto faulted = dc::SelectionRuntime(*read, faults, timing)
+                                   .run(*ds.dfs, ds.path, key, *sched, &net, cfg);
+          const std::string label =
+              std::string(sched->name()) + "/threads=" +
+              std::to_string(threads) +
+              (read == &direct ? "/direct" : "/checksum-retry");
+          expect_identical(faulted, clean, label);
+          EXPECT_EQ(faulted.report.retries, 0u) << label;
+          EXPECT_EQ(faulted.report.lost_blocks, 0u) << label;
+          EXPECT_FALSE(faulted.report.degraded) << label;
+        }
+      }
+    }
+  }
 }
 
 // ---- property: reports are bit-identical at any engine thread count ----

@@ -689,38 +689,17 @@ TEST(ServerEndToEnd, StatsMeterTenantsAcrossShardedPlane) {
   server.stop();
 }
 
-// ---- wire v2 back-compat (PR 9) ----
+// ---- one message layout per type ----
 
-// A v1 peer's kQuery has no deadline suffix; a v2 decoder must accept it
-// with the deadline defaulting off. A v1 payload is exactly a v2 payload
-// with the 4-byte suffix stripped (append-only evolution).
-TEST(ServerProtocolV2, QueryDecodesV1PayloadWithoutDeadline) {
+// Every field is mandatory: any strict prefix of a kQuery, kQueryOk or
+// kStatsOk payload is torn, never an older layout with fields defaulted.
+TEST(ServerProtocol, EveryStrictPrefixIsRejected) {
   srv::QueryRequest q;
   q.tenant = "alice";
   q.key = "movie_00007";
   q.scheduler = "lpt";
   q.use_datanet_meta = false;
   q.deadline_ms = 250;
-  const std::string v2 = srv::encode_query(q);
-
-  const srv::QueryRequest back2 = srv::decode_query(v2);
-  EXPECT_EQ(back2.deadline_ms, 250u);
-
-  const std::string v1 = v2.substr(0, v2.size() - 4);
-  const srv::QueryRequest back1 = srv::decode_query(v1);
-  EXPECT_EQ(back1.tenant, q.tenant);
-  EXPECT_EQ(back1.key, q.key);
-  EXPECT_EQ(back1.scheduler, q.scheduler);
-  EXPECT_EQ(back1.use_datanet_meta, q.use_datanet_meta);
-  EXPECT_EQ(back1.deadline_ms, 0u);  // suffix absent -> no deadline
-
-  // A TORN v2 suffix (1..3 bytes) is still a protocol error, not silently
-  // accepted as v1.
-  EXPECT_THROW(srv::decode_query(v2.substr(0, v2.size() - 2)),
-               srv::ProtocolError);
-}
-
-TEST(ServerProtocolV2, QueryOkDecodesOlderPayloadsWithoutSuffixes) {
   srv::QueryReply r;
   r.digest = 42;
   r.matched_bytes = 7;
@@ -729,26 +708,53 @@ TEST(ServerProtocolV2, QueryOkDecodesOlderPayloadsWithoutSuffixes) {
   r.queue_micros = 5;
   r.degraded = true;
   r.staleness_micros = 9'000;
-  const std::string v3 = srv::encode_query_ok(r);
-  EXPECT_TRUE(srv::decode_query_ok(v3).degraded);
-  EXPECT_EQ(srv::decode_query_ok(v3).staleness_micros, 9'000u);
+  srv::ServerStats s;
+  s.queries_served = 3;
+  s.cache_delta_applies = 2;
+  srv::TenantMeter t;
+  t.tenant = "bob";
+  t.completed = 3;
+  s.tenants = {t};
 
-  // v2 payload: degraded flag, no staleness word.
-  const std::string v2 = v3.substr(0, v3.size() - 8);
-  const srv::QueryReply back2 = srv::decode_query_ok(v2);
-  EXPECT_TRUE(back2.degraded);
-  EXPECT_EQ(back2.staleness_micros, 0u);  // suffix absent -> unknown age
+  const std::string query = srv::encode_query(q);
+  const std::string reply = srv::encode_query_ok(r);
+  const std::string stats = srv::encode_stats_ok(s);
+  EXPECT_EQ(srv::decode_query(query).deadline_ms, 250u);
+  EXPECT_EQ(srv::decode_query_ok(reply).staleness_micros, 9'000u);
+  EXPECT_EQ(srv::decode_stats_ok(stats).cache_delta_applies, 2u);
+  for (std::size_t len = 0; len < query.size(); ++len) {
+    EXPECT_THROW((void)srv::decode_query(query.substr(0, len)),
+                 srv::ProtocolError)
+        << "kQuery prefix " << len;
+  }
+  for (std::size_t len = 0; len < reply.size(); ++len) {
+    EXPECT_THROW((void)srv::decode_query_ok(reply.substr(0, len)),
+                 srv::ProtocolError)
+        << "kQueryOk prefix " << len;
+  }
+  for (std::size_t len = 0; len < stats.size(); ++len) {
+    EXPECT_THROW((void)srv::decode_stats_ok(stats.substr(0, len)),
+                 srv::ProtocolError)
+        << "kStatsOk prefix " << len;
+  }
+}
 
-  // v1 payload: neither suffix.
-  const std::string v1 = v3.substr(0, v3.size() - 9);
-  const srv::QueryReply back1 = srv::decode_query_ok(v1);
-  EXPECT_EQ(back1.digest, 42u);
-  EXPECT_EQ(back1.queue_micros, 5u);
-  EXPECT_FALSE(back1.degraded);  // suffix absent -> not degraded
-
-  // A TORN staleness word is a protocol error, not silently dropped.
-  EXPECT_THROW(srv::decode_query_ok(v3.substr(0, v3.size() - 3)),
-               srv::ProtocolError);
+// A tenant row is at least 64 bytes (8-byte name length + 7 u64 counters),
+// so a count that fits the remaining bytes only at a smaller row size is
+// rejected before it sizes the row vector.
+TEST(ServerProtocol, StatsTenantCountBoundedByRowSize) {
+  std::string payload = srv::encode_stats_ok(srv::ServerStats{});
+  payload[61] = 50;  // tenant-count word (offset 61..64), little-endian
+  payload.append(100, '\0');
+  // 108 bytes follow the count: room for 1 row, not 50.
+  try {
+    (void)srv::decode_stats_ok(payload);
+    FAIL() << "hostile tenant count decoded";
+  } catch (const srv::ProtocolError& e) {
+    EXPECT_NE(std::string(e.what()).find("corrupt tenant count"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ServerProtocolV2, NewRejectReasonsRoundTrip) {

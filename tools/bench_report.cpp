@@ -4,14 +4,14 @@
 // data, a straggler-tail experiment (stalled nodes + transient read errors,
 // timeout-only recovery vs speculation), and an MTTR experiment (node kills
 // healed by the background ReplicationMonitor at a sweep of repair rates),
-// a hot-path section (scan-kernel throughput, armed-vs-unarmed bookkeeping
-// cost, engine thread sweep — PR 6's optimizations, see bench_hotpath),
+// a hot-path section (scan-kernel throughput and the engine thread sweep,
+// see bench_hotpath),
 // and emits one JSON document with measured selection wall time (host clock)
 // a server section (datanetd loopback qps + latency percentiles with served
 // digests checked against golden in-process runs — PR 7, see bench_server),
 // a metadata section (ring lookup throughput, shard balance and
-// kill-one-shard recovery wall over a 1/4/16 shard sweep, client lease-cache
-// hit rate — PR 8's sharded metadata plane), a resilience section (serving
+// kill-one-shard recovery wall over a 1/4/16 shard sweep of the sharded
+// metadata plane), a resilience section (serving
 // through a seeded ChaosProxy via the retrying client across a
 // crash/degrade/recover cycle — PR 9, see chaos_drill), an ingest section
 // (journaled group-commit append throughput, delta-apply vs full-rebuild
@@ -39,11 +39,9 @@
 #include "dfs/fsck.hpp"
 #include "dfs/hash_ring.hpp"
 #include "dfs/ingest.hpp"
-#include "dfs/meta_client.hpp"
 #include "dfs/meta_plane.hpp"
 #include "dfs/replication_monitor.hpp"
 #include "elasticmap/live_map.hpp"
-#include "mapred/report_json.hpp"
 #include "scheduler/datanet_sched.hpp"
 #include "scheduler/locality.hpp"
 #include "server/chaos_proxy.hpp"
@@ -284,10 +282,8 @@ int main() {
   }
   std::printf("  },\n");
 
-  // Hot path (PR 6): scan-kernel throughput over the movie corpus, the
-  // armed-vs-unarmed bookkeeping delta on a clean selection (with a report
-  // byte-equality check), and the engine thread sweep. Wall-clock values;
-  // `reports_identical` is the only deterministic field.
+  // Hot path: scan-kernel throughput over the movie corpus and the
+  // engine thread sweep. Wall-clock values only.
   std::printf("  \"hotpath\": {\n");
   const auto& blocks = ds.dfs->blocks_of(ds.path);
   std::uint64_t corpus_bytes = 0;
@@ -317,30 +313,6 @@ int main() {
   }
   std::printf("},\n");
   scheduler::DataNetScheduler hp_sched;
-  core::SelectionResult unarmed_result;
-  const double unarmed_secs = best_of(3, [&] {
-    core::DirectReadPolicy read(*ds.dfs, cfg.remote_read_penalty);
-    core::NoFaults faults;
-    core::AnalyticBackend timing;
-    unarmed_result = core::SelectionRuntime(read, faults, timing)
-                         .run(*ds.dfs, ds.path, key, hp_sched, &net, cfg);
-  });
-  core::SelectionResult armed_result;
-  const double armed_secs = best_of(3, [&] {
-    dfs::FaultInjector injector(*ds.dfs, {});  // empty plan, still armed
-    core::DirectReadPolicy read(*ds.dfs, cfg.remote_read_penalty);
-    core::InjectedFaults faults(injector);
-    core::AnalyticBackend timing;
-    armed_result = core::SelectionRuntime(read, faults, timing)
-                       .run(*ds.dfs, ds.path, key, hp_sched, &net, cfg);
-  });
-  const bool identical =
-      mapred::report_to_json(unarmed_result.report, true) ==
-          mapred::report_to_json(armed_result.report, true) &&
-      unarmed_result.node_local_data == armed_result.node_local_data;
-  std::printf("    \"armed_wall_seconds\": %.6f,\n", armed_secs);
-  std::printf("    \"unarmed_wall_seconds\": %.6f,\n", unarmed_secs);
-  std::printf("    \"reports_identical\": %s,\n", identical ? "true" : "false");
   std::printf("    \"thread_sweep_wall_seconds\": {");
   first = true;
   for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
@@ -439,10 +411,10 @@ int main() {
   std::printf("  },\n");
 
   // Metadata plane (PR 8): pure ring routing throughput, a 1/4/16 shard
-  // sweep (per-shard block balance, kill-one-shard recovery wall time), the
-  // client lease-cache hit rate, and placement_identical — the deterministic
-  // field: the same file must get byte-identical placement at every shard
-  // count (the digest contract behind serve --meta-shards).
+  // sweep (per-shard block balance, kill-one-shard recovery wall time), and
+  // placement_identical — the deterministic field: the same file must get
+  // byte-identical placement at every shard count (the digest contract
+  // behind serve --meta-shards).
   std::printf("  \"metadata\": {\n");
   {
     dfs::DfsOptions dopt;
@@ -523,33 +495,8 @@ int main() {
     }
     std::printf("    },\n");
     std::filesystem::remove_all(bench_dir);
-    std::printf("    \"placement_identical\": %s,\n",
+    std::printf("    \"placement_identical\": %s\n",
                 identical ? "true" : "false");
-
-    // Lease hit rate: 16 hot files over a 4-shard plane, one access per file
-    // per tick, 16-tick leases — the steady-state mix of lease hits vs
-    // renewals vs refetches a long-lived client sees.
-    dfs::MetaPlaneOptions popt;
-    popt.num_shards = 4;
-    popt.dfs = dopt;
-    dfs::MetaPlane plane(dfs::ClusterTopology::flat(16), popt);
-    std::vector<std::string> hot;
-    for (std::uint32_t f = 0; f < 16; ++f) {
-      hot.push_back("/bench/f" + std::to_string(f));
-      write_bench_file(plane, hot.back());
-    }
-    dfs::ClientMetaCache cache(plane, {.lease_ticks = 16});
-    for (int t = 0; t < 512; ++t) {
-      for (const auto& path : hot) (void)cache.blocks_of(path);
-      cache.tick();
-    }
-    const auto& cs = cache.stats();
-    const double accesses =
-        static_cast<double>(cs.lease_hits + cs.renewals + cs.refetches);
-    std::printf("    \"lease_accesses\": %.0f,\n", accesses);
-    std::printf("    \"lease_hit_rate\": %.4f\n",
-                accesses > 0 ? static_cast<double>(cs.lease_hits) / accesses
-                             : 0.0);
   }
   std::printf("  },\n");
 

@@ -4,11 +4,11 @@
 # both schedulers, the Fig. 7 shuffle speedups, the straggler-tail
 # attempt/timeout/speculation numbers, and the ReplicationMonitor MTTR sweep
 # over repair rates, the PR 6 hot-path section (scan-kernel throughput,
-# armed-vs-unarmed bookkeeping delta, engine thread sweep), the PR 7
+# engine thread sweep), the
 # server section (datanetd loopback qps + latency percentiles, digests
 # checked against golden in-process runs), and the PR 8 metadata section
 # (ring lookup throughput, shard balance + kill-one-shard recovery over a
-# 1/4/16 shard sweep, placement determinism, client lease-cache hit rate),
+# 1/4/16 shard sweep, placement determinism),
 # and the PR 9 resilience section (chaos-proxied serving through the
 # retrying client across a crash/degrade/recover cycle: outcome split and
 # goodput, with the golden/degraded/typed contract checked), and the PR 10
