@@ -44,6 +44,14 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+// Worker count for a requested thread count: 0 means one per hardware
+// thread (at least one).
+[[nodiscard]] inline std::size_t resolve_thread_count(std::size_t requested) {
+  return requested ? requested
+                   : std::max<std::size_t>(
+                         1, std::thread::hardware_concurrency());
+}
+
 // Run fn(i) for i in [0, n) across the pool and wait for completion.
 // Indices are submitted in contiguous chunks of `grain` (one closure per
 // chunk, not per index), so fine-grained loops don't pay one queue round

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "apps/filter.hpp"
+#include "common/thread_pool.hpp"
 #include "dfs/replication_monitor.hpp"
 #include "workload/record.hpp"
 
@@ -105,16 +106,48 @@ mapred::JobReport AnalyticBackend::report(
     const std::string& key, const std::vector<mapred::InputSplit>& splits,
     const ExperimentConfig& cfg, const std::vector<double>& node_speeds,
     const mapred::AttemptCounters& attempts) {
-  mapred::Job filter_job = apps::make_filter_stats_job(key);
-  filter_job.config.cost.time_scale = cfg.effective_time_scale();
+  // The FilterStats job's report over the splits, built from the census the
+  // materialize scan took of each one: nothing is decoded again.
+  const mapred::Job filter_job = apps::make_filter_stats_job(key);
+  mapred::CostModel cost = filter_job.config.cost;
+  cost.time_scale = cfg.effective_time_scale();
   mapred::EngineOptions opt = engine_options(cfg);
   if (!node_speeds.empty()) opt.node_speed = node_speeds;
-  // Price duplicated work with the engine's (single) speculative backup
-  // pass exactly when the attempt layer actually launched duplicates, so
-  // clean runs keep their non-speculative timings bit-for-bit.
+  // Price duplicated work with the (single) speculative backup pass exactly
+  // when the attempt layer actually launched duplicates, so clean runs keep
+  // their non-speculative timings bit-for-bit.
   opt.speculative = attempts.speculative_launched > 0;
-  const mapred::Engine engine(opt);
-  return engine.run(filter_job, splits);
+
+  mapred::JobReport report;
+  std::vector<std::uint64_t> task_records(splits.size());
+  std::vector<std::uint64_t> partition_bytes(filter_job.config.num_reducers, 0);
+  std::uint64_t& key_partition =
+      partition_bytes[mapred::partition_hash(key) % partition_bytes.size()];
+  std::uint64_t matched = 0;
+  std::uint64_t matched_bytes = 0;
+  for (std::size_t t = 0; t < splits.size(); ++t) {
+    const mapred::SplitCensus& c = splits[t].census;
+    task_records[t] = c.records;
+    report.input_records += c.records;
+    report.skipped_lines += c.skipped;
+    report.input_bytes += splits[t].data.size();
+    if (c.matched > 0) {
+      // The combiner folds a task's matches into one (key, byte sum) pair.
+      ++report.map_output_pairs;
+      key_partition += key.size() + std::to_string(c.matched_bytes).size() + 2;
+    }
+    matched += c.matched;
+    matched_bytes += c.matched_bytes;
+  }
+  if (matched > 0) {
+    report.counters["records_matched"] = matched;
+    report.output[key] = std::to_string(matched_bytes);
+  }
+  if (report.input_records > matched) {
+    report.counters["records_filtered_out"] = report.input_records - matched;
+  }
+  mapred::price(cost, opt, splits, task_records, partition_bytes, report);
+  return report;
 }
 
 // ---- cost-only timing backend ----
@@ -167,6 +200,11 @@ SelectionResult SelectionRuntime::run_graph(const dfs::MiniDfs& dfs,
   if (cfg.num_nodes != graph.num_nodes()) {
     throw std::invalid_argument(
         "SelectionRuntime: cfg/graph node count mismatch");
+  }
+  // No record has an empty key, so an empty key would select nothing while
+  // the report's FilterStats pricing read it as "every key".
+  if (key.empty()) {
+    throw std::invalid_argument("SelectionRuntime: empty selection key");
   }
   const std::size_t num_tasks = graph.num_blocks();
   std::vector<std::uint64_t> block_bytes(num_tasks);
@@ -309,7 +347,6 @@ SelectionResult SelectionRuntime::run_graph(const dfs::MiniDfs& dfs,
         if (alive[n]) continue;
         for (const std::size_t j : completed_on[n]) {
           done[j] = 0;
-          task_output[j].clear();
           task_charge[j] += block_bytes[j];  // the dead attempt's work, redone
           tracker.reopen(j);
           ++retries;
@@ -395,9 +432,7 @@ SelectionResult SelectionRuntime::run_graph(const dfs::MiniDfs& dfs,
         result.lost_block_ids.push_back(bid);
         tracker.drop(j);
       } else {
-        task_data[j] = read.data;
-        task_output[j].clear();  // may be a re-execution
-        filter_lines(task_data[j], key, task_output[j]);
+        task_data[j] = read.data;  // a re-execution replaces the old bytes
         done[j] = 1;
         // First result wins: if a re-dispatch or speculative duplicate beat
         // the recorded owner, the assignment follows the winner.
@@ -428,6 +463,27 @@ SelectionResult SelectionRuntime::run_graph(const dfs::MiniDfs& dfs,
       if (tracker.task_open(j) && !done[j] && !lost[j]) tracker.abandon(j);
     }
 
+    // The filter stage: one scan over each done task's final bytes, which
+    // both selects the key's records and takes the census the report is
+    // priced from. Every read, pin and fault/monitor hook stayed on this
+    // thread above; only the scans fan out, each into its own task's slots.
+    std::vector<mapred::SplitCensus> task_census(num_tasks);
+    const auto filter_task = [&](std::size_t j) {
+      if (done[j]) {
+        task_census[j] = filter_lines(task_data[j], key, task_output[j]);
+      }
+    };
+    const std::size_t threads = std::min(
+        common::resolve_thread_count(cfg.execution_threads), num_tasks);
+    if (threads <= 1) {
+      for (std::size_t j = 0; j < num_tasks; ++j) filter_task(j);
+    } else {
+      // One task per closure, as in the engine's map stage: a worker that
+      // loses its core delays one block's scan, not a chunk of them.
+      common::ThreadPool pool(threads);
+      common::parallel_for(pool, num_tasks, filter_task, /*grain=*/1);
+    }
+
     // Rebuild the node-local view in task order, so the final buffers are
     // independent of the retry history. Each task's staging is handed over
     // (moved into an empty node buffer, else appended and freed) as it is
@@ -444,8 +500,10 @@ SelectionResult SelectionRuntime::run_graph(const dfs::MiniDfs& dfs,
         buffer.append(task_output[j]);
       }
       std::string().swap(task_output[j]);
-      splits.push_back(mapred::InputSplit{
-          .node = node, .data = task_data[j], .charged_bytes = task_charge[j]});
+      splits.push_back(mapred::InputSplit{.node = node,
+                                          .data = task_data[j],
+                                          .charged_bytes = task_charge[j],
+                                          .census = task_census[j]});
     }
 
     const AttemptStats& s = tracker.stats();
@@ -500,46 +558,72 @@ SelectionResult SelectionRuntime::run_graph(const dfs::MiniDfs& dfs,
 
 namespace {
 
-// Sink state for the scan kernels: candidate lines (key field already
-// matched byte-exact by the scanner) still pay the full decode, which
-// validates the timestamp before the line is kept.
+// Sink state for the scan kernels. The key scan hands over candidate lines
+// (key field already matched byte-exact by the scanner), which still pay the
+// full decode: it validates the timestamp before the line is kept. Kept
+// records are counted with their encoded sizes, the FilterStats mapper's
+// emits.
 struct FilterSink {
   const std::string* key;
   std::string* out;
-  std::uint64_t appended = 0;
+  mapred::SplitCensus census;
+
+  void keep(std::string_view line, const workload::RecordView& rv) {
+    out->append(line);
+    out->push_back('\n');
+    ++census.matched;
+    // encoded_size() recounts the timestamp's digits, which the line holds
+    // already unless its timestamp field carries leading zeros.
+    const auto ts_field =
+        static_cast<std::size_t>(rv.key.data() - line.data()) - 1;
+    census.matched_bytes += line[0] == '0' && ts_field > 1
+                                ? rv.encoded_size()
+                                : line.size() + 1;
+  }
 
   static void keep_candidate(void* ctx, std::string_view line) {
     auto& s = *static_cast<FilterSink*>(ctx);
     if (const auto rv = workload::decode_record(line); rv && rv->key == *s.key) {
-      s.out->append(line);
-      s.out->push_back('\n');
-      s.appended += line.size() + 1;
+      s.keep(line, *rv);
     }
+  }
+
+  // The reference: every non-empty line is decoded, and counted.
+  static void decode_line(void* ctx, std::string_view line) {
+    auto& s = *static_cast<FilterSink*>(ctx);
+    const auto rv = workload::decode_record(line);
+    if (!rv) {
+      ++s.census.skipped;
+      return;
+    }
+    ++s.census.records;
+    if (rv->key == *s.key) s.keep(line, *rv);
   }
 };
 
 }  // namespace
 
-std::uint64_t filter_lines(std::string_view data, const std::string& key,
-                           std::string& out) {
+mapred::SplitCensus filter_lines(std::string_view data, const std::string& key,
+                                 std::string& out) {
   return filter_lines(data, key, out, common::active_scan_kernel());
 }
 
-std::uint64_t filter_lines(std::string_view data, const std::string& key,
-                           std::string& out, common::ScanKernel kernel) {
-  FilterSink sink{&key, &out};
-  common::scan_key_lines(data, key, &sink, &FilterSink::keep_candidate, kernel);
-  return sink.appended;
+mapred::SplitCensus filter_lines(std::string_view data, const std::string& key,
+                                 std::string& out, common::ScanKernel kernel) {
+  FilterSink sink{&key, &out, {}};
+  const common::LineCensus lines = common::scan_key_lines(
+      data, key, &sink, &FilterSink::keep_candidate, kernel);
+  sink.census.records = lines.records;
+  sink.census.skipped = lines.skipped;
+  return sink.census;
 }
 
-std::uint64_t filter_lines_decode_all(std::string_view data,
-                                      const std::string& key,
-                                      std::string& out) {
-  // Every (non-empty) line pays the decode; empty lines never decode to a
-  // record, so skipping them in the scanner changes nothing.
-  FilterSink sink{&key, &out};
-  common::scan_lines(data, &sink, &FilterSink::keep_candidate);
-  return sink.appended;
+mapred::SplitCensus filter_lines_decode_all(std::string_view data,
+                                            const std::string& key,
+                                            std::string& out) {
+  FilterSink sink{&key, &out, {}};
+  common::scan_lines(data, &sink, &FilterSink::decode_line);
+  return sink.census;
 }
 
 }  // namespace datanet::core

@@ -14,11 +14,18 @@
 //     InjectedFaults adapts dfs::FaultInjector (kill / corrupt / slow /
 //     stall / transient-read).
 //   * TimingBackend — how the assignment is ordered and the phase is timed.
-//     AnalyticBackend keeps the fair round-robin request order and the
-//     closed-form mapred::Engine cost model (and runs the real filter job,
-//     so report.output is live). sim::EventSimBackend (sim/selection_sim.hpp)
-//     drives the same scheduler with discrete-event pull-on-slot-free
-//     ordering instead.
+//     AnalyticBackend keeps the fair round-robin request order and prices
+//     the FilterStats job with the closed-form cost model (mapred::price)
+//     from the census the materialize scan took of each split, so
+//     report.output is live without a second pass over the bytes.
+//     sim::EventSimBackend (sim/selection_sim.hpp) drives the same scheduler
+//     with discrete-event pull-on-slot-free ordering instead.
+//
+// Each selected block is scanned once. The attempt loop below runs every
+// read, pin and fault/monitor hook on the calling thread; the filter stage
+// after it scans each done task's final bytes (filter_lines: the key's
+// records plus the census) on cfg.execution_threads threads, each task into
+// its own slots, so results are identical at any thread count.
 //
 // There is exactly one materialize loop, and it is straggler-resilient
 // (core::AttemptTracker): every run — NoFaults or injected faults, with or
@@ -35,7 +42,9 @@
 // Invariance properties (tests/selection_runtime_test.cpp, faults_test.cpp):
 //   * JobReports are bit-identical at any engine thread count;
 //   * a FaultPolicy with an empty plan never changes any report field;
-//   * every seeded plan (kill/stall/transient mixes included) completes.
+//   * every seeded plan (kill/stall/transient mixes included) completes;
+//   * AnalyticBackend's report equals the FilterStats job run through
+//     mapred::Engine over the same splits, clean and faulted.
 
 #include <cstdint>
 #include <string>
@@ -169,10 +178,12 @@ class TimingBackend {
       const mapred::AttemptCounters& attempts) = 0;
 };
 
-// Fair round-robin request order + the closed-form engine cost model. Runs
-// the real filter job over the splits, so the report carries live output.
-// When the attempt layer launched speculative duplicates the engine's
-// speculative backup pass (mapred::apply_speculative_backups — the one
+// Fair round-robin request order + the closed-form cost model. report()
+// builds the FilterStats job's report — records, skipped lines, matches,
+// counters, output and partition bytes — from each split's census and
+// prices it with mapred::price, the same pass Engine::run uses; nothing is
+// decoded again and no engine runs. When the attempt layer launched
+// speculative duplicates, price()'s speculative backup pass (the one
 // speculation-timing implementation) prices them; clean runs keep the exact
 // non-speculative timings.
 class AnalyticBackend final : public TimingBackend {
@@ -187,13 +198,12 @@ class AnalyticBackend final : public TimingBackend {
 };
 
 // Same fair round-robin assignment as AnalyticBackend, but report() prices
-// nothing: it returns an empty JobReport instead of re-running the filter
-// job through the engine. The selection OUTPUT is unaffected — node-local
-// buffers and filtered-bytes come from the runtime's materialize loop, which
-// is backend-independent — so callers that only need the selected bytes
-// (the datanetd serving path) skip the whole engine cost-model pass and pay
-// scan cost per query. Attempt/recovery counters still land in the report
-// via run_graph's post-merge.
+// nothing: it returns an empty JobReport. The selection OUTPUT is
+// unaffected — node-local buffers and filtered-bytes come from the
+// runtime's materialize loop, which is backend-independent — so callers
+// that only need the selected bytes (the datanetd serving path) skip the
+// pricing and pay scan cost per query. Attempt/recovery counters still land
+// in the report via run_graph's post-merge.
 class CostOnlyBackend final : public TimingBackend {
  public:
   [[nodiscard]] scheduler::AssignmentRecord assign(
@@ -233,7 +243,8 @@ class SelectionRuntime {
 
   // Full pipeline: build the scheduling graph for `key` (DataNet prunes +
   // weights candidate blocks when `net` != nullptr; the content-blind
-  // baseline scans everything with zero weights) and execute it.
+  // baseline scans everything with zero weights) and execute it. An empty
+  // key throws std::invalid_argument (no record has one).
   [[nodiscard]] SelectionResult run(const dfs::MiniDfs& dfs,
                                     const std::string& path,
                                     const std::string& key,
@@ -261,23 +272,25 @@ class SelectionRuntime {
 
 // ---- shared filtering kernel ----
 
-// Copy the record lines of `data` whose key equals `key` into `out`; returns
-// the bytes appended (lines kept verbatim, '\n' restored). Line splitting
-// and the exact key-field test run in common::scan_key_lines — SIMD '\n'/'\t'
+// Copy the record lines of `data` whose key equals `key` into `out` (lines
+// kept verbatim, '\n' restored) and return the split's census: every line's
+// record/skip count plus the kept records and their encoded bytes — all the
+// selection report is priced from. Line splitting, the exact key-field test
+// and the record census run in common::scan_key_lines — SIMD '\n'/'\t'/digit
 // bitmask scanning under runtime CPU dispatch — so only candidate lines pay
 // the full workload::decode_record (which still validates the timestamp
 // before the line is kept). See bench_hotpath for scalar-vs-SIMD deltas.
-std::uint64_t filter_lines(std::string_view data, const std::string& key,
-                           std::string& out);
+mapred::SplitCensus filter_lines(std::string_view data, const std::string& key,
+                                 std::string& out);
 
 // Same, pinned to one scan kernel (equivalence fuzz + the kernel bench).
-std::uint64_t filter_lines(std::string_view data, const std::string& key,
-                           std::string& out, common::ScanKernel kernel);
+mapred::SplitCensus filter_lines(std::string_view data, const std::string& key,
+                                 std::string& out, common::ScanKernel kernel);
 
-// Reference implementation (full decode of every line); kept for the
-// equivalence test and the bench comparison.
-std::uint64_t filter_lines_decode_all(std::string_view data,
-                                      const std::string& key,
-                                      std::string& out);
+// Reference implementation (full decode of every line, which also takes the
+// census); kept for the equivalence tests and the bench comparison.
+mapred::SplitCensus filter_lines_decode_all(std::string_view data,
+                                            const std::string& key,
+                                            std::string& out);
 
 }  // namespace datanet::core

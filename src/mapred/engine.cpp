@@ -33,6 +33,8 @@ std::vector<std::string_view> split_at_record_boundaries(std::string_view data,
   return chunks;
 }
 
+namespace {
+
 std::uint64_t apply_speculative_backups(
     std::vector<TaskTiming>& map_tasks, std::vector<double>& node_map_seconds,
     const std::function<double(std::size_t task, std::uint32_t node)>&
@@ -99,7 +101,20 @@ std::uint64_t apply_speculative_backups(
   return backups;
 }
 
-namespace {
+void validate(const EngineOptions& options) {
+  if (options.num_nodes == 0) throw std::invalid_argument("num_nodes == 0");
+  if (options.slots_per_node == 0) {
+    throw std::invalid_argument("slots_per_node == 0");
+  }
+  if (!options.node_speed.empty()) {
+    if (options.node_speed.size() != options.num_nodes) {
+      throw std::invalid_argument("node_speed size != num_nodes");
+    }
+    for (const double s : options.node_speed) {
+      if (!(s > 0.0)) throw std::invalid_argument("node_speed must be > 0");
+    }
+  }
+}
 
 // Seed of the shuffle partitioner; the same hash orders the grouped keys.
 constexpr std::uint64_t kPartitionSeed = 0x9e3779b9;
@@ -282,18 +297,102 @@ std::uint64_t partition_hash(std::string_view key) {
 }
 
 Engine::Engine(EngineOptions options) : options_(std::move(options)) {
-  if (options_.num_nodes == 0) throw std::invalid_argument("num_nodes == 0");
-  if (options_.slots_per_node == 0) {
-    throw std::invalid_argument("slots_per_node == 0");
-  }
-  if (!options_.node_speed.empty()) {
-    if (options_.node_speed.size() != options_.num_nodes) {
-      throw std::invalid_argument("node_speed size != num_nodes");
+  validate(options_);
+}
+
+void price(const CostModel& cost, const EngineOptions& options,
+           const std::vector<InputSplit>& splits,
+           const std::vector<std::uint64_t>& task_records,
+           const std::vector<std::uint64_t>& partition_bytes,
+           JobReport& report) {
+  validate(options);
+  for (const auto& s : splits) {
+    if (s.node >= options.num_nodes) {
+      throw std::invalid_argument("split placed on nonexistent node");
     }
-    for (const double s : options_.node_speed) {
-      if (!(s > 0.0)) throw std::invalid_argument("node_speed must be > 0");
+  }
+  const auto R = static_cast<std::uint32_t>(partition_bytes.size());
+
+  // ---- Map: per node, multi-slot list scheduling in task arrival order. ----
+  report.map_tasks.resize(splits.size());
+  report.node_map_seconds.assign(options.num_nodes, 0.0);
+  const auto speed_of = [&](std::uint32_t node) {
+    return options.node_speed.empty() ? 1.0 : options.node_speed[node];
+  };
+  {
+    std::vector<std::vector<double>> slot_free(
+        options.num_nodes, std::vector<double>(options.slots_per_node, 0.0));
+    for (std::size_t t = 0; t < splits.size(); ++t) {
+      const InputSplit& split = splits[t];
+      auto& slots = slot_free[split.node];
+      auto it = std::min_element(slots.begin(), slots.end());
+      const double start = *it;
+      const double dur =
+          cost.map_seconds(split.effective_bytes(), task_records[t]) /
+          speed_of(split.node);
+      *it = start + dur;
+      report.map_tasks[t] = TaskTiming{split.node, start, start + dur};
+      report.node_map_seconds[split.node] =
+          std::max(report.node_map_seconds[split.node], start + dur);
     }
   }
+
+  if (options.speculative && options.num_nodes > 1 && !splits.empty()) {
+    report.attempts.timing_backups = apply_speculative_backups(
+        report.map_tasks, report.node_map_seconds,
+        [&](std::size_t t, std::uint32_t node) {
+          return cost.map_seconds(splits[t].effective_bytes(),
+                                  task_records[t]) /
+                 speed_of(node);
+        });
+  }
+
+  report.map_phase_seconds =
+      splits.empty() ? 0.0
+                     : *std::max_element(report.node_map_seconds.begin(),
+                                         report.node_map_seconds.end());
+  report.first_map_finish_seconds = report.map_phase_seconds;
+  for (const auto& tt : report.map_tasks) {
+    report.first_map_finish_seconds =
+        std::min(report.first_map_finish_seconds, tt.finish);
+  }
+
+  // ---- Shuffle: each reducer's partition transfer. ----
+  report.shuffle_bytes = 0;
+  report.shuffle_task_seconds.resize(R);
+  for (std::uint32_t p = 0; p < R; ++p) {
+    report.shuffle_bytes += partition_bytes[p];
+    // Paper semantics: a shuffle task is alive from the first map completion
+    // until the last map completes, plus its own transfer time.
+    const double wait = splits.empty() ? 0.0
+                                       : report.map_phase_seconds -
+                                             report.first_map_finish_seconds;
+    report.shuffle_task_seconds[p] =
+        wait + cost.transfer_seconds(partition_bytes[p]);
+  }
+  report.shuffle_phase_seconds =
+      R ? *std::max_element(report.shuffle_task_seconds.begin(),
+                            report.shuffle_task_seconds.end())
+        : 0.0;
+
+  // ---- Reduce, then the total. ----
+  report.reduce_task_seconds.resize(R);
+  for (std::uint32_t p = 0; p < R; ++p) {
+    report.reduce_task_seconds[p] = cost.reduce_seconds(partition_bytes[p]);
+  }
+  report.reduce_phase_seconds =
+      R ? *std::max_element(report.reduce_task_seconds.begin(),
+                            report.reduce_task_seconds.end())
+        : 0.0;
+
+  // Total: map phase, then the slowest reducer's transfer + reduce. The wait
+  // component of shuffle overlaps the map phase tail by construction.
+  double tail = 0.0;
+  for (std::uint32_t p = 0; p < R; ++p) {
+    tail = std::max(tail, cost.transfer_seconds(partition_bytes[p]) +
+                              report.reduce_task_seconds[p]);
+  }
+  report.total_seconds = report.map_phase_seconds + tail;
 }
 
 JobReport Engine::run(const Job& job, const std::vector<InputSplit>& splits) const {
@@ -303,22 +402,14 @@ JobReport Engine::run(const Job& job, const std::vector<InputSplit>& splits) con
   if (job.config.num_reducers == 0) {
     throw std::invalid_argument("num_reducers == 0");
   }
-  for (const auto& s : splits) {
-    if (s.node >= options_.num_nodes) {
-      throw std::invalid_argument("split placed on nonexistent node");
-    }
-  }
 
   JobReport report;
   const std::uint32_t R = job.config.num_reducers;
 
   // One pool serves the whole run: map tasks and the per-partition
   // group+reduce stage share it.
-  const std::uint32_t threads =
-      options_.execution_threads
-          ? options_.execution_threads
-          : std::max(1u, std::thread::hardware_concurrency());
-  common::ThreadPool pool(threads);
+  common::ThreadPool pool(
+      common::resolve_thread_count(options_.execution_threads));
   const auto wall_now = [] { return std::chrono::steady_clock::now(); };
   const auto wall_since = [](std::chrono::steady_clock::time_point t0,
                              std::chrono::steady_clock::time_point t1) {
@@ -354,55 +445,12 @@ JobReport Engine::run(const Job& job, const std::vector<InputSplit>& splits) con
   const auto wall_map_end = wall_now();
   report.wall_map_seconds = wall_since(wall_map_start, wall_map_end);
 
-  // ---- Deterministic simulated map timing. ----
-  report.map_tasks.resize(splits.size());
-  report.node_map_seconds.assign(options_.num_nodes, 0.0);
-  const auto speed_of = [&](std::uint32_t node) {
-    return options_.node_speed.empty() ? 1.0 : options_.node_speed[node];
-  };
-  {
-    // Per node: multi-slot list scheduling in task arrival order.
-    std::vector<std::vector<double>> slot_free(
-        options_.num_nodes, std::vector<double>(options_.slots_per_node, 0.0));
-    for (std::size_t t = 0; t < splits.size(); ++t) {
-      const InputSplit& split = splits[t];
-      auto& slots = slot_free[split.node];
-      auto it = std::min_element(slots.begin(), slots.end());
-      const double start = *it;
-      const double dur = job.config.cost.map_seconds(split.effective_bytes(),
-                                                     results[t].records) /
-                         speed_of(split.node);
-      *it = start + dur;
-      report.map_tasks[t] = TaskTiming{split.node, start, start + dur};
-      report.node_map_seconds[split.node] =
-          std::max(report.node_map_seconds[split.node], start + dur);
-    }
-  }
-
-  if (options_.speculative && options_.num_nodes > 1 && !splits.empty()) {
-    report.attempts.timing_backups = apply_speculative_backups(
-        report.map_tasks, report.node_map_seconds,
-        [&](std::size_t t, std::uint32_t node) {
-          return job.config.cost.map_seconds(splits[t].effective_bytes(),
-                                             results[t].records) /
-                 speed_of(node);
-        });
-  }
-
-  report.map_phase_seconds = splits.empty()
-                                 ? 0.0
-                                 : *std::max_element(report.node_map_seconds.begin(),
-                                                     report.node_map_seconds.end());
-  report.first_map_finish_seconds = report.map_phase_seconds;
-  for (const auto& tt : report.map_tasks) {
-    report.first_map_finish_seconds =
-        std::min(report.first_map_finish_seconds, tt.finish);
-  }
-
-  // ---- Shuffle: size each reducer's partition. ----
+  // ---- Shuffle: merge the task counters, size each reducer's partition. ----
   const auto wall_shuffle_start = wall_now();
+  std::vector<std::uint64_t> task_records(splits.size());
   std::vector<std::uint64_t> partition_bytes(R, 0);
   for (std::size_t t = 0; t < splits.size(); ++t) {
+    task_records[t] = results[t].records;
     report.input_records += results[t].records;
     report.skipped_lines += results[t].skipped;
     report.input_bytes += splits[t].data.size();
@@ -414,24 +462,8 @@ JobReport Engine::run(const Job& job, const std::vector<InputSplit>& splits) con
       partition_bytes[p] += results[t].partition_bytes[p];
     }
   }
-  for (std::uint32_t p = 0; p < R; ++p) report.shuffle_bytes += partition_bytes[p];
 
-  report.shuffle_task_seconds.resize(R);
-  for (std::uint32_t p = 0; p < R; ++p) {
-    // Paper semantics: a shuffle task is alive from the first map completion
-    // until the last map completes, plus its own transfer time.
-    const double wait = splits.empty() ? 0.0
-                                       : report.map_phase_seconds -
-                                             report.first_map_finish_seconds;
-    report.shuffle_task_seconds[p] =
-        wait + job.config.cost.transfer_seconds(partition_bytes[p]);
-  }
-  report.shuffle_phase_seconds =
-      R ? *std::max_element(report.shuffle_task_seconds.begin(),
-                            report.shuffle_task_seconds.end())
-        : 0.0;
-
-  // ---- Real reduce (parallel over partitions) + simulated timing. ----
+  // ---- Real reduce (parallel over partitions). ----
   // Each partition groups every task's slice in task order — so each key's
   // values arrive task-then-emit — and reduces independently on the pool
   // into per-partition buffers; the merge below runs serially in partition
@@ -449,28 +481,16 @@ JobReport Engine::run(const Job& job, const std::vector<InputSplit>& splits) con
     grouper.reduce(*job.reducer_factory(), out);
     reduced[p] = std::move(out.pairs());
   });
-  report.reduce_task_seconds.resize(R);
   for (std::uint32_t p = 0; p < R; ++p) {
     for (auto& kv : reduced[p]) report.output.insert(std::move(kv));
     for (const auto& [name, v] : reduce_counters[p]) report.counters[name] += v;
-    report.reduce_task_seconds[p] =
-        job.config.cost.reduce_seconds(partition_bytes[p]);
   }
   report.wall_shuffle_reduce_seconds =
       wall_since(wall_shuffle_start, wall_now());
-  report.reduce_phase_seconds =
-      R ? *std::max_element(report.reduce_task_seconds.begin(),
-                            report.reduce_task_seconds.end())
-        : 0.0;
 
-  // Total: map phase, then the slowest reducer's transfer + reduce. The wait
-  // component of shuffle overlaps the map phase tail by construction.
-  double tail = 0.0;
-  for (std::uint32_t p = 0; p < R; ++p) {
-    tail = std::max(tail, job.config.cost.transfer_seconds(partition_bytes[p]) +
-                              report.reduce_task_seconds[p]);
-  }
-  report.total_seconds = report.map_phase_seconds + tail;
+  // ---- Deterministic simulated timing. ----
+  price(job.config.cost, options_, splits, task_records, partition_bytes,
+        report);
   return report;
 }
 

@@ -41,6 +41,18 @@
 
 namespace datanet::mapred {
 
+// What the selection's one scan over a split counted (core::filter_lines):
+// the record census of every line, plus the records of the selected key.
+// core::AnalyticBackend prices the selection report from it without
+// decoding the split again; Engine::run ignores it and counts for itself.
+struct SplitCensus {
+  std::uint64_t records = 0;        // lines workload::decode_record accepts
+  std::uint64_t skipped = 0;        // non-empty lines it rejects
+  std::uint64_t matched = 0;        // records of the selected key
+  std::uint64_t matched_bytes = 0;  // their sum of RecordView::encoded_size()
+  bool operator==(const SplitCensus&) const = default;
+};
+
 // One map task: a chunk of input data resident on `node`.
 struct InputSplit {
   std::uint32_t node = 0;
@@ -48,6 +60,7 @@ struct InputSplit {
   // Bytes charged to the simulated clock; defaults to data.size() but can be
   // overridden (e.g. remote reads charged with a network penalty).
   std::uint64_t charged_bytes = 0;
+  SplitCensus census;  // filled by the selection runtime only
 
   [[nodiscard]] std::uint64_t effective_bytes() const {
     return charged_bytes ? charged_bytes : data.size();
@@ -65,8 +78,7 @@ struct TaskTiming {
 // `attempts`..`degraded_tasks` come from the SelectionRuntime's attempt
 // tracker (or, for event-sim runs, sim::ClusterSim's duplicate events);
 // `timing_backups` counts the analytic cost model's accepted speculative
-// backup placements (apply_speculative_backups below). Zero everywhere on a
-// clean run.
+// backup placements (price() below). Zero everywhere on a clean run.
 struct AttemptCounters {
   std::uint64_t attempts = 0;            // dispatched, duplicates included
   std::uint64_t timeouts = 0;            // attempts whose deadline expired
@@ -150,10 +162,11 @@ struct EngineOptions {
   // Relative processing speed per node (empty = homogeneous 1.0). A task's
   // simulated duration on node n is cost / node_speed[n].
   std::vector<double> node_speed;
-  // Hadoop-style single-wave speculative execution: when the cluster is
-  // otherwise idle, the straggler node's running tail task is duplicated on
-  // the earliest idle node and the earlier copy wins. Affects simulated map
-  // timing only (results are identical either way).
+  // Hadoop-style speculative execution, the one speculation-timing pass:
+  // while one node finishes well after the rest, its last-running task gets
+  // a backup on the earliest idle node and the earlier copy wins, iterated
+  // until no backup would finish earlier. Affects simulated map timing only
+  // (results are identical either way).
   bool speculative = false;
 };
 
@@ -170,19 +183,21 @@ class Engine {
   EngineOptions options_;
 };
 
-// Hadoop's single-wave speculative backup pass over simulated map timings,
-// the ONE speculation-timing implementation shared by the engine cost model
-// and (through core::AnalyticBackend, which enables EngineOptions::
-// speculative whenever the SelectionRuntime's attempt layer launched
-// duplicates) the selection phase. While one node finishes well after the
-// rest, its last-running task gets a backup on the earliest idle node and
-// the earlier copy wins; iterated until no backup would finish earlier.
-// `backup_duration(task, node)` prices the duplicate. Mutates map_tasks /
-// node_map_seconds in place and returns the number of accepted backups.
-std::uint64_t apply_speculative_backups(
-    std::vector<TaskTiming>& map_tasks, std::vector<double>& node_map_seconds,
-    const std::function<double(std::size_t task, std::uint32_t node)>&
-        backup_duration);
+// The simulated clock of one job, the one pricing pass: Engine::run calls
+// it after executing the job, and core::AnalyticBackend calls it with the
+// selection scan's census instead of executing anything. Given each split's
+// record count (`task_records[t]` for `splits[t]`) and each reducer
+// partition's shuffled bytes (`partition_bytes.size()` is the reducer
+// count), it fills the report's map timings (multi-slot list scheduling per
+// node in task order, then Hadoop's speculative backup pass when
+// options.speculative), shuffle, reduce and total times, and shuffle_bytes.
+// Throws std::invalid_argument on options Engine's constructor would reject
+// or a split placed past options.num_nodes.
+void price(const CostModel& cost, const EngineOptions& options,
+           const std::vector<InputSplit>& splits,
+           const std::vector<std::uint64_t>& task_records,
+           const std::vector<std::uint64_t>& partition_bytes,
+           JobReport& report);
 
 // The shuffle partitioner's key hash: a pair goes to reducer
 // partition_hash(key) % num_reducers, and grouped keys are visited in

@@ -330,8 +330,10 @@ void Server::handle_connection(const std::shared_ptr<Fd>& socket) {
               total > outcome.reply.service_micros
                   ? total - outcome.reply.service_micros
                   : 0;
-          write_all(fd, frame(encode_query_ok(outcome.reply)), io_ms);
+          // Counted before the write: once the reply arrives, a stats
+          // request on any connection must already see this query.
           queries_served_.fetch_add(1, std::memory_order_relaxed);
+          write_all(fd, frame(encode_query_ok(outcome.reply)), io_ms);
         } else if (outcome.rejected) {
           // Worker-side shed (deadline exceeded / shard unavailable): typed,
           // so a retrying client can tell "don't bother" from "try again".

@@ -1,8 +1,10 @@
 // PR 6 hot-path coverage: SIMD-vs-scalar scan equivalence fuzzing (every
 // alignment offset 0..63, empty lines, partial key prefixes, missing final
-// newline), Arena/ArenaAllocator unit tests, the O(1) under-replication
-// counter against fsck after every mutation kind, the ReplicationMonitor's
-// epoch-gated scan skip, and parallel_for's inline small-range fast path.
+// newline) of both the emitted lines and the record census, the filter
+// sink's counts against the FilterStats mapper, Arena/ArenaAllocator unit
+// tests, the O(1) under-replication counter against fsck after every
+// mutation kind, the ReplicationMonitor's epoch-gated scan skip, and
+// parallel_for's inline small-range fast path.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "apps/filter.hpp"
 #include "common/arena.hpp"
 #include "common/simd_scan.hpp"
 #include "common/thread_pool.hpp"
@@ -22,10 +25,13 @@
 #include "dfs/fs_image.hpp"
 #include "dfs/fsck.hpp"
 #include "dfs/replication_monitor.hpp"
+#include "mapred/engine.hpp"
+#include "workload/record.hpp"
 
 namespace dc = datanet::core;
 namespace dco = datanet::common;
 namespace dfs = datanet::dfs;
+namespace dm = datanet::mapred;
 
 namespace {
 
@@ -87,10 +93,49 @@ struct Collect {
 
 std::vector<std::string> kernel_key_lines(std::string_view data,
                                           std::string_view key,
-                                          dco::ScanKernel kernel) {
+                                          dco::ScanKernel kernel,
+                                          dco::LineCensus* census = nullptr) {
   Collect c;
-  dco::scan_key_lines(data, key, &c, &Collect::sink, kernel);
+  const dco::LineCensus got =
+      dco::scan_key_lines(data, key, &c, &Collect::sink, kernel);
+  if (census != nullptr) *census = got;
   return std::move(c.lines);
+}
+
+// The census every key scan must report: what workload::for_each_record
+// decodes and skips.
+dco::LineCensus reference_census(std::string_view data) {
+  dco::LineCensus c;
+  c.skipped = datanet::workload::for_each_record(
+      data, [&](const datanet::workload::RecordView&) { ++c.records; });
+  return c;
+}
+
+// filter_lines' counts must be the FilterStats job's over the same bytes:
+// records and skipped lines, the key's records and their byte sum.
+void expect_sink_matches_filter_stats(const std::string& corpus,
+                                      const std::string& key,
+                                      const std::string& label) {
+  const dm::Engine engine({.num_nodes = 1, .execution_threads = 1});
+  const dm::JobReport want = engine.run(
+      datanet::apps::make_filter_stats_job(key), {{.node = 0, .data = corpus}});
+  const auto counter = [&](const char* name) -> std::uint64_t {
+    const auto it = want.counters.find(name);
+    return it == want.counters.end() ? 0 : it->second;
+  };
+  const auto out = want.output.find(key);
+  const std::uint64_t want_bytes =
+      out == want.output.end() ? 0 : std::stoull(out->second);
+  for (const auto kernel : available_kernels()) {
+    std::string kept;
+    const dm::SplitCensus got = dc::filter_lines(corpus, key, kept, kernel);
+    const std::string where =
+        label + " kernel=" + dco::scan_kernel_name(kernel);
+    EXPECT_EQ(got.records, want.input_records) << where;
+    EXPECT_EQ(got.skipped, want.skipped_lines) << where;
+    EXPECT_EQ(got.matched, counter("records_matched")) << where;
+    EXPECT_EQ(got.matched_bytes, want_bytes) << where;
+  }
 }
 
 std::vector<std::string> kernel_lines(std::string_view data,
@@ -100,9 +145,10 @@ std::vector<std::string> kernel_lines(std::string_view data,
   return std::move(c.lines);
 }
 
-// Every kernel must reproduce the reference callback sequence on `corpus`
-// viewed at every alignment offset 0..63 (the SIMD stripes see the same
-// bytes at every phase of the 64-byte window).
+// Every kernel must reproduce the reference callback sequence and census on
+// `corpus` viewed at every alignment offset 0..63 (the SIMD stripes see the
+// same bytes at every phase of the 64-byte window), and the filter sink's
+// counts must match the FilterStats mapper's.
 void expect_equivalent_at_all_alignments(const std::string& corpus,
                                          const std::string& key,
                                          const std::string& label) {
@@ -112,15 +158,24 @@ void expect_equivalent_at_all_alignments(const std::string& corpus,
     const std::string_view view(buf.data() + off, corpus.size());
     const auto want_key = reference_key_lines(view, key);
     const auto want_all = reference_lines(view);
+    const auto want_census = reference_census(view);
     for (const auto kernel : available_kernels()) {
-      EXPECT_EQ(kernel_key_lines(view, key, kernel), want_key)
+      dco::LineCensus census;
+      EXPECT_EQ(kernel_key_lines(view, key, kernel, &census), want_key)
           << label << " key-scan kernel=" << dco::scan_kernel_name(kernel)
+          << " offset=" << off;
+      EXPECT_EQ(census.records, want_census.records)
+          << label << " census kernel=" << dco::scan_kernel_name(kernel)
+          << " offset=" << off;
+      EXPECT_EQ(census.skipped, want_census.skipped)
+          << label << " census kernel=" << dco::scan_kernel_name(kernel)
           << " offset=" << off;
       EXPECT_EQ(kernel_lines(view, kernel), want_all)
           << label << " line-scan kernel=" << dco::scan_kernel_name(kernel)
           << " offset=" << off;
     }
   }
+  expect_sink_matches_filter_stats(corpus, key, label);
 }
 
 dc::ExperimentConfig small_config() {
@@ -149,6 +204,22 @@ TEST(SimdScan, DegenerateShapesAllKernelsAllAlignments) {
       "movie_1\tmovie_1\tx\n",             // key also in the timestamp slot
       "\t\t\n\t\tmovie_1\t\n",             // empty fields everywhere
       std::string(200, 'a') + "\t" + key + "\t" + std::string(300, 'b'),
+      // Timestamps: leading zeros are legal; 19 digits always fit, 20 may,
+      // 21 never do unless they are leading zeros.
+      "007\tmovie_1\tleading zeros\n0\tmovie_1\tzero\n00\tmovie_1\tz\n",
+      "1234567890123456789\tmovie_1\t19 digits\n",
+      "18446744073709551615\tmovie_1\tu64 max\n",
+      "18446744073709551616\tmovie_1\tone past u64 max\n",
+      "99999999999999999999\tmovie_1\t20 digits, overflow\n",
+      "123456789012345678901\tmovie_1\t21 digits\n",
+      "000000000000000000000000042\tmovie_1\tlong leading zeros\n",
+      "1234567890123456\tmovie_1\t16 digits\n",
+      "12a\tmovie_1\tx\n+5\tmovie_1\tx\n-5\tmovie_1\tx\n 5\tmovie_1\tx\n",
+      // An empty key field, a lone tab, a tab at the line start.
+      "1\t\tx\n\t\n5\t\n\t5\tmovie_1\tp\n5\tmovie_1\n",
+      // Key fields past 16 bytes; a second tab far away, or none at all.
+      "1\t" + std::string(40, 'k') + "\tp\n2\t" + std::string(40, 'k') + "\n",
+      "3\tmovie_1" + std::string(20, 'x') + "\n4\tabc\n5\tabc\t\n",
   };
   for (const auto& shape : shapes) {
     expect_equivalent_at_all_alignments(shape, key, "shape");
@@ -171,6 +242,10 @@ TEST(SimdScan, CrlfShapesAllKernelsAllAlignments) {
       "1\tmovie_1\tp\r\n2\tmovie_1\tq\n",   // mixed terminators
       "1\tmovie_12\tx\r\n2\tmovie_1\ty\r",  // prefix neighbor + CR tail
       std::string("9\t") + key + "\t" + std::string(300, 'b') + "\r\n",
+      "1\r2\tmovie_1\tp\r\n",                // CR inside the timestamp
+      "1\tmovie_1\r\n",                       // one tab once CR is gone
+      "12\t\r\tp\n",                         // key field is a lone CR
+      "\r\r\n5\t\r\n7\tmovie_1\t\r",         // CR-only line, CR tails
   };
   for (const auto& shape : shapes) {
     expect_equivalent_at_all_alignments(shape, key, "crlf shape");
@@ -183,7 +258,7 @@ TEST(SimdScan, FuzzRandomCorporaAllKernelsAllAlignments) {
   for (int round = 0; round < 6; ++round) {
     const std::string& key = keys[round % 3];
     std::string corpus;
-    std::uniform_int_distribution<int> line_kind(0, 5);
+    std::uniform_int_distribution<int> line_kind(0, 7);
     std::uniform_int_distribution<int> len(0, 40);
     std::uniform_int_distribution<int> ch('a', 'z');
     for (int line = 0; line < 120; ++line) {
@@ -210,6 +285,21 @@ TEST(SimdScan, FuzzRandomCorporaAllKernelsAllAlignments) {
         case 5:  // tabs only
           corpus += "\t\t\t";
           break;
+        case 6: {  // 1..24-digit timestamp, often zero-led, maybe overflowing
+          std::uniform_int_distribution<int> digits(1, 24);
+          std::uniform_int_distribution<int> digit('0', '9');
+          for (int i = digits(rng); i > 0; --i) {
+            corpus += static_cast<char>(line_kind(rng) < 2 ? '0' : digit(rng));
+          }
+          corpus += "\t" + key + "\tp";
+          break;
+        }
+        case 7: {  // shape noise: digits, tabs, CRs and letters
+          const char noise[] = {'0', '7', '9', '\t', '\t', '\r', 'a', ' '};
+          std::uniform_int_distribution<int> pick(0, 7);
+          for (int i = len(rng); i > 0; --i) corpus += noise[pick(rng)];
+          break;
+        }
       }
       // A third of the lines end Windows-style; kernels must treat "\r\n"
       // and "\n" terminators identically.
@@ -233,13 +323,16 @@ TEST(SimdScan, FilterLinesMatchesDecodeAllReferenceOnEveryKernel) {
   corpus += "not a record\n123\tkey_3\n";  // malformed tails
   const std::string key = "key_3";
   std::string want;
-  const auto want_bytes = dc::filter_lines_decode_all(corpus, key, want);
+  const auto want_census = dc::filter_lines_decode_all(corpus, key, want);
   for (const auto kernel : available_kernels()) {
     std::string got;
-    const auto got_bytes = dc::filter_lines(corpus, key, got, kernel);
+    const auto got_census = dc::filter_lines(corpus, key, got, kernel);
     EXPECT_EQ(got, want) << dco::scan_kernel_name(kernel);
-    EXPECT_EQ(got_bytes, want_bytes) << dco::scan_kernel_name(kernel);
+    EXPECT_TRUE(got_census == want_census) << dco::scan_kernel_name(kernel);
   }
+  EXPECT_EQ(want_census.records, 500u);
+  EXPECT_EQ(want_census.skipped, 2u);
+  EXPECT_EQ(want_census.matched, 71u);
 }
 
 TEST(SimdScan, DispatcherAndAvailability) {

@@ -1,7 +1,9 @@
 // SelectionRuntime policy-seam properties: a zero-fault runtime is
 // deterministic (bit-identical across repeated runs) for every scheduler on
 // both datasets, an empty-plan FaultPolicy never changes any report field,
-// and reports are thread-count invariant. Plus unit coverage for the
+// reports are thread-count invariant, and the analytic backend's
+// census-priced report equals the FilterStats job run through the engine
+// over the same splits, clean and faulted. Plus unit coverage for the
 // AttemptTracker state machine and the shared split/filter kernels.
 
 #include <gtest/gtest.h>
@@ -10,9 +12,11 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "apps/filter.hpp"
 #include "datanet/experiment.hpp"
 #include "datanet/selection_runtime.hpp"
 #include "dfs/fault_injector.hpp"
@@ -77,6 +81,59 @@ dc::SelectionResult runtime_clean(const dc::StoredDataset& ds,
   return dc::SelectionRuntime(read, faults, timing)
       .run(*ds.dfs, ds.path, key, sched, net, cfg);
 }
+
+// The analytic backend, checked on every report against the oracle it
+// replaced: the FilterStats job run through mapred::Engine over the very
+// splits the runtime priced, with the same cost model and engine options.
+class OracleCheckedBackend final : public dc::TimingBackend {
+ public:
+  explicit OracleCheckedBackend(std::string label) : label_(std::move(label)) {}
+
+  dsch::AssignmentRecord assign(dsch::TaskScheduler& sched,
+                                const datanet::graph::BipartiteGraph& graph,
+                                const std::vector<std::uint64_t>& block_bytes)
+      override {
+    return analytic_.assign(sched, graph, block_bytes);
+  }
+
+  dm::JobReport report(const std::string& key,
+                       const std::vector<dm::InputSplit>& splits,
+                       const dc::ExperimentConfig& cfg,
+                       const std::vector<double>& node_speeds,
+                       const dm::AttemptCounters& attempts) override {
+    dm::JobReport got =
+        analytic_.report(key, splits, cfg, node_speeds, attempts);
+    dm::Job job = datanet::apps::make_filter_stats_job(key);
+    job.config.cost.time_scale = cfg.effective_time_scale();
+    dm::EngineOptions opt;
+    opt.num_nodes = cfg.num_nodes;
+    opt.slots_per_node = cfg.slots_per_node;
+    opt.execution_threads = cfg.execution_threads;
+    opt.node_speed = node_speeds;
+    opt.speculative = attempts.speculative_launched > 0;
+    const dm::JobReport want = dm::Engine(opt).run(job, splits);
+    EXPECT_EQ(dm::report_to_json(got, /*include_output=*/true),
+              dm::report_to_json(want, /*include_output=*/true))
+        << label_;
+    const auto timings = [](const dm::JobReport& r) {
+      std::vector<std::tuple<std::uint32_t, double, double>> v;
+      for (const auto& t : r.map_tasks) {
+        v.emplace_back(t.node, t.start, t.finish);
+      }
+      return v;
+    };
+    EXPECT_EQ(timings(got), timings(want)) << label_;
+    EXPECT_EQ(got.reduce_task_seconds, want.reduce_task_seconds) << label_;
+    ++reports;
+    return got;
+  }
+
+  int reports = 0;
+
+ private:
+  std::string label_;
+  dc::AnalyticBackend analytic_;
+};
 
 }  // namespace
 
@@ -183,6 +240,112 @@ TEST(SelectionRuntime, ThreadCountInvariance) {
   const auto four = runtime_clean(ds, key, s4, &net, cfg);
   EXPECT_EQ(dm::report_to_json(one.report, true),
             dm::report_to_json(four.report, true));
+}
+
+// ---- the census-priced report equals the engine oracle ----
+
+TEST(SelectionRuntime, AnalyticReportEqualsFilterStatsEngineRun) {
+  struct Plan {
+    const char* name;
+    bool faulted;
+    dc::AttemptOptions attempts;
+    // Fault events for a freshly built dataset (blocks name its file).
+    std::vector<dfs::FaultEvent> (*events)(const std::vector<dfs::BlockId>&);
+  };
+  dc::AttemptOptions patient;  // stalls park until speculation wins
+  patient.timeout_ticks = 1000;
+  const Plan plans[] = {
+      {"clean", false, {}, nullptr},
+      {"kill", true, {},
+       [](const std::vector<dfs::BlockId>&) {
+         return std::vector<dfs::FaultEvent>{
+             {.at_task = 3, .kind = dfs::FaultKind::kKillNode, .node = 1}};
+       }},
+      {"stall+speculation", true, patient,
+       [](const std::vector<dfs::BlockId>&) {
+         return std::vector<dfs::FaultEvent>{
+             {.at_task = 0, .kind = dfs::FaultKind::kStallNode, .node = 2}};
+       }},
+      {"transient", true, {},
+       [](const std::vector<dfs::BlockId>& b) {
+         return std::vector<dfs::FaultEvent>{
+             {.at_task = 0, .kind = dfs::FaultKind::kTransientReadError,
+              .block = b[0], .fail_count = 2},
+             {.at_task = 2, .kind = dfs::FaultKind::kTransientReadError,
+              .block = b[5], .fail_count = 1}};
+       }},
+      {"corrupt", true, {},
+       [](const std::vector<dfs::BlockId>& b) {
+         return std::vector<dfs::FaultEvent>{
+             {.at_task = 0, .kind = dfs::FaultKind::kCorruptReplica, .node = 0,
+              .block = b[1]},
+             {.at_task = 0, .kind = dfs::FaultKind::kCorruptReplica, .node = 1,
+              .block = b[4]},
+             {.at_task = 0, .kind = dfs::FaultKind::kCorruptBlock,
+              .block = b[7]}};
+       }},
+      {"slowdown", true, {},
+       [](const std::vector<dfs::BlockId>&) {
+         return std::vector<dfs::FaultEvent>{
+             {.at_task = 0, .kind = dfs::FaultKind::kSlowNode, .node = 3,
+              .speed_factor = 0.5}};
+       }},
+  };
+
+  auto cfg = small_config();
+  for (const std::uint32_t threads : {1u, 4u}) {
+    cfg.execution_threads = threads;
+    for (const bool fig8 : {false, true}) {
+      for (const Plan& plan : plans) {
+        for (std::size_t s = 0; s < all_schedulers().size(); ++s) {
+          // Faults mutate the DFS: every run gets a fresh dataset.
+          const auto ds = fig8 ? dc::make_github_dataset(cfg, 32)
+                               : dc::make_movie_dataset(cfg, 48, 300);
+          const dc::DataNet net(*ds.dfs, ds.path, {.alpha = fig8 ? 0.6 : 0.3});
+          const std::string key = fig8 ? "IssueEvent" : ds.hot_keys[0];
+          auto sched = std::move(all_schedulers()[s]);
+          const std::string label =
+              std::string(fig8 ? "fig8/" : "fig5/") + plan.name + "/" +
+              std::string(sched->name()) + "/threads=" +
+              std::to_string(threads);
+          OracleCheckedBackend timing(label);
+          dc::SelectionResult r;
+          if (!plan.faulted) {
+            dc::DirectReadPolicy read(*ds.dfs, cfg.remote_read_penalty);
+            dc::NoFaults faults;
+            r = dc::SelectionRuntime(read, faults, timing)
+                    .run(*ds.dfs, ds.path, key, *sched, &net, cfg);
+          } else {
+            dfs::FaultInjector injector(
+                *ds.dfs, plan.events(ds.dfs->blocks_of(ds.path)));
+            dc::ChecksumRetryReadPolicy read(*ds.dfs, cfg.remote_read_penalty);
+            dc::InjectedFaults faults(injector);
+            r = dc::SelectionRuntime(read, faults, timing, plan.attempts)
+                    .run(*ds.dfs, ds.path, key, *sched, &net, cfg);
+          }
+          EXPECT_EQ(timing.reports, 1) << label;
+          EXPECT_GT(r.report.input_records, 0u) << label;
+          if (std::string(plan.name) == "stall+speculation") {
+            EXPECT_GT(r.report.attempts.speculative_launched, 0u) << label;
+          }
+        }
+      }
+    }
+  }
+}
+
+// ---- an empty key is rejected, not read as "every key" ----
+
+TEST(SelectionRuntime, EmptyKeyIsRejected) {
+  const auto cfg = small_config();
+  const auto ds = dc::make_movie_dataset(cfg, 8, 50);
+  const dc::DataNet net(*ds.dfs, ds.path, {.alpha = 0.3});
+  for (const dc::DataNet* net_ptr :
+       {static_cast<const dc::DataNet*>(nullptr), &net}) {
+    dsch::DataNetScheduler sched;
+    EXPECT_THROW((void)runtime_clean(ds, "", sched, net_ptr, cfg),
+                 std::invalid_argument);
+  }
 }
 
 // ---- config validation ----

@@ -689,6 +689,21 @@ TEST(ServerEndToEnd, StatsMeterTenantsAcrossShardedPlane) {
   server.stop();
 }
 
+// A served query is counted before its reply is written, so a stats request
+// on another connection never reads the counter one short.
+TEST(ServerEndToEnd, QueriesServedCountsEveryReplyBeforeItArrives) {
+  srv::Server server(small_server());
+  server.start();
+  srv::Client queries(server.port());
+  srv::Client stats(server.port());
+  const auto& hot = server.dataset().hot_keys;
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    ASSERT_TRUE(queries.query(query_for("alice", hot[i % hot.size()])).ok());
+    EXPECT_EQ(stats.stats().queries_served, i + 1) << "after reply " << i;
+  }
+  server.stop();
+}
+
 // ---- one message layout per type ----
 
 // Every field is mandatory: any strict prefix of a kQuery, kQueryOk or
