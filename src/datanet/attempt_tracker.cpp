@@ -72,7 +72,7 @@ std::size_t AttemptTracker::dispatch(std::size_t task, dfs::NodeId node,
   attempts_.push_back(a);
   ready_.emplace_back(a.ready_at, id);
   std::push_heap(ready_.begin(), ready_.end(), ReadyLater{});
-  ++stats_.dispatched;
+  ++stats_.attempts;
   if (speculative) {
     task_speculated_[task] = 1;
     ++stats_.speculative_launched;

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "dfs/topology.hpp"
+#include "mapred/engine.hpp"
 
 namespace datanet::core {
 
@@ -73,16 +74,6 @@ struct TaskAttempt {
   bool speculative = false;
   bool counts_toward_cap = true;
   AttemptState state = AttemptState::kQueued;
-};
-
-struct AttemptStats {
-  std::uint64_t dispatched = 0;           // attempts created, duplicates incl.
-  std::uint64_t timeouts = 0;
-  std::uint64_t transient_retries = 0;
-  std::uint64_t redispatches = 0;         // cap-counted follow-up dispatches
-  std::uint64_t speculative_launched = 0;
-  std::uint64_t speculative_wins = 0;
-  std::uint64_t degraded_tasks = 0;       // abandoned at the retry cap
 };
 
 class AttemptTracker {
@@ -154,7 +145,11 @@ class AttemptTracker {
   void set_node(std::size_t attempt, dfs::NodeId node);
 
   [[nodiscard]] std::uint64_t backoff_delay(std::uint32_t redispatch_no) const;
-  [[nodiscard]] const AttemptStats& stats() const noexcept { return stats_; }
+  // The loop's attempt counters; timing_backups is the cost model's and
+  // stays 0 here.
+  [[nodiscard]] const mapred::AttemptCounters& stats() const noexcept {
+    return stats_;
+  }
   [[nodiscard]] const AttemptOptions& options() const noexcept {
     return options_;
   }
@@ -177,7 +172,7 @@ class AttemptTracker {
   std::vector<std::uint8_t> task_speculated_;
   // Ready queue: (ready_at, attempt id) min-heap with lazy deletion.
   std::vector<std::pair<std::uint64_t, std::size_t>> ready_;
-  AttemptStats stats_;
+  mapred::AttemptCounters stats_;
 };
 
 }  // namespace datanet::core

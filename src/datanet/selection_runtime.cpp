@@ -506,14 +506,7 @@ SelectionResult SelectionRuntime::run_graph(const dfs::MiniDfs& dfs,
                                           .census = task_census[j]});
     }
 
-    const AttemptStats& s = tracker.stats();
-    counters.attempts = s.dispatched;
-    counters.timeouts = s.timeouts;
-    counters.transient_retries = s.transient_retries;
-    counters.redispatches = s.redispatches;
-    counters.speculative_launched = s.speculative_launched;
-    counters.speculative_wins = s.speculative_wins;
-    counters.degraded_tasks = s.degraded_tasks;
+    counters = tracker.stats();
   }
 
   // Let the healing queue converge once the selection stops generating new
@@ -527,13 +520,7 @@ SelectionResult SelectionRuntime::run_graph(const dfs::MiniDfs& dfs,
   // Merge the loop's attempt counters over whatever the backend priced
   // (AnalyticBackend contributes timing_backups; EventSimBackend its
   // event-level duplicates).
-  result.report.attempts.attempts += counters.attempts;
-  result.report.attempts.timeouts += counters.timeouts;
-  result.report.attempts.transient_retries += counters.transient_retries;
-  result.report.attempts.redispatches += counters.redispatches;
-  result.report.attempts.speculative_launched += counters.speculative_launched;
-  result.report.attempts.speculative_wins += counters.speculative_wins;
-  result.report.attempts.degraded_tasks += counters.degraded_tasks;
+  result.report.attempts += counters;
   // Post-run DFS health, on clean and timing-only runs too: an
   // under-replicated seed layout is visible without injecting a fault, and
   // kills strand replicas until healing (inline or monitor) catches up.

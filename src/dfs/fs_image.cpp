@@ -14,10 +14,11 @@ namespace datanet::dfs {
 namespace {
 
 constexpr std::uint64_t kMagic = 0x30474d4946534644ull;  // "DFSFIMG0"
-// The one image version. Its open-block section (id, file, extents_applied
-// per open block) after the block table lets checkpoints taken
-// mid-ingestion restore in-flight blocks.
-constexpr std::uint32_t kVersion = 2;
+// The one image version. The header stores the node count and the active
+// mask; the open-block section (id, file, extents_applied per open block)
+// after the block table lets checkpoints taken mid-ingestion restore
+// in-flight blocks.
+constexpr std::uint32_t kVersion = 3;
 
 std::string read_whole_file(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
@@ -40,12 +41,15 @@ std::string_view checked_body(const std::string& raw, const std::string& path) {
 
 struct Header {
   DfsOptions options;
-  std::vector<RackId> rack_of;
-  std::vector<bool> active;
+  std::vector<bool> active;  // one entry per node
   std::uint64_t journal_covered = 0;
   std::uint64_t num_files = 0;  // cursor is left at the file table
 };
 
+// Reads and validates the header, so a checksum-valid image whose fields
+// contradict each other fails here with FsImageError instead of escaping as
+// a MiniDfs constructor or allocation error. Counts are bounded by the bytes
+// left over their minimum encoded size before anything is reserved.
 Header read_header(wire::Cursor& c, const std::string& path) {
   Header h;
   if (c.u64() != kMagic) throw FsImageError("FsImage: bad magic in " + path);
@@ -57,12 +61,21 @@ Header read_header(wire::Cursor& c, const std::string& path) {
   h.options.seed = c.u64();
   h.options.inline_repair = c.u8() != 0;
   const std::uint32_t num_nodes = c.u32();
-  h.rack_of.reserve(num_nodes);
-  for (std::uint32_t n = 0; n < num_nodes; ++n) h.rack_of.push_back(c.u32());
+  if (num_nodes == 0 || num_nodes > c.remaining()) {
+    throw FsImageError("FsImage: bad node count in " + path);
+  }
+  if (h.options.block_size == 0 || h.options.replication == 0 ||
+      h.options.replication > num_nodes) {
+    throw FsImageError("FsImage: bad block size or replication in " + path);
+  }
   h.active.reserve(num_nodes);
   for (std::uint32_t n = 0; n < num_nodes; ++n) h.active.push_back(c.u8() != 0);
   h.journal_covered = c.u64();
   h.num_files = c.u64();
+  // A file entry is at least a u64 name length and a u64 block count.
+  if (h.num_files > c.remaining() / 16) {
+    throw FsImageError("FsImage: file count exceeds image in " + path);
+  }
   return h;
 }
 
@@ -76,14 +89,8 @@ void FsImage::save(const MiniDfs& dfs, const std::string& path) {
   wire::put_u32(out, dfs.options_.replication);
   wire::put_u64(out, dfs.options_.seed);
   out.push_back(dfs.options_.inline_repair ? 1 : 0);
-  const std::uint32_t num_nodes = dfs.topology_.num_nodes();
-  wire::put_u32(out, num_nodes);
-  for (NodeId n = 0; n < num_nodes; ++n) {
-    wire::put_u32(out, dfs.topology_.rack_of(n));
-  }
-  for (NodeId n = 0; n < num_nodes; ++n) {
-    out.push_back(dfs.node_active_[n] ? 1 : 0);
-  }
+  wire::put_u32(out, dfs.topology_.num_nodes());
+  for (const bool active : dfs.node_active_) out.push_back(active ? 1 : 0);
   wire::put_u64(out, dfs.journal_ != nullptr ? dfs.journal_->bytes_written() : 0);
 
   // File table, sorted by name so the image bytes are deterministic across
@@ -143,7 +150,8 @@ MiniDfs FsImage::load(const std::string& path) {
   wire::Cursor c(checked_body(raw, path));
   try {
     const Header h = read_header(c, path);
-    MiniDfs dfs(ClusterTopology::from_rack_of(h.rack_of), h.options);
+    const auto num_nodes = static_cast<std::uint32_t>(h.active.size());
+    MiniDfs dfs(ClusterTopology::flat(num_nodes), h.options);
     dfs.node_active_ = h.active;
     dfs.active_nodes_ = static_cast<std::uint32_t>(
         std::count(h.active.begin(), h.active.end(), true));
@@ -153,6 +161,9 @@ MiniDfs FsImage::load(const std::string& path) {
     for (std::uint64_t i = 0; i < h.num_files; ++i) {
       std::string name = c.bytes();
       const std::uint64_t nblocks = c.u64();
+      if (nblocks > c.remaining() / 8) {
+        throw FsImageError("FsImage: block count exceeds image");
+      }
       std::vector<BlockId> ids;
       ids.reserve(nblocks);
       for (std::uint64_t j = 0; j < nblocks; ++j) ids.push_back(c.u64());
@@ -168,12 +179,12 @@ MiniDfs FsImage::load(const std::string& path) {
       b.num_records = c.u64();
       b.checksum = c.u32();
       const std::uint32_t nreps = c.u32();
-      if (nreps > h.rack_of.size()) {
+      if (nreps > num_nodes) {
         throw FsImageError("FsImage: replica count exceeds cluster");
       }
       for (std::uint32_t r = 0; r < nreps; ++r) {
         const NodeId n = c.u32();
-        if (n >= h.rack_of.size()) throw FsImageError("FsImage: bad replica node");
+        if (n >= num_nodes) throw FsImageError("FsImage: bad replica node");
         b.replicas.push_back(n);
         dfs.node_blocks_[n].push_back(b.id);
       }
@@ -231,7 +242,7 @@ FsImage::Stats FsImage::inspect(const std::string& path) {
   s.file_bytes = raw.size();
   s.journal_covered = h.journal_covered;
   s.num_files = h.num_files;
-  s.num_nodes = static_cast<std::uint32_t>(h.rack_of.size());
+  s.num_nodes = static_cast<std::uint32_t>(h.active.size());
   s.active_nodes = static_cast<std::uint32_t>(
       std::count(h.active.begin(), h.active.end(), true));
   // Skip the file table to reach the block count.

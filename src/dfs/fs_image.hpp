@@ -1,6 +1,6 @@
 #pragma once
 // dfs::FsImage — the NameNode checkpoint (HDFS fsimage). save() serializes
-// the whole durable namespace — options, topology, active-node mask, files,
+// the whole durable namespace — options, node count, active-node mask, files,
 // block metadata AND block bytes (MiniDfs holds the single in-memory copy
 // that stands in for the datanode plane) — plus the journal offset the image
 // covers, then commits it crash-atomically: write `<path>.tmp`, flush, rename
@@ -43,8 +43,10 @@ class FsImage {
   // the attached journal's bytes_written() (0 when none is attached).
   static void save(const MiniDfs& dfs, const std::string& path);
 
-  // Parse and verify an image. The rebuilt instance uses RandomPlacement and
-  // a fresh placement RNG seeded from the stored options.
+  // Parse and verify an image. Any malformed image, including a
+  // checksum-valid one whose header fields contradict each other, throws
+  // FsImageError. The rebuilt instance starts a fresh placement RNG seeded
+  // from the stored options.
   [[nodiscard]] static MiniDfs load(const std::string& path);
 
   // Journal offset recorded in the image at `path` (what recover() skips).

@@ -142,10 +142,6 @@ void MetaPlane::checkpoint_shard(std::uint32_t shard) {
   FsImage::save(*sh.dfs, sh.image_path);
 }
 
-void MetaPlane::checkpoint_all() {
-  for (std::uint32_t s = 0; s < num_shards(); ++s) checkpoint_shard(s);
-}
-
 void MetaPlane::crash_shard(std::uint32_t shard,
                             std::uint64_t journal_keep_bytes) {
   Shard& sh = live_shard(shard);

@@ -124,7 +124,6 @@ class MetaPlane {
   // offset). Throws std::logic_error before attach_journals and
   // ShardUnavailableError while crashed.
   void checkpoint_shard(std::uint32_t shard);
-  void checkpoint_all();
 
   // Kill one shard's NameNode: seal (optionally tear) its journal and mark
   // the shard unavailable. Other shards are untouched.

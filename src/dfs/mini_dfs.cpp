@@ -55,11 +55,9 @@ void FileWriter::close() {
   dfs_ = nullptr;
 }
 
-MiniDfs::MiniDfs(ClusterTopology topology, DfsOptions options,
-                 std::unique_ptr<PlacementPolicy> placement)
+MiniDfs::MiniDfs(ClusterTopology topology, DfsOptions options)
     : topology_(std::move(topology)),
       options_(options),
-      placement_(std::move(placement)),
       placement_rng_(options.seed) {
   if (options_.block_size == 0) throw std::invalid_argument("block_size == 0");
   if (options_.replication == 0) throw std::invalid_argument("replication == 0");
@@ -70,9 +68,6 @@ MiniDfs::MiniDfs(ClusterTopology topology, DfsOptions options,
   node_active_.assign(topology_.num_nodes(), true);
   active_nodes_ = topology_.num_nodes();
 }
-
-MiniDfs::MiniDfs(ClusterTopology topology, DfsOptions options)
-    : MiniDfs(std::move(topology), options, std::make_unique<RandomPlacement>()) {}
 
 void MiniDfs::push_block_runtime_state(std::uint8_t verified) {
   cs_->verified.emplace_back(verified);
@@ -110,8 +105,7 @@ BlockId MiniDfs::commit_block(const std::string& path, std::string data,
   info.size_bytes = data.size();
   info.num_records = num_records;
   info.checksum = common::crc32(data);
-  info.replicas =
-      placement_->place(topology_, node_active_, replication, placement_rng_);
+  info.replicas = place_replicas(node_active_, replication, placement_rng_);
   for (NodeId n : info.replicas) node_blocks_[n].push_back(id);
   total_bytes_ += info.size_bytes;
   files_.at(path).push_back(id);
@@ -165,9 +159,8 @@ BlockId MiniDfs::open_block(const std::string& path) {
   }
   const std::uint32_t replication =
       std::min(options_.replication, active_nodes_);
-  auto replicas =
-      placement_->place(topology_, node_active_, replication, placement_rng_);
-  const BlockId id = open_block_impl(path, std::move(replicas));
+  const BlockId id = open_block_impl(
+      path, place_replicas(node_active_, replication, placement_rng_));
   // Placement is journaled explicitly so replay never re-runs the RNG.
   log_edit({.op = EditOp::kOpenBlock,
             .file = path,
@@ -415,17 +408,23 @@ std::vector<BlockId> MiniDfs::drop_node(NodeId node) {
   return hosted;
 }
 
-std::optional<NodeId> MiniDfs::pick_rereplication_target(
-    const std::vector<NodeId>& reps) {
-  std::vector<NodeId> candidates;
-  for (NodeId n = 0; n < topology_.num_nodes(); ++n) {
-    if (node_active_[n] &&
-        std::find(reps.begin(), reps.end(), n) == reps.end()) {
-      candidates.push_back(n);
-    }
+void MiniDfs::add_replica(BlockId id, NodeId node) {
+  replicas_changing(id);
+  blocks_[id].replicas.push_back(node);
+  node_blocks_[node].push_back(id);
+  replicas_changed(id);
+}
+
+std::optional<NodeId> MiniDfs::rereplicate(BlockId id) {
+  std::vector<bool> eligible = node_active_;
+  for (const NodeId n : blocks_[id].replicas) eligible[n] = false;
+  if (std::find(eligible.begin(), eligible.end(), true) == eligible.end()) {
+    return std::nullopt;
   }
-  if (candidates.empty()) return std::nullopt;
-  return candidates[placement_rng_.bounded(candidates.size())];
+  const NodeId target = place_replicas(eligible, 1, placement_rng_)[0];
+  add_replica(id, target);
+  log_edit({.op = EditOp::kAddReplica, .block = id, .node = target});
+  return target;
 }
 
 std::vector<BlockId> MiniDfs::decommission(NodeId node) {
@@ -442,19 +441,12 @@ std::vector<BlockId> MiniDfs::decommission(NodeId node) {
 
   std::vector<BlockId> lost;
   for (const BlockId id : hosted) {
-    auto& reps = blocks_[id].replicas;
-    if (reps.empty()) {
-      lost.push_back(id);
-      continue;  // no surviving copy to re-replicate from
+    if (blocks_[id].replicas.empty()) {
+      lost.push_back(id);  // no surviving copy to re-replicate from
+    } else if (options_.inline_repair) {
+      // No eligible target leaves the block under-replicated, not lost.
+      (void)rereplicate(id);
     }
-    if (!options_.inline_repair) continue;  // ReplicationMonitor's job
-    const auto target = pick_rereplication_target(reps);
-    if (!target) continue;  // under-replicated, but not lost
-    replicas_changing(id);
-    reps.push_back(*target);
-    node_blocks_[*target].push_back(id);
-    replicas_changed(id);
-    log_edit({.op = EditOp::kAddReplica, .block = id, .node = *target});
   }
   return lost;
 }
@@ -623,17 +615,7 @@ bool MiniDfs::report_corrupt_replica(BlockId id, NodeId node) {
                   [&](NodeId n) { return replica_healthy_unlocked(id, n); });
   if (!have_source) return false;
 
-  if (options_.inline_repair) {
-    // Re-replicate onto an active node that does not already hold the block
-    // (same choice rule as decommission).
-    if (const auto target = pick_rereplication_target(reps)) {
-      replicas_changing(id);
-      blocks_[id].replicas.push_back(*target);
-      node_blocks_[*target].push_back(id);
-      replicas_changed(id);
-      log_edit({.op = EditOp::kAddReplica, .block = id, .node = *target});
-    }
-  }
+  if (options_.inline_repair) (void)rereplicate(id);
   return true;
 }
 
@@ -652,28 +634,12 @@ std::vector<NodeId> MiniDfs::corrupt_replica_marks(BlockId id) const {
 std::optional<NodeId> MiniDfs::repair_block(BlockId id) {
   std::unique_lock lock(cs_->mu);
   if (id >= blocks_.size()) throw std::out_of_range("repair_block: bad block");
-  auto& reps = blocks_[id].replicas;
+  const auto& reps = blocks_[id].replicas;
   const bool have_source =
       std::any_of(reps.begin(), reps.end(),
                   [&](NodeId n) { return replica_healthy_unlocked(id, n); });
   if (!have_source) return std::nullopt;
-  std::vector<bool> eligible(node_active_.size(), false);
-  std::uint32_t num_eligible = 0;
-  for (NodeId n = 0; n < topology_.num_nodes(); ++n) {
-    if (node_active_[n] &&
-        std::find(reps.begin(), reps.end(), n) == reps.end()) {
-      eligible[n] = true;
-      ++num_eligible;
-    }
-  }
-  if (num_eligible == 0) return std::nullopt;
-  const NodeId target = placement_->place(topology_, eligible, 1, placement_rng_)[0];
-  replicas_changing(id);
-  reps.push_back(target);
-  node_blocks_[target].push_back(id);
-  replicas_changed(id);
-  log_edit({.op = EditOp::kAddReplica, .block = id, .node = target});
-  return target;
+  return rereplicate(id);
 }
 
 // ---- crash recovery ----
@@ -741,10 +707,7 @@ void MiniDfs::apply_edit(const EditRecord& record) {
       break;
     case EditOp::kAddReplica:
       if (!is_local_unlocked(record.block, record.node)) {
-        replicas_changing(record.block);
-        blocks_[record.block].replicas.push_back(record.node);
-        node_blocks_[record.node].push_back(record.block);
-        replicas_changed(record.block);
+        add_replica(record.block, record.node);
       }
       break;
     case EditOp::kMoveReplica:

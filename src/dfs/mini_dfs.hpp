@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "dfs/placement.hpp"
 #include "dfs/topology.hpp"
 
 namespace datanet::dfs {
@@ -83,10 +82,11 @@ struct DfsOptions {
   std::uint64_t block_size = 1ull << 20;  // scaled-down stand-in for 64 MB
   std::uint32_t replication = 3;
   std::uint64_t seed = 42;
-  // When true (the default), decommission and report_corrupt_replica
-  // re-replicate inline, one-shot, as they always have. When false the
+  // The healing policy. When true (the default), decommission and
+  // report_corrupt_replica re-replicate inline, one-shot. When false the
   // NameNode only records the damage and a ReplicationMonitor is expected to
   // heal under-replication in the background (rate-limited, prioritized).
+  // Both policies add replicas through the one re-replication primitive.
   bool inline_repair = true;
 };
 
@@ -174,10 +174,8 @@ class FileWriter {
 
 class MiniDfs {
  public:
-  MiniDfs(ClusterTopology topology, DfsOptions options,
-          std::unique_ptr<PlacementPolicy> placement);
-
-  // Convenience: random placement (the regime analyzed in Section II-B).
+  // Blocks are placed by place_replicas (random placement, the regime
+  // analyzed in Section II-B), drawing from an RNG seeded with options.seed.
   MiniDfs(ClusterTopology topology, DfsOptions options);
 
   [[nodiscard]] FileWriter create(std::string path);
@@ -335,8 +333,8 @@ class MiniDfs {
   // Rebuild a NameNode from the last checkpoint plus the journal suffix:
   // FsImage::load(image_path), then apply every intact journal frame past the
   // offset the image covers. Torn tails are dropped, never thrown. The
-  // recovered instance uses RandomPlacement and a fresh placement RNG — the
-  // namespace is restored exactly, the RNG stream is not.
+  // recovered instance starts a fresh placement RNG — the namespace is
+  // restored exactly, the RNG stream is not.
   [[nodiscard]] static MiniDfs recover(const std::string& image_path,
                                        const std::string& journal_path,
                                        RecoveryInfo* info = nullptr);
@@ -349,10 +347,10 @@ class MiniDfs {
 
   // ---- background healing primitive ----
 
-  // Add one replica of `id` on an active non-hosting node chosen by the
-  // placement policy. Requires a healthy source copy. Returns the target
-  // node, or nullopt when the block has no healthy source or no eligible
-  // target (then it is unrepairable for now). Used by ReplicationMonitor.
+  // Add one replica of `id` on an active non-hosting node (rereplicate).
+  // Requires a healthy source copy. Returns the target node, or nullopt when
+  // the block has no healthy source or no eligible target (then it is
+  // unrepairable for now). Used by ReplicationMonitor.
   std::optional<NodeId> repair_block(BlockId id);
 
  private:
@@ -413,9 +411,14 @@ class MiniDfs {
   // Drop the copy of `id` on `node` (replica list, inventory, corruption
   // mark); returns false when `node` does not host the block.
   bool drop_replica(BlockId id, NodeId node);
-  // Shared inline-repair choice rule: uniform over active non-hosting nodes.
-  [[nodiscard]] std::optional<NodeId> pick_rereplication_target(
-      const std::vector<NodeId>& reps);
+  // Put a copy of `id` on `node`: replica list and inventory, bracketed by
+  // the under-replication accounting. Shared by re-replication and replay.
+  void add_replica(BlockId id, NodeId node);
+  // The one re-replication primitive (inline repair and repair_block): add a
+  // replica on a node drawn by place_replicas from the active nodes not
+  // hosting `id`, and journal it as kAddReplica so replay never re-runs the
+  // RNG. Returns the target, or nullopt when no node is eligible.
+  std::optional<NodeId> rereplicate(BlockId id);
   void move_replica_impl(BlockId id, NodeId from, NodeId to);
   // Incremental under-replication accounting: bracket every replica-set
   // change with changing (before) / changed (after); recount when the
@@ -427,7 +430,6 @@ class MiniDfs {
 
   ClusterTopology topology_;
   DfsOptions options_;
-  std::unique_ptr<PlacementPolicy> placement_;
   common::Rng placement_rng_;
 
   // blocks_ and block_data_ are deques so committed BlockInfo records and

@@ -12,7 +12,7 @@
 //   tick()  — one unit of background time: repair up to
 //             max_repairs_per_tick queued blocks, most-damaged first
 //             (fewest surviving replicas, block id as tiebreak), each via
-//             MiniDfs::repair_block (placement-policy + active-mask aware).
+//             MiniDfs::repair_block (active-mask aware).
 //   drain() — scan+tick until fsck is clean or no progress is possible.
 //
 // MTTR accounting: a block's damage is timestamped with the tick count at

@@ -1,42 +1,31 @@
 #include "dfs/topology.hpp"
 
+#include <stdexcept>
+#include <utility>
+
 namespace datanet::dfs {
 
 ClusterTopology ClusterTopology::flat(std::uint32_t num_nodes) {
-  return racked(num_nodes, num_nodes);
-}
-
-ClusterTopology ClusterTopology::racked(std::uint32_t num_nodes,
-                                        std::uint32_t nodes_per_rack) {
   if (num_nodes == 0) throw std::invalid_argument("topology: num_nodes == 0");
-  if (nodes_per_rack == 0) throw std::invalid_argument("topology: rack size == 0");
-  ClusterTopology t;
-  t.rack_of_.resize(num_nodes);
-  for (NodeId n = 0; n < num_nodes; ++n) {
-    const RackId r = n / nodes_per_rack;
-    t.rack_of_[n] = r;
-    if (r >= t.racks_.size()) t.racks_.emplace_back();
-    t.racks_[r].push_back(n);
-  }
-  t.num_racks_ = static_cast<std::uint32_t>(t.racks_.size());
-  return t;
+  return ClusterTopology(num_nodes);
 }
 
-ClusterTopology ClusterTopology::from_rack_of(
-    const std::vector<RackId>& rack_of) {
-  if (rack_of.empty()) throw std::invalid_argument("topology: num_nodes == 0");
-  ClusterTopology t;
-  t.rack_of_ = rack_of;
-  for (NodeId n = 0; n < rack_of.size(); ++n) {
-    const RackId r = rack_of[n];
-    if (r >= t.racks_.size()) t.racks_.resize(r + 1);
-    t.racks_[r].push_back(n);
+std::vector<NodeId> place_replicas(const std::vector<bool>& active,
+                                   std::uint32_t replication,
+                                   common::Rng& rng) {
+  std::vector<NodeId> live;
+  live.reserve(active.size());
+  for (NodeId n = 0; n < active.size(); ++n) {
+    if (active[n]) live.push_back(n);
   }
-  for (const auto& rack : t.racks_) {
-    if (rack.empty()) throw std::invalid_argument("topology: sparse rack ids");
+  if (live.size() < replication) {
+    throw std::invalid_argument("placement: not enough active nodes for replication");
   }
-  t.num_racks_ = static_cast<std::uint32_t>(t.racks_.size());
-  return t;
+  for (std::uint32_t i = 0; i < replication; ++i) {
+    std::swap(live[i], live[i + rng.bounded(live.size() - i)]);
+  }
+  live.resize(replication);
+  return live;
 }
 
 }  // namespace datanet::dfs

@@ -1,51 +1,39 @@
 #pragma once
-// Cluster topology for the simulated DFS: nodes grouped into racks. The
-// paper's testbed (PRObE Marmot) is 128 nodes on one switch; we additionally
-// support racked layouts so the rack-aware placement policy (default in real
-// HDFS) can be exercised.
+// Cluster shape and replica placement for the simulated DFS. The paper's
+// testbed (PRObE Marmot) is 128 nodes on one switch and its analysis assumes
+// random block placement (Section II-B), so a cluster is a node count and
+// placement is one rule: uniform over the live nodes.
 
 #include <cstdint>
-#include <stdexcept>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace datanet::dfs {
 
 using NodeId = std::uint32_t;
-using RackId = std::uint32_t;
 
 class ClusterTopology {
  public:
-  // All nodes in a single rack (flat switch, like Marmot).
+  // `num_nodes` nodes on one switch; throws std::invalid_argument on 0.
   static ClusterTopology flat(std::uint32_t num_nodes);
 
-  // Nodes split into consecutive racks of `nodes_per_rack` (last may be short).
-  static ClusterTopology racked(std::uint32_t num_nodes, std::uint32_t nodes_per_rack);
-
-  // Rebuild from an explicit node->rack map (FsImage checkpoint load). Rack
-  // ids must be dense: every id in [0, max] must appear.
-  static ClusterTopology from_rack_of(const std::vector<RackId>& rack_of);
-
-  [[nodiscard]] std::uint32_t num_nodes() const noexcept {
-    return static_cast<std::uint32_t>(rack_of_.size());
-  }
-  [[nodiscard]] std::uint32_t num_racks() const noexcept { return num_racks_; }
-
-  [[nodiscard]] RackId rack_of(NodeId node) const {
-    if (node >= rack_of_.size()) throw std::out_of_range("rack_of: bad node");
-    return rack_of_[node];
-  }
-
-  [[nodiscard]] const std::vector<NodeId>& nodes_in_rack(RackId rack) const {
-    if (rack >= racks_.size()) throw std::out_of_range("nodes_in_rack: bad rack");
-    return racks_[rack];
-  }
+  [[nodiscard]] std::uint32_t num_nodes() const noexcept { return num_nodes_; }
 
  private:
-  ClusterTopology() = default;
+  explicit ClusterTopology(std::uint32_t num_nodes) : num_nodes_(num_nodes) {}
 
-  std::vector<RackId> rack_of_;           // node -> rack
-  std::vector<std::vector<NodeId>> racks_;  // rack -> nodes
-  std::uint32_t num_racks_ = 0;
+  std::uint32_t num_nodes_ = 0;
 };
+
+// The one placement rule: `replication` distinct nodes drawn uniformly from
+// the nodes with active[n] set, by a partial Fisher–Yates shuffle over the
+// ascending live-node list (one rng.bounded draw per replica). Throws
+// std::invalid_argument when fewer than `replication` nodes are active.
+// MiniDfs places new blocks with it and picks every re-replication target
+// with it (replication 1 over the active nodes not hosting the block).
+[[nodiscard]] std::vector<NodeId> place_replicas(const std::vector<bool>& active,
+                                                 std::uint32_t replication,
+                                                 common::Rng& rng);
 
 }  // namespace datanet::dfs

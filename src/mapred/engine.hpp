@@ -88,6 +88,18 @@ struct AttemptCounters {
   std::uint64_t speculative_wins = 0;    // duplicates that beat the original
   std::uint64_t timing_backups = 0;      // analytic-model backup placements
   std::uint64_t degraded_tasks = 0;      // abandoned at the retry cap
+
+  AttemptCounters& operator+=(const AttemptCounters& o) noexcept {
+    attempts += o.attempts;
+    timeouts += o.timeouts;
+    transient_retries += o.transient_retries;
+    redispatches += o.redispatches;
+    speculative_launched += o.speculative_launched;
+    speculative_wins += o.speculative_wins;
+    timing_backups += o.timing_backups;
+    degraded_tasks += o.degraded_tasks;
+    return *this;
+  }
 };
 
 // Background-healing counters exported by the ReplicationMonitor through the

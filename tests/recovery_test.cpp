@@ -442,6 +442,101 @@ TEST(FsImage, VersionOneImageIsRejectedTyped) {
   EXPECT_THROW((void)dd::FsImage::inspect(v1), dd::FsImageError);
 }
 
+TEST(FsImage, VersionTwoImageIsRejectedTyped) {
+  DurableCluster c;
+  dw::ingest(*c.dfs, "/logs/a", small_records(20, 5));
+  const auto path = c.tmp.file("check.fsimage");
+  dd::FsImage::save(*c.dfs, path);
+
+  // Re-lay the image out as the retired version-2 format: version word 2 and
+  // a u32 rack id per node between the node count and the active mask, with
+  // a fresh CRC32 trailer, so only the version can reject it.
+  std::string raw;
+  {
+    std::ifstream in(path, std::ios::binary);
+    raw.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  std::string body = raw.substr(0, raw.size() - 4);
+  body[8] = 2;  // u32 version right after the u64 magic
+  constexpr std::size_t kActiveMaskAt = 37;  // past the u32 node count
+  body.insert(kActiveMaskAt, std::string(4 * 6, '\0'));
+  dd::wire::put_u32(body, datanet::common::crc32(body));
+  const auto v2 = c.tmp.file("v2.fsimage");
+  {
+    std::ofstream out(v2, std::ios::binary | std::ios::trunc);
+    out << body;
+  }
+  EXPECT_THROW((void)dd::FsImage::load(v2), dd::FsImageError);
+  EXPECT_THROW((void)dd::FsImage::inspect(v2), dd::FsImageError);
+}
+
+TEST(FsImage, ChecksumValidInconsistentHeaderIsRejectedTyped) {
+  DurableCluster c;
+  dw::ingest(*c.dfs, "/logs/a", small_records(20, 5));
+  const auto path = c.tmp.file("check.fsimage");
+  dd::FsImage::save(*c.dfs, path);
+  std::string raw;
+  {
+    std::ifstream in(path, std::ios::binary);
+    raw.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const std::string body = raw.substr(0, raw.size() - 4);
+  const auto field = [&](std::size_t at, int width) {
+    std::uint64_t v = 0;
+    for (int i = 0; i < width; ++i) {
+      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(body[at + i]))
+           << (8 * i);
+    }
+    return v;
+  };
+
+  // Header: magic u64, version u32, block_size u64, replication u32, seed
+  // u64, inline_repair u8, num_nodes u32, one active byte per node,
+  // journal_covered u64, num_files u64; then each file's name (u64 length +
+  // bytes) and u64 block count.
+  constexpr std::size_t kBlockSizeAt = 12;
+  constexpr std::size_t kReplicationAt = 20;
+  constexpr std::size_t kNumNodesAt = 33;
+  const std::size_t nodes = field(kNumNodesAt, 4);
+  const std::size_t num_files_at = kNumNodesAt + 4 + nodes + 8;
+  const std::size_t first_count_at =
+      num_files_at + 8 + 8 + std::string("/logs/a").size();
+  ASSERT_EQ(nodes, 6u);
+  ASSERT_EQ(field(kBlockSizeAt, 8), 2048u);
+  ASSERT_EQ(field(kReplicationAt, 4), 3u);
+  ASSERT_EQ(field(num_files_at, 8), 1u);
+  ASSERT_EQ(field(first_count_at, 8), c.dfs->blocks_of("/logs/a").size());
+
+  struct Case {
+    const char* what;
+    std::size_t at;
+    int width;
+    std::uint64_t value;
+  };
+  const Case cases[] = {
+      {"block_size 0", kBlockSizeAt, 8, 0},
+      {"replication 0", kReplicationAt, 4, 0},
+      {"replication above the node count", kReplicationAt, 4, 7},
+      {"zero nodes", kNumNodesAt, 4, 0},
+      {"node count past the image", kNumNodesAt, 4, 0xffffffffull},
+      {"num_files 2^62", num_files_at, 8, 1ull << 62},
+      {"file block count 2^61", first_count_at, 8, 1ull << 61},
+  };
+  const auto crafted = c.tmp.file("crafted.fsimage");
+  for (const Case& k : cases) {
+    std::string bad = body;
+    for (int i = 0; i < k.width; ++i) {
+      bad[k.at + i] = static_cast<char>((k.value >> (8 * i)) & 0xff);
+    }
+    dd::wire::put_u32(bad, datanet::common::crc32(bad));
+    {
+      std::ofstream out(crafted, std::ios::binary | std::ios::trunc);
+      out << bad;
+    }
+    EXPECT_THROW((void)dd::FsImage::load(crafted), dd::FsImageError) << k.what;
+  }
+}
+
 // --------------------------------------------------- ReplicationMonitor --
 
 namespace {

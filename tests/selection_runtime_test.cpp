@@ -463,7 +463,7 @@ TEST(AttemptTracker, TimeoutExpiryAndRedispatchLifecycle) {
   EXPECT_EQ(tracker.open_tasks(), 0u);
   EXPECT_EQ(tracker.stats().timeouts, 1u);
   EXPECT_EQ(tracker.stats().redispatches, 1u);
-  EXPECT_EQ(tracker.stats().dispatched, 3u);
+  EXPECT_EQ(tracker.stats().attempts, 3u);
 }
 
 TEST(AttemptTracker, SpeculativeWinSupersedesRival) {

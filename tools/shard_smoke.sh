@@ -5,7 +5,9 @@
 #     across 4 metadata shards with per-shard journals, crash one shard,
 #     verify the other three keep serving, recover the victim from its own
 #     FsImage + EditLog suffix, digest-check it, and finish with a clean
-#     plane-wide fsck (non-zero exit on any failure).
+#     plane-wide fsck (non-zero exit on any failure). Plain fsck runs the
+#     single-NameNode drill on the same log: deferred repair drained by the
+#     ReplicationMonitor, then an FsImage checkpoint and crash/recover.
 #  2. datanetd --meta-shards 4 serves the hosted dataset off a 4-shard
 #     plane; a served digest must still match the in-process golden run
 #     (--local, shard count 1) — sharding must never change placement.
@@ -41,6 +43,17 @@ for want in "4 metadata shards" "other shard(s) still serving" \
   fi
 done
 echo "OK  kill-one-shard drill (4 shards, recover from image+journal)"
+
+fsck_out="$(timeout 60 "${cli}" fsck --in "${workdir}/shard.log" \
+  --workdir "${workdir}/namenode")"
+echo "${fsck_out}"
+for want in "fsck after healing: 0 missing, 0 under-replicated" \
+            "recovered namespace digest matches"; do
+  if ! grep -q "${want}" <<< "${fsck_out}"; then
+    echo "FAIL: fsck output missing '${want}'"; exit 1
+  fi
+done
+echo "OK  single-NameNode drill (monitor drain, checkpoint, crash/recover)"
 
 # ---- 2. serving determinism across shard counts -----------------------------
 port_file="${workdir}/port"
