@@ -88,15 +88,6 @@ std::string EditLog::encode(const EditRecord& record) {
     case EditOp::kCreateFile:
       wire::put_bytes(out, record.file);
       break;
-    case EditOp::kAddBlock:
-      wire::put_u64(out, record.block);
-      wire::put_bytes(out, record.file);
-      wire::put_u64(out, record.num_records);
-      wire::put_u32(out, record.checksum);
-      wire::put_u32(out, static_cast<std::uint32_t>(record.replicas.size()));
-      for (const NodeId n : record.replicas) wire::put_u32(out, n);
-      wire::put_bytes(out, record.data);
-      break;
     case EditOp::kDecommission:
       wire::put_u32(out, record.node);
       break;
@@ -134,30 +125,11 @@ std::string EditLog::encode(const EditRecord& record) {
 EditRecord EditLog::decode(std::string_view payload) {
   wire::Cursor c(payload);
   EditRecord rec;
-  const std::uint8_t op = c.u8();
-  if (op < static_cast<std::uint8_t>(EditOp::kCreateFile) ||
-      op > static_cast<std::uint8_t>(EditOp::kSealBlock)) {
-    throw std::runtime_error("EditLog: unknown opcode");
-  }
-  rec.op = static_cast<EditOp>(op);
+  rec.op = static_cast<EditOp>(c.u8());
   switch (rec.op) {
     case EditOp::kCreateFile:
       rec.file = c.bytes();
       break;
-    case EditOp::kAddBlock: {
-      rec.block = c.u64();
-      rec.file = c.bytes();
-      rec.num_records = c.u64();
-      rec.checksum = c.u32();
-      const std::uint32_t nreps = c.u32();
-      if (nreps > c.remaining() / 4) {
-        throw std::runtime_error("EditLog: corrupt replica count");
-      }
-      rec.replicas.reserve(nreps);
-      for (std::uint32_t i = 0; i < nreps; ++i) rec.replicas.push_back(c.u32());
-      rec.data = c.bytes();
-      break;
-    }
     case EditOp::kDecommission:
       rec.node = c.u32();
       break;
@@ -193,6 +165,8 @@ EditRecord EditLog::decode(std::string_view payload) {
       rec.num_records = c.u64();
       rec.checksum = c.u32();
       break;
+    default:
+      throw std::runtime_error("EditLog: unknown opcode");
   }
   if (!c.exhausted()) throw std::runtime_error("EditLog: trailing bytes");
   return rec;

@@ -1,11 +1,11 @@
 #pragma once
 // dfs::EditLog — a CRC-framed write-ahead journal of NameNode namespace
 // mutations (the HDFS edits file). MiniDfs appends one logical record per
-// durable mutation: file creation, block commits (with the block payload —
-// MiniDfs keeps the one in-memory copy of block bytes that stands in for the
-// datanode plane, so the journal must carry it for a recovered NameNode to
-// serve reads), decommissions, and every replica add/remove/move including
-// re-replication repairs.
+// durable mutation: file creation, block open/extent/seal (the extents carry
+// the block payload — MiniDfs keeps the one in-memory copy of block bytes
+// that stands in for the datanode plane, so the journal must carry it for a
+// recovered NameNode to serve reads), decommissions, and every replica
+// add/remove/move including re-replication repairs.
 //
 // On-disk format: a sequence of frames
 //   [u32 payload_len][u32 crc32(payload)][payload]
@@ -27,18 +27,19 @@ namespace datanet::dfs {
 
 using BlockId = std::uint64_t;  // same alias as mini_dfs.hpp (no cycle)
 
+// Opcode 2 is retired and must not be reused: decode rejects it like any
+// unknown opcode, so a journal that carries it fails typed, not misparsed.
 enum class EditOp : std::uint8_t {
   kCreateFile = 1,     // file
-  kAddBlock = 2,       // block, file, num_records, checksum, replicas, data
   kDecommission = 3,   // node leaves service; its replicas are dropped
   kRemoveReplica = 4,  // block, node (corrupt copy dropped by the NameNode)
   kAddReplica = 5,     // block, node (re-replication / monitor repair)
   kMoveReplica = 6,    // block, node -> node2 (balancer move)
-  // Streaming ingestion (PR 10). An open block is journaled in three acts so
-  // a crash at any byte leaves a replayable prefix: placement is fixed at
-  // open (replicas journaled explicitly — replay never re-runs the RNG),
-  // each group commit is one kAppendExtent frame, and seal publishes the
-  // block into its file's block list.
+  // Every block is journaled in three acts so a crash at any byte leaves a
+  // replayable prefix: placement is fixed at open (replicas journaled
+  // explicitly — replay never re-runs the RNG), each group commit is one
+  // kAppendExtent frame, and seal publishes the block into its file's block
+  // list. Replay checks the seal's count and CRC against the extents.
   kOpenBlock = 7,      // block, file, replicas
   kAppendExtent = 8,   // block, extent_seq, num_records, data
   kSealBlock = 9,      // block, num_records, checksum
@@ -46,14 +47,14 @@ enum class EditOp : std::uint8_t {
 
 struct EditRecord {
   EditOp op = EditOp::kCreateFile;
-  std::string file;               // kCreateFile / kAddBlock / kOpenBlock
+  std::string file;               // kCreateFile / kOpenBlock
   BlockId block = 0;              // block-scoped ops
-  std::uint64_t num_records = 0;  // kAddBlock / kAppendExtent / kSealBlock
-  std::uint32_t checksum = 0;     // kAddBlock / kSealBlock: CRC32 of bytes
+  std::uint64_t num_records = 0;  // kAppendExtent / kSealBlock
+  std::uint32_t checksum = 0;     // kSealBlock: CRC32 of the block bytes
   NodeId node = 0;                // node-scoped ops; kMoveReplica source
   NodeId node2 = 0;               // kMoveReplica target
-  std::vector<NodeId> replicas;   // kAddBlock / kOpenBlock initial placement
-  std::string data;               // kAddBlock block bytes / kAppendExtent
+  std::vector<NodeId> replicas;   // kOpenBlock initial placement
+  std::string data;               // kAppendExtent bytes
   std::uint64_t extent_seq = 0;   // kAppendExtent: 0-based per-block index
 };
 

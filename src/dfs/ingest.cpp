@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "dfs/mini_dfs.hpp"
+
 namespace datanet::dfs {
 
 Ingestor::Ingestor(MiniDfs& dfs, std::string path, IngestOptions options)
@@ -10,10 +12,7 @@ Ingestor::Ingestor(MiniDfs& dfs, std::string path, IngestOptions options)
   if (options_.group_records == 0) {
     throw std::invalid_argument("Ingestor: group_records must be positive");
   }
-  if (!dfs_->exists(path_)) {
-    dfs_->create(path_).close();
-    return;
-  }
+  if (dfs_->make_file(path_)) return;  // a new file has no open block
   // Recovery handoff: adopt the open block a crashed ingestor left behind
   // (at most one per path under the single-mutator contract), so continued
   // ingestion packs it full before opening a new one — block boundaries stay
@@ -38,8 +37,8 @@ void Ingestor::append(std::string_view record) {
     throw std::invalid_argument("Ingestor: record contains newline");
   }
   const std::uint64_t needed = record.size() + 1;
-  // FileWriter's boundary rule: seal when the record would overflow a
-  // non-empty block; an oversized record gets a block of its own.
+  // The boundary rule: seal when the record would overflow a non-empty
+  // block; an oversized record gets a block of its own.
   if (open_bytes() > 0 && open_bytes() + needed > dfs_->options().block_size) {
     seal();
   }

@@ -1,17 +1,20 @@
 #pragma once
-// dfs::Ingestor — the streaming append path (PR 10). Batches record appends
-// into open blocks with GROUP COMMIT: records accumulate in memory and are
-// made durable in groups, one kAppendExtent journal frame (and flush) per
-// group instead of per record. A crash loses at most the group being
-// buffered — never a committed group — and recovery restores the open block
-// exactly up to the last committed extent.
+// dfs::Ingestor — the one writer. Every block comes into being through it as
+// open_block -> append_extent (one per group) -> seal_block, so every block
+// is journaled as kOpenBlock, one kAppendExtent per group commit, and
+// kSealBlock. Records accumulate in memory and are made durable in groups:
+// one kAppendExtent frame (and flush) per group instead of per record. A
+// crash loses at most the group being buffered — never a committed group —
+// and recovery restores the open block exactly up to the last committed
+// extent.
 //
-// Block boundaries follow FileWriter's rule exactly (a block seals when the
-// next record would overflow block_size; an oversized record gets a block of
-// its own), so a file ingested through this class is digest-identical to the
-// same records written through FileWriter. Placement is drawn at open_block
-// time — one placement draw per block in block order, the same RNG
-// consumption as FileWriter's commit-time draw.
+// Two group sizes are in use. Streaming ingestion commits small groups (64
+// records) to bound the crash-loss window. MiniDfs::create returns an
+// Ingestor whose group is the whole block, so a bulk load writes each block
+// as a single extent at seal time. The group size never changes the
+// namespace: a block seals when the next record would overflow block_size
+// (an oversized record gets a block of its own), and placement is drawn once
+// per block, in block order, when the block opens at its first flush.
 //
 // Single-mutator contract: an Ingestor is the one mutator thread while it
 // runs; queries may read concurrently and only ever see sealed blocks.
@@ -21,9 +24,10 @@
 #include <string>
 #include <string_view>
 
-#include "dfs/mini_dfs.hpp"
-
 namespace datanet::dfs {
+
+using BlockId = std::uint64_t;  // same alias as mini_dfs.hpp (no cycle)
+class MiniDfs;
 
 struct IngestOptions {
   // Records per group commit. Larger groups amortize journal flushes at the
@@ -50,7 +54,7 @@ class Ingestor {
   Ingestor& operator=(const Ingestor&) = delete;
 
   // Buffer one record ('\n' is added); group-commits automatically every
-  // group_records and seals blocks at FileWriter boundaries.
+  // group_records and seals a block when the record would overflow it.
   void append(std::string_view record);
 
   // Force the buffered group durable now (one journal frame), leaving the

@@ -65,11 +65,6 @@ std::shared_ptr<const MiniDfs> MetaPlane::dfs_snapshot(
   return shard_at(shard).dfs;
 }
 
-FileWriter MetaPlane::create(std::string path) {
-  MiniDfs& owner = dfs_for(path);
-  return owner.create(std::move(path));
-}
-
 bool MetaPlane::exists(std::string_view path) const {
   return dfs_for(path).exists(path);
 }

@@ -96,8 +96,9 @@ class MetaPlane {
       std::uint32_t shard) const;
 
   // ---- namespace operations (routed to the owning shard) ----
+  //
+  // Files are written on their owning shard: dfs_for(path).create(path).
 
-  [[nodiscard]] FileWriter create(std::string path);
   [[nodiscard]] bool exists(std::string_view path) const;
   // Union over all shards, sorted (shards enumerate independently).
   [[nodiscard]] std::vector<std::string> list_files() const;

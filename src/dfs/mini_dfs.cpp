@@ -1,6 +1,7 @@
 #include "dfs/mini_dfs.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -15,45 +16,10 @@ namespace datanet::dfs {
 // a shared lock on cs_->mu and delegate to *_unlocked helpers; public
 // mutators take a unique lock. Private helpers never lock — they are only
 // reached with the appropriate lock already held (or from single-threaded
-// recovery). shared_mutex is non-reentrant, so public methods must not call
-// other locking public methods.
-
-FileWriter::FileWriter(MiniDfs* dfs, std::string path)
-    : dfs_(dfs), path_(std::move(path)) {}
-
-FileWriter::FileWriter(FileWriter&& other) noexcept
-    : dfs_(std::exchange(other.dfs_, nullptr)),
-      path_(std::move(other.path_)),
-      buffer_(std::move(other.buffer_)),
-      buffered_records_(other.buffered_records_) {}
-
-FileWriter::~FileWriter() { close(); }
-
-void FileWriter::append(std::string_view record) {
-  if (dfs_ == nullptr) throw std::logic_error("FileWriter: append after close");
-  if (record.find('\n') != std::string_view::npos) {
-    throw std::invalid_argument("FileWriter: record contains newline");
-  }
-  const std::uint64_t needed = record.size() + 1;
-  if (!buffer_.empty() && buffer_.size() + needed > dfs_->options().block_size) {
-    seal_block();
-  }
-  buffer_.append(record);
-  buffer_.push_back('\n');
-  ++buffered_records_;
-}
-
-void FileWriter::seal_block() {
-  dfs_->commit_block(path_, std::move(buffer_), buffered_records_);
-  buffer_.clear();
-  buffered_records_ = 0;
-}
-
-void FileWriter::close() {
-  if (dfs_ == nullptr) return;
-  if (!buffer_.empty()) seal_block();
-  dfs_ = nullptr;
-}
+// recovery) — except make_file, which the Ingestor constructor reaches
+// unlocked and so locks like a public mutator. shared_mutex is
+// non-reentrant, so public methods must not call other locking public
+// methods.
 
 MiniDfs::MiniDfs(ClusterTopology topology, DfsOptions options)
     : topology_(std::move(topology)),
@@ -74,62 +40,20 @@ void MiniDfs::push_block_runtime_state(std::uint8_t verified) {
   cs_->pins.emplace_back(0);
 }
 
-FileWriter MiniDfs::create(std::string path) {
-  {
-    std::unique_lock lock(cs_->mu);
-    if (files_.contains(path)) {
-      throw std::invalid_argument("file exists: " + path);
-    }
-    files_.emplace(path, std::vector<BlockId>{});
-    log_edit({.op = EditOp::kCreateFile, .file = path});
-  }
-  return FileWriter(this, std::move(path));
-}
-
-BlockId MiniDfs::commit_block(const std::string& path, std::string data,
-                              std::uint64_t num_records) {
+bool MiniDfs::make_file(const std::string& path) {
   std::unique_lock lock(cs_->mu);
-  if (active_nodes_ == 0) {
-    throw std::runtime_error("MiniDfs: no active nodes to place a block on");
-  }
-  // After failures the cluster may no longer support the configured
-  // replication; like HDFS, write with as many replicas as fit rather than
-  // failing the write.
-  const std::uint32_t replication =
-      std::min(options_.replication, active_nodes_);
-  const BlockId id = blocks_.size();
-  BlockInfo info;
-  info.id = id;
-  info.file = path;
-  info.index_in_file = static_cast<std::uint32_t>(files_.at(path).size());
-  info.size_bytes = data.size();
-  info.num_records = num_records;
-  info.checksum = common::crc32(data);
-  info.replicas = place_replicas(node_active_, replication, placement_rng_);
-  for (NodeId n : info.replicas) node_blocks_[n].push_back(id);
-  total_bytes_ += info.size_bytes;
-  files_.at(path).push_back(id);
-  blocks_.push_back(std::move(info));
-  block_data_.push_back(std::move(data));
-  push_block_runtime_state(kOk);  // checksum just computed from these bytes
-  replicas_changed(id);
-  if (journal_ != nullptr) {
-    const BlockInfo& b = blocks_.back();
-    // The journal carries the block bytes: MiniDfs keeps the one in-memory
-    // copy that stands in for the datanode plane, so a recovered NameNode
-    // must get them from the log (or the checkpoint) to serve reads.
-    log_edit({.op = EditOp::kAddBlock,
-              .file = b.file,
-              .block = b.id,
-              .num_records = b.num_records,
-              .checksum = b.checksum,
-              .replicas = b.replicas,
-              .data = block_data_.back()});
-  }
-  return id;
+  if (!files_.emplace(path, std::vector<BlockId>{}).second) return false;
+  log_edit({.op = EditOp::kCreateFile, .file = path});
+  return true;
 }
 
-// ---- streaming ingestion (open blocks) ----
+Ingestor MiniDfs::create(std::string path) {
+  if (!make_file(path)) throw std::invalid_argument("file exists: " + path);
+  return Ingestor(*this, std::move(path),
+                  {.group_records = std::numeric_limits<std::uint64_t>::max()});
+}
+
+// ---- block writes: open, append, seal ----
 
 BlockId MiniDfs::open_block_impl(const std::string& path,
                                  std::vector<NodeId> replicas) {
@@ -157,6 +81,9 @@ BlockId MiniDfs::open_block(const std::string& path) {
   if (active_nodes_ == 0) {
     throw std::runtime_error("MiniDfs: no active nodes to place a block on");
   }
+  // After failures the cluster may no longer support the configured
+  // replication; like HDFS, write with as many replicas as fit rather than
+  // failing the write.
   const std::uint32_t replication =
       std::min(options_.replication, active_nodes_);
   const BlockId id = open_block_impl(
@@ -194,11 +121,14 @@ void MiniDfs::append_extent(BlockId id, std::string_view data,
   }
   const std::uint64_t seq = it->second.extents_applied;
   append_extent_impl(id, data, num_records);
-  log_edit({.op = EditOp::kAppendExtent,
-            .block = id,
-            .num_records = num_records,
-            .data = std::string(data),
-            .extent_seq = seq});
+  // The record copies the extent; build it only when it is journaled.
+  if (journal_ != nullptr) {
+    log_edit({.op = EditOp::kAppendExtent,
+              .block = id,
+              .num_records = num_records,
+              .data = std::string(data),
+              .extent_seq = seq});
+  }
 }
 
 void MiniDfs::seal_block_impl(BlockId id) {
@@ -560,22 +490,6 @@ bool MiniDfs::replica_healthy(BlockId id, NodeId node) const {
   return replica_healthy_unlocked(id, node);
 }
 
-std::string_view MiniDfs::read_replica(BlockId id, NodeId node) const {
-  std::shared_lock lock(cs_->mu);
-  if (id >= block_data_.size()) {
-    throw std::out_of_range("read_replica: bad block");
-  }
-  if (!is_local_unlocked(id, node)) {
-    throw std::invalid_argument("read_replica: node does not host block");
-  }
-  if (replica_marked_corrupt(id, node)) {
-    throw BlockCorruptError(id, "read_replica: corrupt copy of block " +
-                                    std::to_string(id) + " on node " +
-                                    std::to_string(node));
-  }
-  return read_block_unlocked(id);  // verifies the logical bytes
-}
-
 bool MiniDfs::drop_replica(BlockId id, NodeId node) {
   auto& reps = blocks_[id].replicas;
   const auto it = std::find(reps.begin(), reps.end(), node);
@@ -671,32 +585,6 @@ void MiniDfs::apply_edit(const EditRecord& record) {
         files_.emplace(record.file, std::vector<BlockId>{});
       }
       break;
-    case EditOp::kAddBlock: {
-      if (record.block < blocks_.size()) break;  // already applied
-      if (record.block > blocks_.size()) {
-        throw std::runtime_error("apply_edit: block id gap in journal");
-      }
-      if (!files_.contains(record.file)) {
-        files_.emplace(record.file, std::vector<BlockId>{});
-      }
-      BlockInfo info;
-      info.id = record.block;
-      info.file = record.file;
-      info.index_in_file =
-          static_cast<std::uint32_t>(files_.at(record.file).size());
-      info.size_bytes = record.data.size();
-      info.num_records = record.num_records;
-      info.checksum = record.checksum;
-      info.replicas = record.replicas;
-      for (const NodeId n : info.replicas) node_blocks_[n].push_back(info.id);
-      total_bytes_ += info.size_bytes;
-      files_.at(record.file).push_back(info.id);
-      blocks_.push_back(std::move(info));
-      block_data_.push_back(record.data);
-      push_block_runtime_state(kUnknown);  // recompute honestly on read
-      replicas_changed(record.block);
-      break;
-    }
     case EditOp::kDecommission:
       if (node_active_[record.node]) drop_node(record.node);
       break;
@@ -740,11 +628,20 @@ void MiniDfs::apply_edit(const EditRecord& record) {
       append_extent_impl(record.block, record.data, record.num_records);
       break;
     }
-    case EditOp::kSealBlock:
-      if (open_blocks_.contains(record.block)) {
-        seal_block_impl(record.block);
+    case EditOp::kSealBlock: {
+      if (!open_blocks_.contains(record.block)) break;  // already sealed
+      // The seal frame is the block's commit-time count and CRC: replayed
+      // extents that disagree with it are a corrupt journal, not a block.
+      const BlockInfo& b = blocks_[record.block];
+      if (record.num_records != b.num_records) {
+        throw std::runtime_error("apply_edit: seal record count mismatch");
       }
+      if (record.checksum != b.checksum) {
+        throw std::runtime_error("apply_edit: seal checksum mismatch");
+      }
+      seal_block_impl(record.block);
       break;
+    }
   }
 }
 

@@ -5,9 +5,9 @@
 // straddle a block boundary (Hadoop's line record reader presents the same
 // record-complete view to map tasks).
 //
-// Failure model: every block carries a CRC32 checksum computed at commit
-// time, and each replica can be independently marked corrupt (a datanode
-// copy going bad). Reads verify: read_block / read_replica throw
+// Failure model: every block carries a CRC32 checksum of its committed
+// bytes, and each replica can be independently marked corrupt (a datanode
+// copy going bad). Reads verify: read_block / read_replica_pinned throw
 // BlockCorruptError on checksum failure, and report_corrupt_replica models
 // the NameNode dropping a bad copy and re-replicating from a healthy one.
 // corrupt_block / corrupt_replica are the test/fault-injection hooks.
@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "dfs/ingest.hpp"
 #include "dfs/topology.hpp"
 
 namespace datanet::dfs {
@@ -146,39 +147,17 @@ struct RecoveryInfo {
   bool torn = false;
 };
 
-// Append-only writer; blocks are sealed when a record would overflow the
-// block size (a record larger than a block gets a block of its own).
-class FileWriter {
- public:
-  ~FileWriter();
-  FileWriter(const FileWriter&) = delete;
-  FileWriter& operator=(const FileWriter&) = delete;
-  FileWriter(FileWriter&&) noexcept;
-  FileWriter& operator=(FileWriter&&) = delete;
-
-  // `record` must not contain '\n'; a trailing '\n' is added by the writer.
-  void append(std::string_view record);
-
-  void close();
-
- private:
-  friend class MiniDfs;
-  FileWriter(MiniDfs* dfs, std::string path);
-  void seal_block();
-
-  MiniDfs* dfs_;  // null after close/move
-  std::string path_;
-  std::string buffer_;
-  std::uint64_t buffered_records_ = 0;
-};
-
 class MiniDfs {
  public:
   // Blocks are placed by place_replicas (random placement, the regime
   // analyzed in Section II-B), drawing from an RNG seeded with options.seed.
   MiniDfs(ClusterTopology topology, DfsOptions options);
 
-  [[nodiscard]] FileWriter create(std::string path);
+  // Make the empty file `path` (journaled as kCreateFile; throws
+  // std::invalid_argument when it exists) and return its writer: an
+  // Ingestor whose group is the whole block, so each block is written as
+  // one extent when it seals.
+  [[nodiscard]] Ingestor create(std::string path);
 
   [[nodiscard]] bool exists(std::string_view path) const;
   [[nodiscard]] const std::vector<BlockId>& blocks_of(std::string_view path) const;
@@ -191,10 +170,14 @@ class MiniDfs {
 
   // ---- concurrent-reader API (see the contract in the file comment) ----
 
-  // Pinned zero-copy reads: same semantics and errors as read_block /
-  // read_replica, but the returned view is guaranteed valid for the pin's
-  // lifetime even while the mutator thread runs. The concurrent selection
-  // path (datanetd jobs racing background healing) reads through these.
+  // Pinned zero-copy reads: same errors as read_block, and the view is
+  // guaranteed valid for the pin's lifetime even while the mutator thread
+  // runs. read_replica_pinned reads through a specific replica, as a map
+  // task on `node` (or fetching from it) would: it throws
+  // std::invalid_argument unless `node` hosts the block and
+  // BlockCorruptError when that copy is marked bad. Both refuse open
+  // blocks. The concurrent selection path (datanetd jobs racing background
+  // healing) reads through these.
   [[nodiscard]] PinnedRead read_block_pinned(BlockId id) const;
   [[nodiscard]] PinnedRead read_replica_pinned(BlockId id, NodeId node) const;
 
@@ -212,16 +195,17 @@ class MiniDfs {
   // True iff `node` hosts a replica of `id`.
   [[nodiscard]] bool is_local(BlockId id, NodeId node) const;
 
-  // ---- streaming ingestion (open blocks, PR 10) ----
+  // ---- block writes: open, append, seal ----
   //
-  // An open block is a block whose bytes are durable — placement is fixed
-  // and journaled at open, every append_extent is one journaled group
-  // commit — but which is NOT yet part of the query surface: blocks_of(),
-  // ElasticMap builds and selection see only sealed blocks, so a reader
-  // racing ingestion always observes a committed prefix of whole blocks.
-  // Open-block bytes may relocate on append, so pinned zero-copy reads
-  // refuse open blocks; plain read_block works on the mutator thread.
-  // All three mutators follow the single-mutator contract.
+  // The only way a block comes into being (Ingestor drives it; create()
+  // returns one). An open block is a block whose bytes are durable —
+  // placement is fixed and journaled at open, every append_extent is one
+  // journaled group commit — but which is NOT yet part of the query
+  // surface: blocks_of(), ElasticMap builds and selection see only sealed
+  // blocks, so a reader racing ingestion always observes a committed prefix
+  // of whole blocks. Open-block bytes may relocate on append, so pinned
+  // zero-copy reads refuse open blocks; plain read_block works on the
+  // mutator thread. All three mutators follow the single-mutator contract.
 
   // Allocate the next block id for `path` (which must exist), place its
   // replicas now, and journal the placement. The block starts empty.
@@ -298,11 +282,6 @@ class MiniDfs {
   // and the block data passes verification.
   [[nodiscard]] bool replica_healthy(BlockId id, NodeId node) const;
 
-  // Read through a specific replica, as a map task on `node` (or fetching
-  // from it) would. Throws std::invalid_argument unless `node` hosts the
-  // block; throws BlockCorruptError when that copy fails its checksum.
-  [[nodiscard]] std::string_view read_replica(BlockId id, NodeId node) const;
-
   // NameNode reaction to a client-reported checksum failure: drop the bad
   // copy on `node` and (inline_repair only) re-replicate from a healthy
   // replica onto an active node that does not already host the block.
@@ -354,8 +333,8 @@ class MiniDfs {
   std::optional<NodeId> repair_block(BlockId id);
 
  private:
-  friend class FileWriter;
   friend class FsImage;
+  friend class Ingestor;
 
   // Verification memo per block: 0 = unknown, 1 = ok, 2 = bad. Reset to
   // unknown by corrupt_block so the next read recomputes honestly.
@@ -383,9 +362,14 @@ class MiniDfs {
     std::uint64_t extents_applied = 0;
   };
 
-  BlockId commit_block(const std::string& path, std::string data,
-                       std::uint64_t num_records);
-  // Lock-free internals shared by the live mutators and apply_edit.
+  // The one step that makes a file: register `path` and journal
+  // kCreateFile. Returns false, changing nothing, when it exists. Reached
+  // from create() and the Ingestor constructor, so it locks like a public
+  // mutator.
+  bool make_file(const std::string& path);
+  // Lock-free internals shared by the live mutators and apply_edit:
+  // append_extent_impl is the one routine that appends bytes to a block,
+  // seal_block_impl the one that publishes a block into its file.
   BlockId open_block_impl(const std::string& path,
                           std::vector<NodeId> replicas);
   void append_extent_impl(BlockId id, std::string_view data,

@@ -134,14 +134,26 @@ void ChaosProxy::accept_loop() {
           break;
       }
     }
+    // Dial upstream before the Relay is published: stop() reads both Fds
+    // from another thread, so no relay thread may write them afterwards.
+    // kReset never dials; a failed dial closes the client, as a torn relay
+    // does.
+    Fd upstream;
+    if (mode != FaultMode::kReset) {
+      try {
+        upstream = connect_loopback(upstream_port_);
+      } catch (const std::exception&) {
+        continue;
+      }
+    }
     Relay r;
     r.client = std::make_shared<Fd>(std::move(*client));
-    r.upstream = std::make_shared<Fd>();
+    r.upstream = std::make_shared<Fd>(std::move(upstream));
     r.thread = std::thread([this, client_fd = r.client,
                             upstream_fd = r.upstream, mode,
                             conn = index - 1] {
       try {
-        relay(client_fd, upstream_fd, mode, conn);
+        relay(*client_fd, *upstream_fd, mode, conn);
       } catch (const std::exception&) {
         // A torn connection is chaos working as intended, not a proxy bug.
       }
@@ -153,19 +165,13 @@ void ChaosProxy::accept_loop() {
   }
 }
 
-void ChaosProxy::relay(const std::shared_ptr<Fd>& client,
-                       const std::shared_ptr<Fd>& upstream, FaultMode mode,
+void ChaosProxy::relay(const Fd& client, const Fd& up, FaultMode mode,
                        std::uint64_t index) {
   if (mode == FaultMode::kReset) return;  // slam the door unread
 
-  // The Relay entry shares this Fd, so stop() can shut it and unblock a
-  // relay wedged in a read.
-  *upstream = connect_loopback(upstream_port_);
-  const Fd& up = *upstream;
-
   bool corrupted = false;
   for (;;) {
-    auto request = read_frame(*client);
+    auto request = read_frame(client);
     if (!request.has_value()) return;  // client done
     if (mode == FaultMode::kCorrupt && !corrupted &&
         request->size() > kFrameHeaderBytes) {
@@ -189,7 +195,7 @@ void ChaosProxy::relay(const std::shared_ptr<Fd>& client,
       case FaultMode::kTruncate:
         // Half the frame, then EOF: the client's CRC framing must refuse
         // to treat this as a reply.
-        write_all(*client, std::string_view(*reply).substr(0, reply->size() / 2));
+        write_all(client, std::string_view(*reply).substr(0, reply->size() / 2));
         return;
       case FaultMode::kStall: {
         // Swallow the reply and go silent; the client's idle deadline has
@@ -210,7 +216,7 @@ void ChaosProxy::relay(const std::shared_ptr<Fd>& client,
         const std::size_t chunk = std::max<std::uint32_t>(1, plan_.split_bytes);
         std::string_view rest(*reply);
         while (!rest.empty()) {
-          write_all(*client, rest.substr(0, std::min(chunk, rest.size())));
+          write_all(client, rest.substr(0, std::min(chunk, rest.size())));
           rest.remove_prefix(std::min(chunk, rest.size()));
           if (!rest.empty() && plan_.delay_ms != 0) {
             std::this_thread::sleep_for(
@@ -223,7 +229,7 @@ void ChaosProxy::relay(const std::shared_ptr<Fd>& client,
       case FaultMode::kCorrupt:
         // Corruption happened on the way UP; the server's typed rejection
         // (and its connection drop) comes back verbatim.
-        write_all(*client, *reply);
+        write_all(client, *reply);
         break;
       case FaultMode::kReset:
         return;  // unreachable (handled above)

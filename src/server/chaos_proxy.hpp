@@ -94,8 +94,9 @@ class ChaosProxy {
 
  private:
   void accept_loop();
-  void relay(const std::shared_ptr<Fd>& client,
-             const std::shared_ptr<Fd>& upstream, FaultMode mode,
+  // `up` is already connected (invalid for kReset). The Relay entry shares
+  // both Fds so stop() can shut them and unblock a relay wedged in a read.
+  void relay(const Fd& client, const Fd& up, FaultMode mode,
              std::uint64_t index);
 
   ChaosPlan plan_;

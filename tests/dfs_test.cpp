@@ -498,11 +498,11 @@ TEST(Checksum, CorruptReplicaOnlyPoisonsOneCopy) {
   const auto bad = fs.block(b).replicas[0];
   fs.corrupt_replica(b, bad);
   EXPECT_FALSE(fs.replica_healthy(b, bad));
-  EXPECT_THROW((void)fs.read_replica(b, bad), dd::BlockCorruptError);
+  EXPECT_THROW((void)fs.read_replica_pinned(b, bad), dd::BlockCorruptError);
   for (const auto n : fs.block(b).replicas) {
     if (n == bad) continue;
     EXPECT_TRUE(fs.replica_healthy(b, n));
-    EXPECT_EQ(fs.read_replica(b, n).size(), 101u);
+    EXPECT_EQ(fs.read_replica_pinned(b, n).data.size(), 101u);
   }
 }
 

@@ -1,13 +1,13 @@
-// Tests for the streaming-ingestion path (PR 10): the open-block journal ops
-// (kOpenBlock / kAppendExtent / kSealBlock) and their torn-tail behavior,
-// dfs::Ingestor group commit and FileWriter-identical block boundaries, the
-// open-block quarantine on the query surface, FsImage checkpoints taken
-// mid-ingestion, crash recovery with open-block adoption (a continued run is
-// content- and boundary-identical to one that never crashed), the fsck
-// open-block audit, and elasticmap::LiveMapMaintainer's delta maintenance
-// with its staleness/chi-drift ledger. The crash sweeps mirror
-// recovery_test.cpp: every group-commit boundary and every byte offset of an
-// ingestion journal must recover to a valid committed prefix.
+// Tests for the block write path: the open-block journal ops (kOpenBlock /
+// kAppendExtent / kSealBlock), their torn-tail behavior and the seal-frame
+// check on replay, dfs::Ingestor group commit and group-size-independent
+// block boundaries, the open-block quarantine on the query surface, FsImage
+// checkpoints taken mid-ingestion, crash recovery with open-block adoption
+// (a continued run is content- and boundary-identical to one that never
+// crashed), the fsck open-block audit, and elasticmap::LiveMapMaintainer's
+// delta maintenance with its staleness/chi-drift ledger. The crash sweeps
+// mirror recovery_test.cpp: every group-commit boundary and every byte
+// offset of an ingestion journal must recover to a valid committed prefix.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "dfs/edit_log.hpp"
 #include "dfs/fs_image.hpp"
 #include "dfs/fsck.hpp"
@@ -205,29 +206,32 @@ TEST(OpenBlocks, QuarantinedFromQuerySurfaceUntilSeal) {
   EXPECT_EQ(mini.read_block_pinned(b).data, "one\ntwo\nthree\n");
 }
 
-TEST(Ingestor, MatchesFileWriterDigestAndBoundaries) {
+TEST(Ingestor, GroupSizeNeverChangesTheNamespace) {
   dw::MovieGenOptions o;
   o.num_records = 300;
   o.num_movies = 6;
   o.seed = 5;
   const auto records = dw::MovieLogGenerator(o).generate();
 
-  dd::MiniDfs via_writer(dd::ClusterTopology::flat(6), small_opts());
-  dw::ingest(via_writer, "/logs/stream", records);
-
-  dd::MiniDfs via_ingestor(dd::ClusterTopology::flat(6), small_opts());
-  {
-    dd::Ingestor ing(via_ingestor, "/logs/stream", {.group_records = 7});
-    for (const auto& r : records) ing.append(dw::encode_record(r));
+  // create() is the whole-block group; 7 and 1 commit many extents a block.
+  dd::MiniDfs whole(dd::ClusterTopology::flat(6), small_opts());
+  dw::ingest(whole, "/logs/stream", records);
+  for (const std::uint64_t group : {7u, 1u}) {
+    dd::MiniDfs grouped(dd::ClusterTopology::flat(6), small_opts());
+    {
+      dd::Ingestor ing(grouped, "/logs/stream", {.group_records = group});
+      for (const auto& r : records) ing.append(dw::encode_record(r));
+    }
+    // Same records, same seed, same boundary rule, same one-draw-per-block
+    // placement order: the namespaces are bit-identical.
+    EXPECT_EQ(grouped.namespace_digest(), whole.namespace_digest())
+        << "group " << group;
+    EXPECT_EQ(grouped.blocks_of("/logs/stream").size(),
+              whole.blocks_of("/logs/stream").size());
+    EXPECT_EQ(file_content(grouped, "/logs/stream"),
+              file_content(whole, "/logs/stream"));
   }
-
-  // Same records, same seed, same boundary rule, same one-draw-per-block
-  // placement order: the namespaces are bit-identical.
-  EXPECT_EQ(via_ingestor.namespace_digest(), via_writer.namespace_digest());
-  EXPECT_EQ(via_ingestor.blocks_of("/logs/stream").size(),
-            via_writer.blocks_of("/logs/stream").size());
-  EXPECT_EQ(file_content(via_ingestor, "/logs/stream"),
-            file_content(via_writer, "/logs/stream"));
+  EXPECT_GT(whole.blocks_of("/logs/stream").size(), 1u);
 }
 
 // ------------------------------------------------------------ crash sweeps --
@@ -281,6 +285,43 @@ TEST(IngestRecovery, TornTailAtEveryByteOffsetYieldsACommittedPrefix) {
                   it - full.frame_ends.begin())];
     EXPECT_EQ(digest, expected) << "keep=" << keep;
   }
+}
+
+TEST(IngestRecovery, SealFrameMustMatchReplayedExtents) {
+  TempDir tmp;
+  const auto image = tmp.file("blank.fsimage");
+  dd::FsImage::save(dd::MiniDfs(dd::ClusterTopology::flat(6), small_opts()),
+                    image);
+  const std::string bytes = "one\ntwo\n";
+  const auto recover_with_seal = [&](std::uint64_t num_records,
+                                     std::uint32_t checksum) {
+    const auto path = tmp.file("hand.edits");
+    {
+      dd::EditLog log(path);
+      log.append({.op = dd::EditOp::kCreateFile, .file = "/f"});
+      log.append({.op = dd::EditOp::kOpenBlock,
+                  .file = "/f",
+                  .block = 0,
+                  .replicas = {0, 1, 2}});
+      log.append({.op = dd::EditOp::kAppendExtent,
+                  .block = 0,
+                  .num_records = 2,
+                  .data = bytes,
+                  .extent_seq = 0});
+      log.append({.op = dd::EditOp::kSealBlock,
+                  .block = 0,
+                  .num_records = num_records,
+                  .checksum = checksum});
+    }
+    return dd::MiniDfs::recover(image, path);
+  };
+
+  const std::uint32_t crc = datanet::common::crc32(bytes);
+  const auto sealed = recover_with_seal(2, crc);
+  ASSERT_EQ(sealed.blocks_of("/f").size(), 1u);
+  EXPECT_EQ(sealed.read_block(0), bytes);
+  EXPECT_THROW((void)recover_with_seal(2, crc ^ 1u), std::runtime_error);
+  EXPECT_THROW((void)recover_with_seal(3, crc), std::runtime_error);
 }
 
 TEST(IngestRecovery, MidIngestionCheckpointCoversOpenBlock) {

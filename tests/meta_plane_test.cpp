@@ -50,7 +50,7 @@ dd::MetaPlaneOptions plane_options(std::uint32_t shards,
 // Write `records` fixed-size records into `path` through the plane.
 void write_file(dd::MetaPlane& plane, const std::string& path,
                 std::uint64_t records) {
-  auto w = plane.create(path);
+  auto w = plane.dfs_for(path).create(path);
   for (std::uint64_t i = 0; i < records; ++i) {
     w.append("record-" + std::to_string(i) + "-payload-xxxxxxxxxxxxxxxx");
   }

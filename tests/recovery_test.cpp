@@ -155,13 +155,6 @@ struct DurableCluster {
 TEST(EditLog, EncodeDecodeRoundTripsEveryOp) {
   std::vector<dd::EditRecord> records;
   records.push_back({.op = dd::EditOp::kCreateFile, .file = "/a/b"});
-  records.push_back({.op = dd::EditOp::kAddBlock,
-                     .file = "/a/b",
-                     .block = 7,
-                     .num_records = 3,
-                     .checksum = 0xdeadbeef,
-                     .replicas = {2, 0, 5},
-                     .data = std::string("line1\nline2\n")});
   records.push_back({.op = dd::EditOp::kDecommission, .node = 4});
   records.push_back({.op = dd::EditOp::kRemoveReplica, .block = 9, .node = 1});
   records.push_back({.op = dd::EditOp::kAddReplica, .block = 9, .node = 3});
@@ -185,6 +178,17 @@ TEST(EditLog, EncodeDecodeRoundTripsEveryOp) {
 TEST(EditLog, DecodeRejectsGarbage) {
   EXPECT_THROW((void)dd::EditLog::decode(""), std::runtime_error);
   EXPECT_THROW((void)dd::EditLog::decode("\xff garbage"), std::runtime_error);
+  // Opcode 2 is retired: even a well-formed whole-block body behind it
+  // (block, file, count, CRC, replicas, bytes) is an unknown opcode.
+  std::string retired(1, '\x02');
+  dd::wire::put_u64(retired, 7);
+  dd::wire::put_bytes(retired, "/a/b");
+  dd::wire::put_u64(retired, 1);
+  dd::wire::put_u32(retired, 0xdeadbeef);
+  dd::wire::put_u32(retired, 1);
+  dd::wire::put_u32(retired, 0);
+  dd::wire::put_bytes(retired, "line\n");
+  EXPECT_THROW((void)dd::EditLog::decode(retired), std::runtime_error);
   // Trailing bytes after a valid payload are corruption, not slack.
   auto payload = dd::EditLog::encode({.op = dd::EditOp::kDecommission, .node = 1});
   payload += "x";

@@ -442,7 +442,7 @@ int main() {
     constexpr std::uint32_t kFiles = 64;
     const auto write_bench_file = [](dfs::MetaPlane& plane,
                                      const std::string& path) {
-      auto w = plane.create(path);
+      auto w = plane.dfs_for(path).create(path);
       for (int r = 0; r < 24; ++r) {
         w.append("bench-record-" + std::to_string(r) + "-payload-xxxxxxxx");
       }
