@@ -8,12 +8,17 @@
 //   2. copy vs zero-copy — the old per-task `std::string(block)` copy
 //                        before filtering vs filtering the DFS-owned bytes
 //                        in place;
-//   3. thread scaling  — selection wall at 1/2/4/8 engine threads.
+//   3. thread scaling  — selection wall at 1/2/4/8 engine threads;
+//   4. substrate       — the write/recover/setup kernels: crc32 MB/s next to
+//                        a byte-wise reference, Zipf ns per draw next to a
+//                        lower_bound reference, and make_movie_dataset ms.
 //
 // Wall times are host-dependent; every simulated figure and all report
 // bytes are deterministic. The machine-readable twin of this bench is the
 // "hotpath" section of tools/bench_report (-> BENCH_PR6.json).
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -21,8 +26,11 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/hash.hpp"
+#include "common/rng.hpp"
 #include "common/simd_scan.hpp"
 #include "scheduler/datanet_sched.hpp"
+#include "stats/zipf.hpp"
 
 namespace {
 
@@ -43,6 +51,22 @@ double best_of(int reps, Fn&& fn) {
     best = std::min(best, seconds_since(t0));
   }
   return best;
+}
+
+// One-table, byte-at-a-time CRC-32: the reference common::crc32 replaced.
+std::uint32_t crc32_bytewise(std::string_view bytes) {
+  static const auto table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xedb88320u & (0u - (c & 1u)));
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t crc = ~0u;
+  for (const unsigned char c : bytes) crc = (crc >> 8) ^ table[(crc ^ c) & 0xffu];
+  return ~crc;
 }
 
 }  // namespace
@@ -138,5 +162,51 @@ int main() {
     });
     std::printf("  threads=%u  %.4fs\n", threads, secs);
   }
+
+  // ---- 4. substrate kernels -------------------------------------------
+  std::printf("\n[substrate kernels]\n");
+  std::uint32_t fold = 0;
+  std::uint32_t ref_fold = 0;
+  const double crc_secs = best_of(5, [&] {
+    fold = 0;
+    for (const dfs::BlockId b : blocks) fold ^= common::crc32(ds.dfs->read_block(b));
+  });
+  const double crc_ref_secs = best_of(5, [&] {
+    ref_fold = 0;
+    for (const dfs::BlockId b : blocks) ref_fold ^= crc32_bytewise(ds.dfs->read_block(b));
+  });
+  std::printf("  crc32 slicing-by-8   %8.1f MiB/s\n", corpus_mib / crc_secs);
+  std::printf("  crc32 byte-wise ref  %8.1f MiB/s  (%.2fx, sums %s)\n",
+              corpus_mib / crc_ref_secs, crc_ref_secs / crc_secs,
+              fold == ref_fold ? "match" : "DIFFER");
+
+  // The text generator's shape: 2000 words, exponent 1.05.
+  constexpr int kDraws = 4'000'000;
+  const stats::ZipfSampler zipf(2000, 1.05);
+  std::uint64_t rank_sum = 0;
+  std::uint64_t ref_rank_sum = 0;
+  const double zipf_secs = best_of(3, [&] {
+    common::Rng rng(7);
+    rank_sum = 0;
+    for (int i = 0; i < kDraws; ++i) rank_sum += zipf.sample(rng);
+  });
+  const auto& cdf = zipf.cdf();
+  const double zipf_ref_secs = best_of(3, [&] {
+    common::Rng rng(7);
+    ref_rank_sum = 0;
+    for (int i = 0; i < kDraws; ++i) {
+      ref_rank_sum += static_cast<std::uint64_t>(
+          std::lower_bound(cdf.begin(), cdf.end(), rng.uniform()) - cdf.begin());
+    }
+  });
+  std::printf("  zipf guide table     %8.1f ns/draw\n", zipf_secs * 1e9 / kDraws);
+  std::printf("  zipf lower_bound ref %8.1f ns/draw  (%.2fx, ranks %s)\n",
+              zipf_ref_secs * 1e9 / kDraws, zipf_ref_secs / zipf_secs,
+              rank_sum == ref_rank_sum ? "match" : "DIFFER");
+
+  const double build_secs =
+      best_of(3, [&] { (void)core::make_movie_dataset(cfg, 256, 2000); });
+  std::printf("  make_movie_dataset   %8.1f ms  (256 blocks, 2000 movies)\n",
+              build_secs * 1e3);
   return 0;
 }

@@ -104,8 +104,9 @@ void MiniDfs::append_extent_impl(BlockId id, std::string_view data,
   b.size_bytes += data.size();
   b.num_records += num_records;
   // The running CRC keeps verify_block and checkpoints uniform across open
-  // and sealed blocks at every group-commit boundary.
-  b.checksum = common::crc32(block_data_[id]);
+  // and sealed blocks at every group-commit boundary. It is chained over the
+  // new extent only, so each block byte is hashed once per write or replay.
+  b.checksum = common::crc32(data, b.checksum);
   total_bytes_ += data.size();
   ++state.extents_applied;
   cs_->verified[id].store(kOk, std::memory_order_release);
@@ -417,8 +418,9 @@ void MiniDfs::corrupt_block(BlockId id) {
   std::unique_lock lock(cs_->mu);
   if (id >= block_data_.size()) throw std::out_of_range("corrupt_block: bad block");
   if (open_blocks_.contains(id)) {
-    // An append would recompute the CRC over the flipped bytes and mask the
-    // damage; open blocks are not a corruption target.
+    // An open block's running CRC is trusted without a rehash (each append
+    // marks it verified), so a flip would go unseen; open blocks are not a
+    // corruption target.
     throw std::invalid_argument("corrupt_block: block is open");
   }
   auto& data = block_data_[id];

@@ -213,8 +213,9 @@ class MiniDfs {
 
   // Append one group-committed extent (one journal frame + flush). `data`
   // is raw line-oriented bytes (records already '\n'-terminated). The
-  // block's checksum is recomputed over the grown bytes so verify_block
-  // and checkpoints stay uniform across open and sealed blocks.
+  // block's checksum is extended over the new bytes (CRC32 chains), so it
+  // is always the CRC of the whole block and verify_block and checkpoints
+  // stay uniform across open and sealed blocks.
   void append_extent(BlockId id, std::string_view data,
                      std::uint64_t num_records);
 

@@ -18,12 +18,30 @@ ZipfSampler::ZipfSampler(std::uint64_t num_items, double exponent)
   }
   for (auto& v : cdf_) v /= acc;
   cdf_.back() = 1.0;  // guard against fp rounding at the top
+  guide_.resize(num_items);
+  std::uint64_t i = 0;
+  for (std::uint64_t j = 0; j < num_items; ++j) {
+    const double threshold =
+        static_cast<double>(j) / static_cast<double>(num_items);
+    while (cdf_[i] < threshold) ++i;
+    guide_[j] = i;
+  }
 }
 
 std::uint64_t ZipfSampler::sample(common::Rng& rng) const {
-  const double u = rng.uniform();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::uint64_t>(it - cdf_.begin());
+  return rank_of(rng.uniform());
+}
+
+std::uint64_t ZipfSampler::rank_of(double u) const noexcept {
+  const std::uint64_t n = cdf_.size();
+  // u * n can round up to n for u just below 1, hence the clamp. The guide
+  // entry is only a starting point: the two walks below settle on the exact
+  // lower_bound rank whatever rounding did to u * n or to j / N.
+  std::uint64_t i =
+      guide_[std::min(n - 1, static_cast<std::uint64_t>(u * static_cast<double>(n)))];
+  while (i > 0 && cdf_[i - 1] >= u) --i;
+  while (cdf_[i] < u) ++i;
+  return i;
 }
 
 double ZipfSampler::probability(std::uint64_t rank) const {

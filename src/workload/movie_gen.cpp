@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "stats/zipf.hpp"
 #include "workload/text_gen.hpp"
@@ -15,6 +17,9 @@ MovieLogGenerator::MovieLogGenerator(MovieGenOptions options)
   if (options_.num_movies == 0) throw std::invalid_argument("num_movies == 0");
   if (options_.num_records == 0) throw std::invalid_argument("num_records == 0");
   if (options_.horizon_seconds == 0) throw std::invalid_argument("horizon == 0");
+  if (options_.min_review_words > options_.max_review_words) {
+    throw std::invalid_argument("min_review_words > max_review_words");
+  }
 
   common::Rng rng(options_.seed);
   const stats::ZipfSampler pop(options_.num_movies, options_.popularity_zipf);
@@ -43,6 +48,12 @@ std::vector<Record> MovieLogGenerator::generate() const {
 
   std::vector<Record> records;
   records.reserve(options_.num_records);
+  // (timestamp, draw index) per record: sorting these instead of whole
+  // records gives the same order as a stable sort by timestamp.
+  std::vector<std::pair<std::uint64_t, std::size_t>> order;
+  order.reserve(options_.num_records);
+  // Each payload is built here, then copied into a string of its exact size.
+  std::string payload;
   for (std::uint64_t i = 0; i < options_.num_records; ++i) {
     const std::uint64_t m = pop.sample(rng);
     const MovieInfo& movie = movies_[m];
@@ -58,22 +69,35 @@ std::vector<Record> MovieLogGenerator::generate() const {
       if (ts >= options_.horizon_seconds) ts = options_.horizon_seconds - 1;
     }
 
-    Record r;
-    r.timestamp = ts;
-    r.key = movie.key;
-    const int rating = static_cast<int>(rng.range(1, 10));
-    r.payload = "rating=" + std::to_string(rating) + " " +
-                text.sentence(rng, options_.min_review_words,
-                              options_.max_review_words);
-    records.push_back(std::move(r));
+    const auto rating = rng.range(1, 10);
+    const auto words = static_cast<std::uint32_t>(
+        rng.range(options_.min_review_words, options_.max_review_words));
+    payload.assign("rating=");
+    payload += std::to_string(rating);
+    payload.push_back(' ');
+    text.append_sentence(rng, words, payload);
+
+    order.emplace_back(ts, records.size());
+    records.push_back(Record{.timestamp = ts, .key = movie.key, .payload = payload});
   }
 
-  // Chronological storage order; stable so equal timestamps keep draw order
-  // and the stream is deterministic.
-  std::stable_sort(records.begin(), records.end(),
-                   [](const Record& a, const Record& b) {
-                     return a.timestamp < b.timestamp;
-                   });
+  // Chronological storage order; equal timestamps keep draw order so the
+  // stream is deterministic. Apply the sorted order in place, one cycle of
+  // the permutation at a time (a done slot points at itself).
+  std::sort(order.begin(), order.end());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (order[i].second == i) continue;
+    Record held = std::move(records[i]);
+    std::size_t dst = i;
+    while (order[dst].second != i) {
+      const std::size_t src = order[dst].second;
+      records[dst] = std::move(records[src]);
+      order[dst].second = dst;
+      dst = src;
+    }
+    records[dst] = std::move(held);
+    order[dst].second = dst;
+  }
   return records;
 }
 

@@ -35,11 +35,16 @@ TextGenerator::TextGenerator(std::uint32_t vocabulary_size, double zipf_exponent
 std::string TextGenerator::sentence(common::Rng& rng, std::uint32_t num_words) const {
   std::string out;
   out.reserve(num_words * 7);
+  append_sentence(rng, num_words, out);
+  return out;
+}
+
+void TextGenerator::append_sentence(common::Rng& rng, std::uint32_t num_words,
+                                    std::string& out) const {
   for (std::uint32_t i = 0; i < num_words; ++i) {
     if (i) out.push_back(' ');
     out += vocab_[zipf_.sample(rng)];
   }
-  return out;
 }
 
 std::string TextGenerator::sentence(common::Rng& rng, std::uint32_t min_words,

@@ -21,6 +21,11 @@ class TextGenerator {
   // A sentence of exactly `num_words` space-separated words.
   [[nodiscard]] std::string sentence(common::Rng& rng, std::uint32_t num_words) const;
 
+  // The same sentence, appended to `out` (no separator before it), so a
+  // caller can build a whole record in one buffer.
+  void append_sentence(common::Rng& rng, std::uint32_t num_words,
+                       std::string& out) const;
+
   // A sentence whose length is uniform in [min_words, max_words].
   [[nodiscard]] std::string sentence(common::Rng& rng, std::uint32_t min_words,
                                      std::uint32_t max_words) const;

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cctype>
 #include <set>
+#include <string>
+#include <string_view>
 #include <unordered_set>
 
 #include "common/hash.hpp"
@@ -56,6 +59,56 @@ TEST(Hash, DoubleHashProbesDistinct) {
     probes.insert(dc::double_hash(h1, h2, i) % 4096);
   }
   EXPECT_GT(probes.size(), 12u);  // few wraparound collisions tolerated
+}
+
+// ---- crc32 ----
+
+namespace {
+// The textbook byte-at-a-time, one-table CRC-32 (reflected 0xEDB88320):
+// the reference the slicing-by-8 kernel must match.
+std::uint32_t crc32_bytewise(std::string_view bytes) {
+  static const auto table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xedb88320u & (0u - (c & 1u)));
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t crc = ~0u;
+  for (const unsigned char c : bytes) crc = (crc >> 8) ^ table[(crc ^ c) & 0xffu];
+  return ~crc;
+}
+}  // namespace
+
+TEST(Crc32, SliceBy8MatchesBytewiseReference) {
+  static_assert(dc::crc32("123456789") == 0xCBF43926u);
+  static_assert(dc::crc32("") == 0u);
+  EXPECT_EQ(crc32_bytewise("123456789"), 0xCBF43926u);
+
+  // Every length 0..4096 at every start offset 0..7, so the 8-byte body and
+  // the byte-wise tail both see every alignment and remainder.
+  dc::Rng rng(2024);
+  std::string buf(4096 + 8, '\0');
+  for (auto& c : buf) c = static_cast<char>(rng.bounded(256));
+  const std::string_view all(buf);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      const auto piece = all.substr(offset, len);
+      ASSERT_EQ(dc::crc32(piece), crc32_bytewise(piece))
+          << "offset " << offset << " length " << len;
+    }
+  }
+
+  // Chaining: crc32(b, crc32(a)) == crc32(a + b) at every split point.
+  const auto whole = all.substr(3, 300);
+  const std::uint32_t expected = crc32_bytewise(whole);
+  for (std::size_t split = 0; split <= whole.size(); ++split) {
+    ASSERT_EQ(dc::crc32(whole.substr(split), dc::crc32(whole.substr(0, split))),
+              expected)
+        << "split " << split;
+  }
 }
 
 // ---- rng ----

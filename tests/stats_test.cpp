@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "stats/descriptive.hpp"
@@ -288,6 +291,40 @@ TEST(Zipf, SampleWithinRange) {
   const ds::ZipfSampler z(5, 2.0);
   datanet::common::Rng rng(3);
   for (int i = 0; i < 1000; ++i) EXPECT_LT(z.sample(rng), 5u);
+}
+
+// The guide table only picks where the search starts; every draw must land
+// on exactly the rank std::lower_bound over the CDF returns, including draws
+// that sit on or just below a CDF step and the largest double below 1.
+TEST(Zipf, GuideTableMatchesLowerBound) {
+  const std::pair<std::uint64_t, double> shapes[] = {
+      {1, 1.0}, {10, 0.0}, {50, 1.0}, {2000, 1.05}, {100000, 0.9}};
+  for (const auto& [n, s] : shapes) {
+    const ds::ZipfSampler z(n, s);
+    const auto& cdf = z.cdf();
+    ASSERT_EQ(cdf.size(), n);
+    const auto reference = [&](double u) {
+      return static_cast<std::uint64_t>(
+          std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+    };
+    std::vector<double> boundary = {0.0, 1.0 - 0x1.0p-53};
+    for (const double c : cdf) {
+      boundary.push_back(c);
+      boundary.push_back(std::nextafter(c, 0.0));
+    }
+    for (const double u : boundary) {
+      ASSERT_EQ(z.rank_of(u), reference(u)) << "n=" << n << " u=" << u;
+    }
+
+    // sample() is rank_of(rng.uniform()): replay the same stream on a copy.
+    datanet::common::Rng rng(n * 31 + 7);
+    datanet::common::Rng twin = rng;
+    for (int i = 0; i < 1'000'000; ++i) {
+      const std::uint64_t rank = z.sample(rng);
+      const double u = twin.uniform();
+      ASSERT_EQ(rank, reference(u)) << "n=" << n << " u=" << u;
+    }
+  }
 }
 
 TEST(Zipf, RejectsBadArgs) {

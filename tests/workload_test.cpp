@@ -8,6 +8,8 @@
 #include <set>
 #include <unordered_map>
 
+#include "common/hash.hpp"
+#include "datanet/experiment.hpp"
 #include "workload/dataset.hpp"
 #include "workload/github_gen.hpp"
 #include "workload/movie_gen.hpp"
@@ -226,6 +228,10 @@ TEST(MovieGen, RejectsBadOptions) {
   o = {};
   o.num_records = 0;
   EXPECT_THROW(dw::MovieLogGenerator{o}, std::invalid_argument);
+  o = {};
+  o.min_review_words = 8;
+  o.max_review_words = 7;
+  EXPECT_THROW(dw::MovieLogGenerator{o}, std::invalid_argument);
   const dw::MovieLogGenerator gen{dw::MovieGenOptions{.num_movies = 3}};
   EXPECT_THROW(gen.movie_key(3), std::out_of_range);
 }
@@ -413,4 +419,31 @@ TEST(GroundTruth, UnknownIdIsZero) {
   const dw::GroundTruth truth(fs, "/movies");
   EXPECT_EQ(truth.total_size(dw::subdataset_id("not_a_movie")), 0u);
   EXPECT_EQ(truth.size_in_block(999, 1), 0u);
+}
+
+// ---- generated bytes ----
+
+namespace {
+// Every block's bytes, in file order, folded into one hash.
+std::uint64_t content_hash(const datanet::core::StoredDataset& ds) {
+  namespace dc = datanet::common;
+  std::uint64_t h = 0;
+  for (const auto b : ds.dfs->blocks_of(ds.path)) {
+    h = dc::hash_combine(h, dc::hash_bytes(ds.dfs->read_block(b)));
+  }
+  return h;
+}
+}  // namespace
+
+// Placement and fingerprints are pinned elsewhere; these constants pin the
+// record content itself, so any change to the Zipf draws, the text or the
+// record order of either generator shows up here.
+TEST(Workload, GeneratedDatasetsArePinned) {
+  const datanet::core::ExperimentConfig cfg;
+  const auto movies = datanet::core::make_movie_dataset(cfg, 16, 200);
+  EXPECT_EQ(movies.dfs->blocks_of(movies.path).size(), 17u);
+  EXPECT_EQ(content_hash(movies), 0xe60a2506161f8050ull);
+  const auto github = datanet::core::make_github_dataset(cfg, 16);
+  EXPECT_EQ(github.dfs->blocks_of(github.path).size(), 18u);
+  EXPECT_EQ(content_hash(github), 0xf6a50c16d2dcf483ull);
 }
