@@ -14,8 +14,7 @@
 //                        lower_bound reference, and make_movie_dataset ms.
 //
 // Wall times are host-dependent; every simulated figure and all report
-// bytes are deterministic. The machine-readable twin of this bench is the
-// "hotpath" section of tools/bench_report (-> BENCH_PR6.json).
+// bytes are deterministic.
 
 #include <algorithm>
 #include <array>

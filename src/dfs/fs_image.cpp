@@ -27,7 +27,7 @@ std::string read_whole_file(const std::string& path) {
                      std::istreambuf_iterator<char>()};
 }
 
-// Parse + CRC-verify the image body; shared by load/inspect/journal_covered.
+// CRC-verify the image body; shared by parse/inspect.
 // Returns the payload (everything before the 4-byte CRC trailer).
 std::string_view checked_body(const std::string& raw, const std::string& path) {
   if (raw.size() < 4) throw FsImageError("FsImage: truncated image " + path);
@@ -145,7 +145,9 @@ void FsImage::save(const MiniDfs& dfs, const std::string& path) {
   if (ec) throw FsImageError("FsImage: rename failed for " + path);
 }
 
-MiniDfs FsImage::load(const std::string& path) {
+MiniDfs FsImage::load(const std::string& path) { return parse(path).dfs; }
+
+FsImage::Loaded FsImage::parse(const std::string& path) {
   const std::string raw = read_whole_file(path);
   wire::Cursor c(checked_body(raw, path));
   try {
@@ -220,18 +222,12 @@ MiniDfs FsImage::load(const std::string& path) {
     if (!c.exhausted()) throw FsImageError("FsImage: trailing bytes in " + path);
     // Blocks were loaded behind the incremental counter's back.
     dfs.recount_under_replicated();
-    return dfs;
+    return {std::move(dfs), h.journal_covered};
   } catch (const std::runtime_error& e) {
     // Bounds failures inside wire::Cursor surface as the generic truncation
     // error; rewrap so callers get one typed error for any bad image.
     throw FsImageError(std::string("FsImage: ") + e.what() + " (" + path + ")");
   }
-}
-
-std::uint64_t FsImage::journal_covered(const std::string& path) {
-  const std::string raw = read_whole_file(path);
-  wire::Cursor c(checked_body(raw, path));
-  return read_header(c, path).journal_covered;
 }
 
 FsImage::Stats FsImage::inspect(const std::string& path) {
@@ -268,8 +264,7 @@ FsImage::Stats FsImage::inspect(const std::string& path) {
 
 MiniDfs MiniDfs::recover(const std::string& image_path,
                          const std::string& journal_path, RecoveryInfo* info) {
-  MiniDfs dfs = FsImage::load(image_path);
-  const std::uint64_t covered = FsImage::journal_covered(image_path);
+  auto [dfs, covered] = FsImage::parse(image_path);
   const EditLog::Replay replay = EditLog::replay(journal_path);
   RecoveryInfo out;
   out.dropped_bytes = replay.dropped_bytes;
@@ -285,7 +280,7 @@ MiniDfs MiniDfs::recover(const std::string& image_path,
     ++out.replayed_frames;
   }
   if (info != nullptr) *info = out;
-  return dfs;
+  return std::move(dfs);  // a structured binding is not moved implicitly
 }
 
 }  // namespace datanet::dfs

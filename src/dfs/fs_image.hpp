@@ -49,10 +49,17 @@ class FsImage {
   // from the stored options.
   [[nodiscard]] static MiniDfs load(const std::string& path);
 
-  // Journal offset recorded in the image at `path` (what recover() skips).
-  [[nodiscard]] static std::uint64_t journal_covered(const std::string& path);
-
   [[nodiscard]] static Stats inspect(const std::string& path);
+
+ private:
+  friend class MiniDfs;  // recover() also needs the journal offset
+
+  // One read and CRC pass: the instance and the offset recover() skips to.
+  struct Loaded {
+    MiniDfs dfs;
+    std::uint64_t journal_covered;
+  };
+  [[nodiscard]] static Loaded parse(const std::string& path);
 };
 
 }  // namespace datanet::dfs

@@ -58,10 +58,6 @@ std::uint32_t HashRing::shard_of_path(std::string_view path) const noexcept {
   return shard_of_hash(common::hash_bytes(path, /*seed=*/0x706c616e65ULL));
 }
 
-std::uint32_t HashRing::shard_of_block(std::uint64_t block_id) const noexcept {
-  return shard_of_hash(common::mix64(block_id + 0x626c6f636bULL));
-}
-
 std::vector<std::uint32_t> HashRing::points_per_shard() const {
   std::vector<std::uint32_t> counts(num_shards_, 0);
   if (num_shards_ == 1) {

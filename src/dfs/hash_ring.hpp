@@ -1,12 +1,12 @@
 #pragma once
 // dfs::HashRing — consistent hashing with virtual nodes, the partitioner
-// behind the sharded metadata plane (dfs::MetaPlane) and the ring-partitioned
-// elasticmap::ShardedMetaStore. Each shard contributes `vnodes_per_shard`
-// points on a 64-bit ring; a key is owned by the first point clockwise from
-// its hash. Virtual nodes smooth the per-shard share (classic Karger-style
-// rings give a cv of roughly 1/sqrt(vnodes) over shard loads), and
-// consistency means adding or removing one shard only moves the keys that
-// land on that shard's points — no global reshuffle.
+// behind the sharded metadata plane (dfs::MetaPlane). Each shard
+// contributes `vnodes_per_shard` points on a 64-bit ring; a key is owned by
+// the first point clockwise from its hash. Virtual nodes smooth the
+// per-shard share (classic Karger-style rings give a cv of roughly
+// 1/sqrt(vnodes) over shard loads), and consistency means adding or
+// removing one shard only moves the keys that land on that shard's points —
+// no global reshuffle.
 //
 // Lookups are O(1), not O(log points): the constructor precomputes a
 // power-of-two bucket table mapping the top bits of a hash to the first ring
@@ -40,10 +40,6 @@ class HashRing {
   // Owner of a namespace path (files route by path: a file's blocks live
   // together on one metadata shard, so per-file operations touch one shard).
   [[nodiscard]] std::uint32_t shard_of_path(std::string_view path) const noexcept;
-
-  // Owner of a block id (used by the ring-partitioned ElasticMap store,
-  // where blocks of one dataset spread across store shards).
-  [[nodiscard]] std::uint32_t shard_of_block(std::uint64_t block_id) const noexcept;
 
   // Number of ring points each shard owns (diagnostics / balance tests).
   [[nodiscard]] std::vector<std::uint32_t> points_per_shard() const;

@@ -292,20 +292,6 @@ void ShardedMetaStore::save(const ElasticMapArray& array, const std::string& pre
   }
 }
 
-void ShardedMetaStore::save(const ElasticMapArray& array,
-                            const std::string& prefix,
-                            const dfs::HashRing& ring) {
-  auto all = serialize_all(array);
-  std::vector<std::vector<StoredEntry>> per_shard(ring.num_shards());
-  for (auto& e : all) {
-    per_shard[ring.shard_of_block(e.block_id)].push_back(std::move(e));
-  }
-  for (std::uint32_t s = 0; s < ring.num_shards(); ++s) {
-    write_store(shard_file(prefix, s), array.path(), array.raw_bytes(),
-                array.options(), per_shard[s]);
-  }
-}
-
 ElasticMapArray ShardedMetaStore::load(const std::string& prefix,
                                        std::uint32_t num_shards) {
   if (num_shards == 0) throw std::invalid_argument("ShardedMetaStore: 0 shards");

@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "dfs/hash_ring.hpp"
 #include "elasticmap/elastic_map.hpp"
 
 namespace datanet::elasticmap {
@@ -80,17 +79,10 @@ class MetaStore {
 class ShardedMetaStore {
  public:
   // Writes `num_shards` files "<prefix>.shard<k>"; block i -> shard i % S.
+  // A shard that gets no blocks still gets a valid, empty file, so load()
+  // needs only the shard count.
   static void save(const ElasticMapArray& array, const std::string& prefix,
                    std::uint32_t num_shards);
-
-  // Ring-partitioned layout: block i -> ring.shard_of_block(block_id(i)),
-  // the placement the sharded metadata plane uses so a store shard lives
-  // with the metadata shard that owns its blocks. A shard owning no blocks
-  // still gets a (valid, empty) file, so load() never depends on which
-  // shards happened to win blocks. Reassemble with load(prefix,
-  // ring.num_shards()) — loading is placement-agnostic.
-  static void save(const ElasticMapArray& array, const std::string& prefix,
-                   const dfs::HashRing& ring);
 
   // Reassemble the full array from the shard files.
   static ElasticMapArray load(const std::string& prefix, std::uint32_t num_shards);

@@ -1,8 +1,8 @@
 #pragma once
 // Blocking datanetd client: one loopback TCP connection, strict
 // request-response framing. Used by `datanet query`, the end-to-end tests
-// and bench_server; thread-compatible (one Client per thread), not
-// thread-safe.
+// and perfbench's serve-small workload; thread-compatible (one Client per
+// thread), not thread-safe.
 
 #include <cstdint>
 #include <string>

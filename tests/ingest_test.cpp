@@ -399,7 +399,7 @@ TEST(IngestRecovery, MidIngestionCheckpointCoversOpenBlock) {
   // FsImage: the open block (bytes + extent count) rides the checkpoint.
   const auto mid_image = c.tmp.file("mid.fsimage");
   dd::FsImage::save(*c.dfs, mid_image);
-  EXPECT_EQ(dd::FsImage::journal_covered(mid_image),
+  EXPECT_EQ(dd::FsImage::inspect(mid_image).journal_covered,
             c.journal->bytes_written());
   EXPECT_EQ(dd::FsImage::load(mid_image).namespace_digest(),
             c.dfs->namespace_digest());
@@ -565,6 +565,57 @@ TEST(LiveMapMaintainer, DeltaApplyMatchesFullRebuildEstimates) {
     EXPECT_EQ(maint.map().estimate_total_size(id),
               fresh.estimate_total_size(id));
   }
+}
+
+TEST(LiveMapMaintainer, PeakDriftBoundGrowsWithDrainInterval) {
+  // Warm the map over the first eighth of a stream (a cold map is 100%
+  // stale by definition), then stream the rest, draining every `interval`
+  // seals and recording the drift bound seen right after each seal. Rarer
+  // drains leave more stale bytes behind, so the peak bound can only grow
+  // with the interval; at every interval a final drain must still answer
+  // exactly like a fresh build.
+  dd::DfsOptions dopt;
+  dopt.block_size = 16 * 1024;
+  dopt.replication = 3;
+  dopt.seed = 42;
+  const auto lines = movie_lines(20000, 2016);
+  const std::string path = "/logs/stream";
+  const std::size_t warmup = lines.size() / 8;
+  std::vector<double> peaks;
+  for (const std::uint64_t interval : {1u, 2u, 4u, 8u, 16u}) {
+    dd::MiniDfs mini(dd::ClusterTopology::flat(16), dopt);
+    {
+      dd::Ingestor warm(mini, path, {.group_records = 64});
+      for (std::size_t i = 0; i < warmup; ++i) warm.append(lines[i]);
+    }
+    de::LiveMapMaintainer maint(mini, path, {});
+    double peak = 0.0;
+    std::uint64_t seals = 0;
+    dd::Ingestor ing(mini, path, {.group_records = 64});
+    ing.on_seal = [&](dd::BlockId) {
+      (void)maint.scan();
+      peak = std::max(peak, maint.ledger().estimated_chi_drift);
+      if (++seals % interval == 0) (void)maint.drain();
+    };
+    for (std::size_t i = warmup; i < lines.size(); ++i) ing.append(lines[i]);
+    ing.close();
+    ASSERT_GT(seals, 16u) << "the stream must span the widest interval";
+    if (!peaks.empty()) {
+      EXPECT_GE(peak, peaks.back()) << "interval " << interval;
+    }
+    peaks.push_back(peak);
+
+    maint.drain();
+    EXPECT_DOUBLE_EQ(maint.ledger().estimated_chi_drift, 0.0);
+    const auto fresh = de::ElasticMapArray::build(mini, path, {});
+    const dw::GroundTruth truth(mini, path);
+    for (const auto id : truth.ids_by_size()) {
+      EXPECT_EQ(maint.map().estimate_total_size(id),
+                fresh.estimate_total_size(id))
+          << "interval " << interval;
+    }
+  }
+  EXPECT_GT(peaks.back(), peaks.front());
 }
 
 TEST(LiveMapMaintainer, WatermarkAndFullRebuildResetTheLedger) {

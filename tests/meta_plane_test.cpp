@@ -91,7 +91,6 @@ TEST(HashRing, OwnersInRangeAndDeterministic) {
   }
   EXPECT_EQ(ring.shard_of_path("/data/movies.log"),
             twin.shard_of_path("/data/movies.log"));
-  EXPECT_LT(ring.shard_of_block(123456), 8u);
 }
 
 TEST(HashRing, SingleShardOwnsEverything) {

@@ -305,7 +305,8 @@ TEST(Recovery, CheckpointPlusSuffixEqualsCheckpointPlusFullJournal) {
   // Mid-history checkpoint: everything so far is covered by the image.
   const auto mid_image = c.tmp.file("mid.fsimage");
   dd::FsImage::save(*c.dfs, mid_image);
-  EXPECT_EQ(dd::FsImage::journal_covered(mid_image), c.journal->bytes_written());
+  EXPECT_EQ(dd::FsImage::inspect(mid_image).journal_covered,
+            c.journal->bytes_written());
   // More damage after the checkpoint.
   c.dfs->decommission(2);
   dw::ingest(*c.dfs, "/logs/b", small_records(10, 7));
@@ -676,6 +677,45 @@ TEST(ReplicationMonitor, HealingIsJournaledForRecovery) {
       dd::MiniDfs::recover(c.image_path, c.journal->path());
   EXPECT_EQ(recovered.namespace_digest(), c.dfs->namespace_digest());
   EXPECT_TRUE(dd::fsck(recovered).healthy());
+}
+
+TEST(ReplicationMonitor, HigherRepairRateHealsTheSameDamageFaster) {
+  // Kill 4 of 32 nodes on a deferred-repair cluster, then drain at rising
+  // repair rates. The damage is identical at every rate (same dataset seed,
+  // same kills), so ticks-to-heal and the summed MTTR isolate the rate
+  // limit while the healing work itself stays fixed.
+  dc::ExperimentConfig cfg;
+  cfg.num_nodes = 32;
+  cfg.block_size = 128 * 1024;
+  cfg.replication = 3;
+  cfg.seed = 2016;
+  cfg.inline_repair = false;
+  std::uint64_t damaged = 0, healed = 0, repairs = 0;
+  std::uint64_t prev_ticks = 0, prev_mttr = 0;
+  for (const std::uint32_t rate : {1u, 2u, 4u, 8u, 16u}) {
+    auto ds = dc::make_movie_dataset(cfg, 64, 2000);
+    for (const dd::NodeId n : {3u, 11u, 19u, 27u}) ds.dfs->decommission(n);
+    const auto under = dd::fsck(*ds.dfs).under_replicated;
+    dd::ReplicationMonitor monitor(*ds.dfs, {.max_repairs_per_tick = rate});
+    const auto ticks = monitor.drain();
+    const auto& s = monitor.stats();
+    EXPECT_TRUE(dd::fsck(*ds.dfs).healthy()) << "rate " << rate;
+    EXPECT_EQ(s.healed_blocks, under) << "rate " << rate;
+    if (rate == 1) {
+      ASSERT_GT(under, 0u);
+      damaged = under;
+      healed = s.healed_blocks;
+      repairs = s.repairs;
+    } else {
+      EXPECT_EQ(under, damaged) << "rate " << rate;
+      EXPECT_EQ(s.healed_blocks, healed) << "rate " << rate;
+      EXPECT_EQ(s.repairs, repairs) << "rate " << rate;
+      EXPECT_LT(ticks, prev_ticks) << "rate " << rate;
+      EXPECT_LT(s.mttr_ticks, prev_mttr) << "rate " << rate;
+    }
+    prev_ticks = ticks;
+    prev_mttr = s.mttr_ticks;
+  }
 }
 
 // ----------------------------------------------- runtime + monitor seam --

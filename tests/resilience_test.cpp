@@ -3,7 +3,8 @@
 // typed exhaustion, hostile-server reply hardening, seeded ChaosProxy fault
 // injection (reset / truncate / stall / split), and degraded-mode serving —
 // answering from the epoch-cached bundle while the owning metadata shard is
-// down, with the digest still golden. Run under ASan by tools/asan_tests.sh.
+// down, with the digest still golden. Run under ASan by
+// `tools/sanitize_tests.sh address`.
 
 #include <gtest/gtest.h>
 
@@ -516,7 +517,7 @@ TEST(ServerResilience, ServesDegradedFromCachedBundleWhileShardDown) {
 // out bundles that keep their source instance alive, so a degraded query
 // still holding the pre-crash bundle after the swap (and even after the
 // entry is rebuilt) never touches freed memory. ASan-verified via
-// tools/asan_tests.sh.
+// `tools/sanitize_tests.sh address`.
 TEST(DatasetCacheLifetime, RecoveredShardRebuildsWhileStaleBundleStaysAlive) {
   TempDir tmp;
   dc::ExperimentConfig cfg;

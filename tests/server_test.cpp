@@ -6,7 +6,7 @@
 // matching in-process golden runs, bad-request handling, admission
 // rejections over the wire, graceful shutdown with drain, and queries
 // racing live replica churn (the zero-copy pinned-read path under a
-// concurrent mutator — run under ASan by tools/asan_tests.sh).
+// concurrent mutator — run under ASan by `tools/sanitize_tests.sh address`).
 
 #include <gtest/gtest.h>
 
