@@ -453,34 +453,51 @@ int fsck_plane(const Args& args, std::ostream& out) {
     const auto records = workload::load_records(*file, &stats);
     if (records.empty()) return fail(out, "no valid records in " + *file);
 
-    // A file lives wholly on its owning shard, so split the input into
-    // several part files to populate namespace across shards.
-    const std::uint64_t parts = std::clamp<std::uint64_t>(
-        args.get_u64_or("files", 2ull * popt.num_shards), 1, records.size());
+    // Next "<stem><n>" owned by `shard`, counting n up from `next`.
+    const auto path_on_shard = [&plane](const std::string& stem,
+                                        std::uint32_t shard,
+                                        std::uint64_t& next) {
+      for (;;) {
+        std::string cand = stem + std::to_string(next++);
+        if (plane.shard_of(cand) == shard) return cand;
+      }
+    };
+
+    // A file lives wholly on its owning shard, so split the input into at
+    // least one part file per shard, part p named to land on shard p % S.
+    const std::uint64_t parts = std::min<std::uint64_t>(
+        std::max<std::uint64_t>(
+            args.get_u64_or("files", 2ull * popt.num_shards), popt.num_shards),
+        records.size());
     const std::span<const workload::Record> all(records);
     const std::uint64_t base = records.size() / parts;
     const std::uint64_t extra = records.size() % parts;
     std::uint64_t off = 0;
+    std::uint64_t part_no = 0;
     for (std::uint64_t p = 0; p < parts; ++p) {
       const std::uint64_t len = base + (p < extra ? 1 : 0);
-      const std::string path = "/data/part-" + std::to_string(p);
+      const std::string path = path_on_shard(
+          "/data/part-", static_cast<std::uint32_t>(p % plane.num_shards()),
+          part_no);
       workload::ingest(plane.dfs_for(path), path, all.subspan(off, len));
       off += len;
     }
     out << "ingested " << records.size() << " records as " << parts
         << " part file(s) across " << plane.num_shards()
         << " metadata shards (" << stats.skipped << " malformed skipped)\n";
+    for (std::uint32_t s = 0; s < plane.num_shards(); ++s) {
+      if (plane.dfs(s).list_files().empty()) {
+        return fail(out, "shard " + std::to_string(s) + " owns no file");
+      }
+    }
 
     // Checkpoint everything, then land one late file on the victim shard so
     // its recovery has a journal suffix to replay past the checkpoint.
     plane.attach_journals(workdir);
     const auto victim = static_cast<std::uint32_t>(
         args.get_u64_or("crash-shard", 0) % plane.num_shards());
-    std::string late_path;
-    for (std::uint32_t n = 0; late_path.empty(); ++n) {
-      std::string cand = "/data/late-" + std::to_string(n);
-      if (plane.shard_of(cand) == victim) late_path = std::move(cand);
-    }
+    std::uint64_t late_no = 0;
+    const std::string late_path = path_on_shard("/data/late-", victim, late_no);
     const auto tail =
         all.subspan(records.size() - std::min<std::size_t>(records.size(), 64));
     workload::ingest(plane.dfs_for(late_path), late_path, tail);
@@ -496,7 +513,7 @@ int fsck_plane(const Args& args, std::ostream& out) {
       table.add_row({std::to_string(s),
                      std::to_string(plane.dfs(s).list_files().size()),
                      std::to_string(plane.dfs(s).num_blocks()),
-                     std::to_string(plane.shard_epoch(s)),
+                     std::to_string(plane.dfs(s).mutation_epoch()),
                      plane.journal_path(s)});
     }
     out << table.to_string();

@@ -201,10 +201,6 @@ std::vector<std::size_t> AttemptTracker::running_attempts() const {
   return out;
 }
 
-void AttemptTracker::set_node(std::size_t attempt, dfs::NodeId node) {
-  attempts_[attempt].node = node;
-}
-
 std::uint64_t AttemptTracker::backoff_delay(std::uint32_t redispatch_no) const {
   if (redispatch_no == 0) return 0;
   const std::uint32_t shift =

@@ -134,15 +134,10 @@ class AttemptTracker {
   [[nodiscard]] const TaskAttempt& attempt(std::size_t id) const {
     return attempts_[id];
   }
-  [[nodiscard]] std::size_t num_attempts() const noexcept {
-    return attempts_.size();
-  }
   // Live (queued or running) attempt ids, ascending.
   [[nodiscard]] std::vector<std::size_t> live_attempts() const;
   // Running attempt ids of open tasks, ascending (speculation candidates).
   [[nodiscard]] std::vector<std::size_t> running_attempts() const;
-  // Retarget a live attempt whose node is gone (assignment already moved).
-  void set_node(std::size_t attempt, dfs::NodeId node);
 
   [[nodiscard]] std::uint64_t backoff_delay(std::uint32_t redispatch_no) const;
   // The loop's attempt counters; timing_backups is the cost model's and

@@ -26,7 +26,6 @@ void EditLog::append(const EditRecord& record) {
   file_.flush();
   if (!file_) throw std::runtime_error("EditLog: write failed for " + path_);
   bytes_written_ += frame.size();
-  ++frames_written_;
 }
 
 void EditLog::seal() {

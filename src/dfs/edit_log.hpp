@@ -72,9 +72,6 @@ class EditLog {
   [[nodiscard]] std::uint64_t bytes_written() const noexcept {
     return bytes_written_;
   }
-  [[nodiscard]] std::uint64_t frames_written() const noexcept {
-    return frames_written_;
-  }
   [[nodiscard]] bool sealed() const noexcept { return sealed_; }
 
   // Crash seams. seal() models a clean NameNode death: the durable tail stays
@@ -105,7 +102,6 @@ class EditLog {
   std::string path_;
   std::ofstream file_;
   std::uint64_t bytes_written_ = 0;
-  std::uint64_t frames_written_ = 0;
   bool sealed_ = false;
 };
 

@@ -105,10 +105,6 @@ bool FaultInjector::take_transient_read_failure(BlockId block) {
   return true;
 }
 
-std::uint32_t FaultInjector::pending_transient_failures(BlockId block) const {
-  return block < transient_.size() ? transient_[block] : 0;
-}
-
 void FaultInjector::apply(const FaultEvent& event) {
   switch (event.kind) {
     case FaultKind::kKillNode: {

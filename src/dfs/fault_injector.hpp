@@ -116,8 +116,6 @@ class FaultInjector {
   // it proceeds normally. Deterministic: a countdown per block.
   bool take_transient_read_failure(BlockId block);
 
-  [[nodiscard]] std::uint32_t pending_transient_failures(BlockId block) const;
-
  private:
   void apply(const FaultEvent& event);
 

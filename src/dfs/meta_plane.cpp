@@ -1,20 +1,19 @@
 #include "dfs/meta_plane.hpp"
 
-#include <algorithm>
 #include <utility>
 
-#include "common/hash.hpp"
 #include "dfs/fs_image.hpp"
 
 namespace datanet::dfs {
 
-MetaPlane::MetaPlane(ClusterTopology topology, MetaPlaneOptions options)
-    : options_(options),
-      ring_(options.num_shards, options.vnodes_per_shard, options.ring_seed) {
-  shards_.reserve(options_.num_shards);
-  for (std::uint32_t s = 0; s < options_.num_shards; ++s) {
+MetaPlane::MetaPlane(ClusterTopology topology, MetaPlaneOptions options) {
+  if (options.num_shards == 0) {
+    throw std::invalid_argument("MetaPlane: 0 shards");
+  }
+  shards_.reserve(options.num_shards);
+  for (std::uint32_t s = 0; s < options.num_shards; ++s) {
     Shard sh;
-    sh.dfs = std::make_shared<MiniDfs>(topology, options_.dfs);
+    sh.dfs = std::make_shared<MiniDfs>(topology, options.dfs);
     shards_.push_back(std::move(sh));
   }
 }
@@ -65,45 +64,6 @@ std::shared_ptr<const MiniDfs> MetaPlane::dfs_snapshot(
   return shard_at(shard).dfs;
 }
 
-bool MetaPlane::exists(std::string_view path) const {
-  return dfs_for(path).exists(path);
-}
-
-std::vector<std::string> MetaPlane::list_files() const {
-  std::vector<std::string> out;
-  for (std::uint32_t s = 0; s < num_shards(); ++s) {
-    auto files = dfs(s).list_files();
-    out.insert(out.end(), std::make_move_iterator(files.begin()),
-               std::make_move_iterator(files.end()));
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::uint64_t MetaPlane::total_blocks() const {
-  std::uint64_t total = 0;
-  for (std::uint32_t s = 0; s < num_shards(); ++s) total += dfs(s).num_blocks();
-  return total;
-}
-
-std::uint64_t MetaPlane::under_replicated_count() const {
-  std::uint64_t total = 0;
-  for (std::uint32_t s = 0; s < num_shards(); ++s) {
-    total += dfs(s).under_replicated_count();
-  }
-  return total;
-}
-
-std::uint64_t MetaPlane::shard_epoch(std::uint32_t shard) const {
-  return dfs(shard).mutation_epoch();
-}
-
-std::vector<std::uint64_t> MetaPlane::shard_epochs() const {
-  std::vector<std::uint64_t> out(num_shards(), 0);
-  for (std::uint32_t s = 0; s < num_shards(); ++s) out[s] = shard_epoch(s);
-  return out;
-}
-
 void MetaPlane::attach_journals(const std::string& workdir) {
   if (attached_) throw std::logic_error("MetaPlane: journals already attached");
   for (std::uint32_t s = 0; s < num_shards(); ++s) {
@@ -125,34 +85,12 @@ const std::string& MetaPlane::journal_path(std::uint32_t shard) const {
   return sh.journal_path;
 }
 
-const std::string& MetaPlane::image_path(std::uint32_t shard) const {
-  const Shard& sh = shard_at(shard);
-  if (!attached_) throw std::logic_error("MetaPlane: journals not attached");
-  return sh.image_path;
-}
-
-void MetaPlane::checkpoint_shard(std::uint32_t shard) {
-  Shard& sh = live_shard(shard);
-  if (!attached_) throw std::logic_error("MetaPlane: journals not attached");
-  FsImage::save(*sh.dfs, sh.image_path);
-}
-
 void MetaPlane::crash_shard(std::uint32_t shard,
                             std::uint64_t journal_keep_bytes) {
   Shard& sh = live_shard(shard);
   if (!attached_) throw std::logic_error("MetaPlane: journals not attached");
   sh.dfs->crash_namenode(journal_keep_bytes);
   sh.crashed = true;
-}
-
-bool MetaPlane::shard_crashed(std::uint32_t shard) const {
-  return shard_at(shard).crashed;
-}
-
-std::uint32_t MetaPlane::crashed_shards() const noexcept {
-  std::uint32_t n = 0;
-  for (const Shard& sh : shards_) n += sh.crashed ? 1u : 0u;
-  return n;
 }
 
 RecoveryInfo MetaPlane::recover_shard(std::uint32_t shard) {
@@ -174,14 +112,6 @@ RecoveryInfo MetaPlane::recover_shard(std::uint32_t shard) {
   FsImage::save(*sh.dfs, sh.image_path);
   sh.crashed = false;
   return info;
-}
-
-std::uint64_t MetaPlane::namespace_digest() const {
-  std::uint64_t h = common::hash_bytes("datanet-meta-plane");
-  for (std::uint32_t s = 0; s < num_shards(); ++s) {
-    h = common::hash_combine(h, dfs(s).namespace_digest());
-  }
-  return h;
 }
 
 }  // namespace datanet::dfs

@@ -1,10 +1,12 @@
 #pragma once
 // dfs::MetaPlane — the sharded metadata plane. The namespace is partitioned
-// across N metadata shards by consistent hashing over file paths (HashRing):
-// a file's blocks all live on its owning shard, so per-file operations touch
-// exactly one shard and BlockIds stay shard-local. Every shard is a full
-// NameNode (a MiniDfs) with its OWN EditLog/FsImage pair, so checkpointing,
-// crash, and recovery are per-shard: one shard can be killed (the PR 5
+// across S metadata shards by path: shard_of(path) = hash_bytes(path) % S.
+// A plane's shard count is fixed for its lifetime (a different --meta-shards
+// builds a new plane), so there is no rebalancing to minimise and a plain
+// modulo is the whole rule. A file's blocks all live on its owning shard, so
+// per-file operations touch exactly one shard and BlockIds stay shard-local.
+// Every shard is a full NameNode (a MiniDfs) with its OWN EditLog/FsImage
+// pair, so crash and recovery are per-shard: one shard can be killed (the
 // kCrashNameNode seam) and rebuilt from its own image + journal suffix while
 // the other shards keep serving.
 //
@@ -17,15 +19,16 @@
 // stream, exactly as it is the first file of a fresh MiniDfs).
 //
 // Epochs: mutation_epoch generalizes for free — each shard's MiniDfs keeps
-// its own counter, exposed as shard_epoch(k). Replica churn on one shard no
-// longer advances the epochs other shards' cached metadata was validated
-// against; the server's dataset cache keys on the owning shard's epoch only.
+// its own counter, read as dfs(k).mutation_epoch(). Replica churn on one
+// shard does not advance the epochs other shards' cached metadata was
+// validated against; the server's dataset cache keys on the owning shard's
+// epoch only.
 //
-// Concurrency: routing state (the ring) is immutable after construction.
+// Concurrency: routing is a pure function of the path and the shard count.
 // Each shard inherits MiniDfs's single-mutator/many-readers contract
-// independently. crash_shard/recover_shard/checkpoint are mutator-side calls;
-// readers of OTHER shards are unaffected, readers of the crashed shard must
-// have drained (the plane refuses access to a crashed shard with a typed
+// independently. crash_shard/recover_shard are mutator-side calls; readers
+// of OTHER shards are unaffected, readers of the crashed shard must have
+// drained (the plane refuses access to a crashed shard with a typed
 // ShardUnavailableError until recover_shard brings it back).
 
 #include <cstdint>
@@ -35,8 +38,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "dfs/edit_log.hpp"
-#include "dfs/hash_ring.hpp"
 #include "dfs/mini_dfs.hpp"
 
 namespace datanet::dfs {
@@ -53,28 +56,24 @@ class ShardUnavailableError : public std::runtime_error {
 
 struct MetaPlaneOptions {
   std::uint32_t num_shards = 1;
-  std::uint32_t vnodes_per_shard = 64;
-  std::uint64_t ring_seed = 0;
   // Shared by every shard — same seed on purpose (see file comment).
   DfsOptions dfs;
 };
 
 class MetaPlane {
  public:
+  // Throws std::invalid_argument when options.num_shards is 0.
   MetaPlane(ClusterTopology topology, MetaPlaneOptions options);
 
   [[nodiscard]] std::uint32_t num_shards() const noexcept {
     return static_cast<std::uint32_t>(shards_.size());
   }
-  [[nodiscard]] const HashRing& ring() const noexcept { return ring_; }
-  [[nodiscard]] const MetaPlaneOptions& options() const noexcept {
-    return options_;
-  }
 
   // ---- routing ----
 
   [[nodiscard]] std::uint32_t shard_of(std::string_view path) const noexcept {
-    return ring_.shard_of_path(path);
+    return static_cast<std::uint32_t>(common::hash_bytes(path) %
+                                      shards_.size());
   }
 
   // Shard accessors throw std::out_of_range on a bad id and
@@ -95,20 +94,6 @@ class MetaPlane {
   [[nodiscard]] std::shared_ptr<const MiniDfs> dfs_snapshot(
       std::uint32_t shard) const;
 
-  // ---- namespace operations (routed to the owning shard) ----
-  //
-  // Files are written on their owning shard: dfs_for(path).create(path).
-
-  [[nodiscard]] bool exists(std::string_view path) const;
-  // Union over all shards, sorted (shards enumerate independently).
-  [[nodiscard]] std::vector<std::string> list_files() const;
-  [[nodiscard]] std::uint64_t total_blocks() const;
-  [[nodiscard]] std::uint64_t under_replicated_count() const;
-
-  // Per-shard mutation epoch (the generalized mutation_epoch).
-  [[nodiscard]] std::uint64_t shard_epoch(std::uint32_t shard) const;
-  [[nodiscard]] std::vector<std::uint64_t> shard_epochs() const;
-
   // ---- per-shard durability ----
 
   // Attach one write-ahead journal per shard under `workdir`
@@ -117,32 +102,19 @@ class MetaPlane {
   // image/journal pair from the moment durability is on — recover_shard is
   // legal at any later point.
   void attach_journals(const std::string& workdir);
-  [[nodiscard]] bool journals_attached() const noexcept { return attached_; }
+  // Throws std::logic_error before attach_journals.
   [[nodiscard]] const std::string& journal_path(std::uint32_t shard) const;
-  [[nodiscard]] const std::string& image_path(std::uint32_t shard) const;
-
-  // Checkpoint one shard (crash-atomic; records the shard journal's current
-  // offset). Throws std::logic_error before attach_journals and
-  // ShardUnavailableError while crashed.
-  void checkpoint_shard(std::uint32_t shard);
 
   // Kill one shard's NameNode: seal (optionally tear) its journal and mark
   // the shard unavailable. Other shards are untouched.
   void crash_shard(std::uint32_t shard,
                    std::uint64_t journal_keep_bytes = MiniDfs::kKeepAllBytes);
-  [[nodiscard]] bool shard_crashed(std::uint32_t shard) const;
-  [[nodiscard]] std::uint32_t crashed_shards() const noexcept;
 
   // Rebuild a crashed shard from its own FsImage + EditLog suffix, attach a
   // fresh journal, and re-checkpoint so the pair is consistent going
   // forward. Returns replay accounting. Throws std::logic_error unless the
   // shard is crashed.
   RecoveryInfo recover_shard(std::uint32_t shard);
-
-  // Order-sensitive chain over per-shard namespace digests (shard order is
-  // part of the identity: the same files on different shards differ).
-  // Requires every shard live.
-  [[nodiscard]] std::uint64_t namespace_digest() const;
 
  private:
   struct Shard {
@@ -160,8 +132,6 @@ class MetaPlane {
   [[nodiscard]] Shard& live_shard(std::uint32_t shard);
   [[nodiscard]] const Shard& live_shard(std::uint32_t shard) const;
 
-  MetaPlaneOptions options_;
-  HashRing ring_;
   std::vector<Shard> shards_;
   bool attached_ = false;
 };

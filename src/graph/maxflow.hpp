@@ -24,10 +24,6 @@ class MaxFlow {
   // Flow routed through the edge returned by add_edge.
   [[nodiscard]] std::uint64_t flow_on(std::size_t edge_index) const;
 
-  [[nodiscard]] std::uint32_t num_vertices() const noexcept {
-    return static_cast<std::uint32_t>(adj_.size());
-  }
-
  private:
   struct Edge {
     std::uint32_t to;

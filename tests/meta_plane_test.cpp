@@ -1,9 +1,9 @@
-// Tests for the sharded metadata plane: HashRing ownership properties
-// (range, determinism, consistency under growth, vnode balance), MetaPlane
-// routing + per-shard durability (kill one shard, recover from its own
-// image + journal suffix while the others keep serving), the shard-count-1
-// digest identity with a plain MiniDfs, placement identity at any shard
-// count, per-shard epoch isolation, and plane-wide fsck.
+// Tests for the sharded metadata plane: hash % S routing (range,
+// determinism, balance, the 1-shard and 0-shard edges), per-shard durability
+// (kill one shard, recover from its own image + journal suffix while the
+// others keep serving), the shard-count-1 digest identity with a plain
+// MiniDfs, placement identity at any shard count, per-shard epoch isolation,
+// and plane-wide fsck.
 
 #include <gtest/gtest.h>
 
@@ -14,9 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "common/hash.hpp"
 #include "dfs/fsck.hpp"
-#include "dfs/hash_ring.hpp"
 #include "dfs/meta_plane.hpp"
 #include "dfs/mini_dfs.hpp"
 
@@ -75,69 +73,71 @@ std::string path_on_shard(const dd::MetaPlane& plane, std::uint32_t shard,
   }
 }
 
+// Union of every shard's files, sorted (shards enumerate independently).
+std::vector<std::string> all_files(const dd::MetaPlane& plane) {
+  std::vector<std::string> out;
+  for (std::uint32_t s = 0; s < plane.num_shards(); ++s) {
+    for (auto& f : plane.dfs(s).list_files()) out.push_back(std::move(f));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::uint64_t total_blocks(const dd::MetaPlane& plane) {
+  std::uint64_t total = 0;
+  for (std::uint32_t s = 0; s < plane.num_shards(); ++s) {
+    total += plane.dfs(s).num_blocks();
+  }
+  return total;
+}
+
+std::vector<std::uint64_t> epochs_of(const dd::MetaPlane& plane) {
+  std::vector<std::uint64_t> out;
+  for (std::uint32_t s = 0; s < plane.num_shards(); ++s) {
+    out.push_back(plane.dfs(s).mutation_epoch());
+  }
+  return out;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// HashRing
+// Path-hash routing: shard_of(path) = hash_bytes(path) % S.
 
 TEST(HashRing, OwnersInRangeAndDeterministic) {
-  const dd::HashRing ring(8, 64, 7);
-  const dd::HashRing twin(8, 64, 7);
+  const dd::MetaPlane plane(dd::ClusterTopology::flat(8), plane_options(8));
+  const dd::MetaPlane twin(dd::ClusterTopology::flat(8), plane_options(8));
   for (std::uint64_t i = 0; i < 20000; ++i) {
-    const auto h = datanet::common::mix64(i);
-    const auto owner = ring.shard_of_hash(h);
+    const std::string path = "/data/part-" + std::to_string(i);
+    const auto owner = plane.shard_of(path);
     ASSERT_LT(owner, 8u);
-    ASSERT_EQ(owner, twin.shard_of_hash(h));
+    ASSERT_EQ(owner, twin.shard_of(path));
   }
-  EXPECT_EQ(ring.shard_of_path("/data/movies.log"),
-            twin.shard_of_path("/data/movies.log"));
+  EXPECT_EQ(plane.shard_of("/data/movies.log"), twin.shard_of("/data/movies.log"));
+  EXPECT_THROW(dd::MetaPlane(dd::ClusterTopology::flat(8), plane_options(0)),
+               std::invalid_argument);
 }
 
 TEST(HashRing, SingleShardOwnsEverything) {
-  const dd::HashRing ring(1);
+  const dd::MetaPlane single(dd::ClusterTopology::flat(8), plane_options(1));
   for (std::uint64_t i = 0; i < 1000; ++i) {
-    EXPECT_EQ(ring.shard_of_hash(datanet::common::mix64(i)), 0u);
+    EXPECT_EQ(single.shard_of("/data/part-" + std::to_string(i)), 0u);
   }
-  EXPECT_EQ(ring.shard_of_path("/anything"), 0u);
-}
-
-// The defining consistent-hashing property: growing the ring from N to N+1
-// shards only moves keys TO the new shard — no key changes owner between two
-// pre-existing shards.
-TEST(HashRing, GrowthOnlyMovesKeysToTheNewShard) {
-  const dd::HashRing small(8, 64, 3);
-  const dd::HashRing big(9, 64, 3);
-  std::uint64_t moved = 0;
-  const std::uint64_t keys = 50000;
-  for (std::uint64_t i = 0; i < keys; ++i) {
-    const auto h = datanet::common::mix64(i * 0x9e3779b97f4a7c15ULL + 1);
-    const auto before = small.shard_of_hash(h);
-    const auto after = big.shard_of_hash(h);
-    if (after != before) {
-      ASSERT_EQ(after, 8u) << "key moved between pre-existing shards";
-      ++moved;
-    }
-  }
-  // Roughly 1/9 of the keyspace should move; allow a generous band.
-  EXPECT_GT(moved, keys / 20);
-  EXPECT_LT(moved, keys / 4);
+  EXPECT_EQ(single.shard_of("/anything"), 0u);
 }
 
 TEST(HashRing, VnodesKeepShardsBalanced) {
-  const dd::HashRing ring(8, 64, 0);
-  const auto points = ring.points_per_shard();
-  ASSERT_EQ(points.size(), 8u);
-  for (const auto p : points) EXPECT_EQ(p, 64u);
-
+  const dd::MetaPlane plane(dd::ClusterTopology::flat(8), plane_options(8));
   std::vector<std::uint64_t> load(8, 0);
-  const std::uint64_t keys = 100000;
-  for (std::uint64_t i = 0; i < keys; ++i) {
-    ++load[ring.shard_of_hash(datanet::common::mix64(i + 17))];
+  const std::uint64_t paths = 100000;
+  for (std::uint64_t i = 0; i < paths; ++i) {
+    ++load[plane.shard_of("/data/part-" + std::to_string(i))];
   }
-  const double mean = static_cast<double>(keys) / 8.0;
+  // One standard deviation of a shard's share is about 0.9% of the mean.
+  const double mean = static_cast<double>(paths) / 8.0;
   for (const auto l : load) {
-    EXPECT_GT(static_cast<double>(l), 0.6 * mean);
-    EXPECT_LT(static_cast<double>(l), 1.5 * mean);
+    EXPECT_GT(static_cast<double>(l), 0.95 * mean);
+    EXPECT_LT(static_cast<double>(l), 1.05 * mean);
   }
 }
 
@@ -155,10 +155,10 @@ TEST(MetaPlane, SingleShardMatchesPlainMiniDfsByteForByte) {
   write_file(plain, "/data/b", 25);
 
   EXPECT_EQ(plane.dfs(0).namespace_digest(), plain.namespace_digest());
-  EXPECT_EQ(plane.total_blocks(), plain.num_blocks());
+  EXPECT_EQ(total_blocks(plane), plain.num_blocks());
   auto plain_files = plain.list_files();  // MiniDfs lists in map order
   std::sort(plain_files.begin(), plain_files.end());
-  EXPECT_EQ(plane.list_files(), plain_files);
+  EXPECT_EQ(all_files(plane), plain_files);
 }
 
 // Every shard shares the same DfsOptions (seed included), so a file ingested
@@ -192,16 +192,13 @@ TEST(MetaPlane, RoutesFilesToOwningShardAndListsUnion) {
     write_file(plane, files.back(), 10);
   }
   for (std::uint32_t s = 0; s < 4; ++s) {
-    EXPECT_TRUE(plane.exists(files[s]));
+    EXPECT_EQ(&plane.dfs_for(files[s]), &plane.dfs(s));
     EXPECT_TRUE(plane.dfs(s).exists(files[s]));
     EXPECT_EQ(plane.dfs(s).list_files().size(), 1u);
   }
   auto want = files;
   std::sort(want.begin(), want.end());
-  EXPECT_EQ(plane.list_files(), want);
-  EXPECT_EQ(plane.total_blocks(),
-            plane.dfs(0).num_blocks() + plane.dfs(1).num_blocks() +
-                plane.dfs(2).num_blocks() + plane.dfs(3).num_blocks());
+  EXPECT_EQ(all_files(plane), want);
 }
 
 TEST(MetaPlane, ShardEpochsAreIsolated) {
@@ -210,44 +207,41 @@ TEST(MetaPlane, ShardEpochsAreIsolated) {
   const auto pb = path_on_shard(plane, 1, "/b/f");
   write_file(plane, pa, 10);
   write_file(plane, pb, 10);
-  const auto epochs = plane.shard_epochs();
+  const auto epochs = epochs_of(plane);
 
   // Churn on shard 0 only: replica corruption bumps its epoch.
   auto& dfs0 = plane.dfs(0);
   const auto block = dfs0.blocks_of(pa).front();
   dfs0.corrupt_replica(block, dfs0.replicas_snapshot(block).front());
 
-  EXPECT_GT(plane.shard_epoch(0), epochs[0]);
-  EXPECT_EQ(plane.shard_epoch(1), epochs[1]);
-  EXPECT_EQ(plane.shard_epoch(2), epochs[2]);
-  EXPECT_EQ(plane.shard_epoch(3), epochs[3]);
+  EXPECT_GT(plane.dfs(0).mutation_epoch(), epochs[0]);
+  EXPECT_EQ(plane.dfs(1).mutation_epoch(), epochs[1]);
+  EXPECT_EQ(plane.dfs(2).mutation_epoch(), epochs[2]);
+  EXPECT_EQ(plane.dfs(3).mutation_epoch(), epochs[3]);
 }
 
 TEST(MetaPlane, DurabilityRequiresAttachAndCrashIsTyped) {
   dd::MetaPlane plane(dd::ClusterTopology::flat(8), plane_options(2));
-  EXPECT_FALSE(plane.journals_attached());
-  EXPECT_THROW(plane.checkpoint_shard(0), std::logic_error);
   EXPECT_THROW(plane.crash_shard(0), std::logic_error);
   EXPECT_THROW((void)plane.journal_path(0), std::logic_error);
   EXPECT_THROW(plane.recover_shard(0), std::logic_error);  // not crashed
 
   TempDir tmp;
   plane.attach_journals(tmp.path());
-  EXPECT_TRUE(plane.journals_attached());
+  EXPECT_EQ(plane.journal_path(0), tmp.path() + "/shard0.edits");
   EXPECT_THROW(plane.attach_journals(tmp.path()), std::logic_error);
   EXPECT_THROW((void)plane.dfs(7), std::out_of_range);
 
   plane.crash_shard(1);
-  EXPECT_TRUE(plane.shard_crashed(1));
-  EXPECT_EQ(plane.crashed_shards(), 1u);
+  EXPECT_NO_THROW((void)plane.dfs(0));
   try {
     (void)plane.dfs(1);
     FAIL() << "expected ShardUnavailableError";
   } catch (const dd::ShardUnavailableError& e) {
     EXPECT_EQ(e.shard_id, 1u);
   }
-  EXPECT_THROW((void)plane.namespace_digest(), dd::ShardUnavailableError);
-  EXPECT_THROW(plane.checkpoint_shard(1), dd::ShardUnavailableError);
+  EXPECT_THROW(plane.crash_shard(1), dd::ShardUnavailableError);
+  EXPECT_THROW((void)dd::fsck(plane), dd::ShardUnavailableError);
 }
 
 TEST(MetaPlane, KillOneShardOthersKeepServingThenRecover) {
@@ -267,7 +261,7 @@ TEST(MetaPlane, KillOneShardOthersKeepServingThenRecover) {
   const auto late = path_on_shard(plane, victim, "/late/f");
   write_file(plane, late, 8);
   const auto want = plane.dfs(victim).namespace_digest();
-  const auto epochs = plane.shard_epochs();
+  const auto epochs = epochs_of(plane);
 
   plane.crash_shard(victim);
 
@@ -279,28 +273,27 @@ TEST(MetaPlane, KillOneShardOthersKeepServingThenRecover) {
   }
   const auto extra = path_on_shard(plane, 1, "/during-outage/f");
   write_file(plane, extra, 5);
-  EXPECT_TRUE(plane.exists(extra));
-  EXPECT_THROW((void)plane.exists(files[victim]), dd::ShardUnavailableError);
+  EXPECT_TRUE(plane.dfs_for(extra).exists(extra));
+  EXPECT_THROW((void)plane.dfs_for(files[victim]), dd::ShardUnavailableError);
 
   const auto info = plane.recover_shard(victim);
   EXPECT_GT(info.replayed_frames, 0u);
-  EXPECT_FALSE(plane.shard_crashed(victim));
   EXPECT_EQ(plane.dfs(victim).namespace_digest(), want);
-  EXPECT_TRUE(plane.exists(late));
+  EXPECT_TRUE(plane.dfs_for(late).exists(late));
   // Recovery re-attached a fresh journal: later mutations stay durable.
   const auto post = path_on_shard(plane, victim, "/after-recovery/f");
   write_file(plane, post, 5);
   plane.crash_shard(victim);
   (void)plane.recover_shard(victim);
-  EXPECT_TRUE(plane.exists(post));
+  EXPECT_TRUE(plane.dfs_for(post).exists(post));
   // Epochs of untouched shards did not move across the victim's outage.
-  EXPECT_EQ(plane.shard_epoch(0), epochs[0]);
-  EXPECT_EQ(plane.shard_epoch(3), epochs[3]);
+  EXPECT_EQ(plane.dfs(0).mutation_epoch(), epochs[0]);
+  EXPECT_EQ(plane.dfs(3).mutation_epoch(), epochs[3]);
 
   const auto report = dd::fsck(plane);
   EXPECT_TRUE(report.healthy());
   ASSERT_EQ(report.shards.size(), 4u);
-  EXPECT_EQ(report.combined.total_blocks, plane.total_blocks());
+  EXPECT_EQ(report.combined.total_blocks, total_blocks(plane));
 }
 
 TEST(MetaPlane, PlaneFsckAggregatesAcrossShards) {
@@ -310,7 +303,7 @@ TEST(MetaPlane, PlaneFsckAggregatesAcrossShards) {
   }
   const auto clean = dd::fsck(plane);
   EXPECT_TRUE(clean.healthy());
-  EXPECT_EQ(clean.combined.total_blocks, plane.total_blocks());
+  EXPECT_EQ(clean.combined.total_blocks, total_blocks(plane));
   EXPECT_EQ(clean.combined.missing_blocks, 0u);
 
   // Sum of per-shard block counts must equal the combined count.

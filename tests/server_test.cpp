@@ -377,7 +377,7 @@ TEST(ServerEndToEnd, ServedDigestsMatchInProcessGoldenRuns) {
 
   const auto& hot = server.dataset().hot_keys;
   ASSERT_GE(hot.size(), 2u);
-  for (const std::string& sched : {"datanet", "locality"}) {
+  for (const char* sched : {"datanet", "locality"}) {
     for (std::size_t k = 0; k < 2; ++k) {
       srv::QueryRequest q = query_for("golden", hot[k], sched);
       const srv::ClientResult served = client.query(q);
