@@ -27,13 +27,13 @@ using namespace datanet;
 class KeyCountMapper final : public mapred::Mapper {
  public:
   void map(const workload::RecordView& r, mapred::Emitter& out) override {
-    out.emit(std::string(r.key), "1");
+    out.emit(r.key, "1");
   }
 };
 
 class SumReducer final : public mapred::Reducer {
  public:
-  void reduce(const mapred::Key& key, std::span<const mapred::Value> values,
+  void reduce(std::string_view key, std::span<const std::string_view> values,
               mapred::Emitter& out) override {
     std::uint64_t sum = 0;
     for (const auto& v : values) sum += static_cast<std::uint64_t>(v.size());
@@ -135,14 +135,14 @@ class WordEmitMapper final : public mapred::Mapper {
  public:
   void map(const workload::RecordView& r, mapred::Emitter& out) override {
     common::for_each_split(r.payload, ' ', [&](std::string_view w) {
-      if (!w.empty()) out.emit(std::string(w), "1");
+      if (!w.empty()) out.emit(w, "1");
     });
   }
 };
 
 class CountSumReducer final : public mapred::Reducer {
  public:
-  void reduce(const mapred::Key& key, std::span<const mapred::Value> values,
+  void reduce(std::string_view key, std::span<const std::string_view> values,
               mapred::Emitter& out) override {
     std::uint64_t sum = 0;
     for (const auto& v : values) {

@@ -44,7 +44,7 @@ class MergeReducer final : public mapred::Reducer {
  public:
   explicit MergeReducer(std::uint32_t precision) : precision_(precision) {}
 
-  void reduce(const mapred::Key& key, std::span<const mapred::Value> values,
+  void reduce(std::string_view key, std::span<const std::string_view> values,
               mapred::Emitter& out) override {
     bloom::HyperLogLog merged(precision_);
     for (const auto& v : values) {
@@ -63,7 +63,7 @@ class MergeCombiner final : public mapred::Reducer {
  public:
   explicit MergeCombiner(std::uint32_t precision) : precision_(precision) {}
 
-  void reduce(const mapred::Key& key, std::span<const mapred::Value> values,
+  void reduce(std::string_view key, std::span<const std::string_view> values,
               mapred::Emitter& out) override {
     bloom::HyperLogLog merged(precision_);
     for (const auto& v : values) {

@@ -18,7 +18,7 @@ class FilterStatsMapper final : public mapred::Mapper {
       return;
     }
     ++matched_;
-    out.emit(std::string(record.key), std::to_string(record.encoded_size()));
+    out.emit(record.key, std::to_string(record.encoded_size()));
   }
 
   // Counter totals are flushed once per task, not bumped per record — this
@@ -36,7 +36,7 @@ class FilterStatsMapper final : public mapred::Mapper {
 
 class SumReducer final : public mapred::Reducer {
  public:
-  void reduce(const mapred::Key& key, std::span<const mapred::Value> values,
+  void reduce(std::string_view key, std::span<const std::string_view> values,
               mapred::Emitter& out) override {
     std::uint64_t sum = 0;
     for (const auto& v : values) {

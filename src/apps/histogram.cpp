@@ -3,6 +3,8 @@
 #include <charconv>
 #include <cstdio>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -17,8 +19,8 @@ class HistogramMapper final : public mapred::Mapper {
   void map(const workload::RecordView& record, mapred::Emitter& out) override {
     (void)out;
     words_.clear();
-    common::tokenize_words(record.payload, words_);
-    for (const auto& w : words_) {
+    common::tokenize_words(record.payload, words_, lowered_);
+    for (const std::string_view w : words_) {
       ++length_counts_[w.size()];
       ++total_;
     }
@@ -36,14 +38,15 @@ class HistogramMapper final : public mapred::Mapper {
   }
 
  private:
-  std::vector<std::string> words_;
+  std::vector<std::string_view> words_;
+  std::string lowered_;
   std::unordered_map<std::size_t, std::uint64_t> length_counts_;
   std::uint64_t total_ = 0;
 };
 
 class SumReducer final : public mapred::Reducer {
  public:
-  void reduce(const mapred::Key& key, std::span<const mapred::Value> values,
+  void reduce(std::string_view key, std::span<const std::string_view> values,
               mapred::Emitter& out) override {
     std::uint64_t sum = 0;
     for (const auto& v : values) {

@@ -60,12 +60,12 @@ class MovingAverageMapper final : public mapred::Mapper {
 
 class AverageReducer final : public mapred::Reducer {
  public:
-  void reduce(const mapred::Key& key, std::span<const mapred::Value> values,
+  void reduce(std::string_view key, std::span<const std::string_view> values,
               mapred::Emitter& out) override {
     std::uint64_t sum = 0, count = 0;
     for (const auto& v : values) {
       const auto comma = v.find(',');
-      if (comma == std::string::npos) continue;
+      if (comma == std::string_view::npos) continue;
       sum += common::parse_u64(v.substr(0, comma)).value_or(0);
       count += common::parse_u64(v.substr(comma + 1)).value_or(0);
     }
@@ -80,12 +80,12 @@ class AverageReducer final : public mapred::Reducer {
 // Combiner keeps partials as "sum,count" without averaging.
 class PartialSumCombiner final : public mapred::Reducer {
  public:
-  void reduce(const mapred::Key& key, std::span<const mapred::Value> values,
+  void reduce(std::string_view key, std::span<const std::string_view> values,
               mapred::Emitter& out) override {
     std::uint64_t sum = 0, count = 0;
     for (const auto& v : values) {
       const auto comma = v.find(',');
-      if (comma == std::string::npos) continue;
+      if (comma == std::string_view::npos) continue;
       sum += common::parse_u64(v.substr(0, comma)).value_or(0);
       count += common::parse_u64(v.substr(comma + 1)).value_or(0);
     }

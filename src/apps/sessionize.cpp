@@ -37,7 +37,7 @@ class SessionizeMapper final : public mapred::Mapper {
   void map(const workload::RecordView& record, mapred::Emitter& out) override {
     const auto entity = extract_field(record.payload, field_prefix_);
     if (entity.empty()) return;
-    out.emit(std::string(entity), std::to_string(record.timestamp));
+    out.emit(entity, std::to_string(record.timestamp));
   }
 
  private:
@@ -48,7 +48,7 @@ class SessionizeReducer final : public mapred::Reducer {
  public:
   explicit SessionizeReducer(std::uint64_t gap) : gap_(gap) {}
 
-  void reduce(const mapred::Key& key, std::span<const mapred::Value> values,
+  void reduce(std::string_view key, std::span<const std::string_view> values,
               mapred::Emitter& out) override {
     timestamps_.clear();
     timestamps_.reserve(values.size());

@@ -89,17 +89,17 @@ class TopKReducer final : public mapred::Reducer {
  public:
   explicit TopKReducer(std::uint32_t k) : k_(k) {}
 
-  void reduce(const mapred::Key& key, std::span<const mapred::Value> values,
+  void reduce(std::string_view key, std::span<const std::string_view> values,
               mapred::Emitter& out) override {
     if (key != "topk") return;
     std::vector<std::pair<double, std::string_view>> all;
     all.reserve(values.size());
     for (const auto& v : values) {
       const auto tab = v.find('\t');
-      if (tab == std::string::npos) continue;
+      if (tab == std::string_view::npos) continue;
       const auto score = common::parse_double(v.substr(0, tab));
       if (!score) continue;
-      all.emplace_back(*score, std::string_view(v).substr(tab + 1));
+      all.emplace_back(*score, v.substr(tab + 1));
     }
     std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
       if (a.first != b.first) return a.first > b.first;
@@ -107,7 +107,7 @@ class TopKReducer final : public mapred::Reducer {
     });
     const std::size_t n = std::min<std::size_t>(k_, all.size());
     for (std::size_t i = 0; i < n; ++i) {
-      char rank[24];
+      char rank[32];  // "topk_" and up to 20 digits of a size_t
       std::snprintf(rank, sizeof(rank), "topk_%02zu", i);
       char score[32];
       std::snprintf(score, sizeof(score), "%.6f", all[i].first);

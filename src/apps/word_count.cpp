@@ -2,6 +2,8 @@
 
 #include <charconv>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/string_util.hpp"
@@ -14,17 +16,18 @@ class WordCountMapper final : public mapred::Mapper {
  public:
   void map(const workload::RecordView& record, mapred::Emitter& out) override {
     words_.clear();
-    common::tokenize_words(record.payload, words_);
-    for (auto& w : words_) out.emit(std::move(w), "1");
+    common::tokenize_words(record.payload, words_, lowered_);
+    for (const std::string_view w : words_) out.emit(w, "1");
   }
 
  private:
-  std::vector<std::string> words_;
+  std::vector<std::string_view> words_;
+  std::string lowered_;
 };
 
 class SumReducer final : public mapred::Reducer {
  public:
-  void reduce(const mapred::Key& key, std::span<const mapred::Value> values,
+  void reduce(std::string_view key, std::span<const std::string_view> values,
               mapred::Emitter& out) override {
     std::uint64_t sum = 0;
     for (const auto& v : values) {

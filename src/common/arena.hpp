@@ -2,8 +2,8 @@
 // Bump allocator for phase-scoped scratch: allocation is pointer arithmetic
 // into geometrically-growing chunks, and the whole arena is released (or
 // rewound with reset()) at once — no per-object frees. The mapred engine
-// gives each map task its own Arena for emitted pairs and the per-reducer
-// partition split, so the shuffle's (hash, key) vectors stop hitting the
+// gives each map task its own Arena for its per-reducer partition vectors
+// and the key and value bytes they view, so the shuffle stops hitting the
 // global heap per pair. Oversized requests fall back to dedicated blocks so
 // one huge vector never poisons the chunk chain. Not thread-safe: one arena
 // per task/thread by construction.

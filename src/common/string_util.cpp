@@ -1,5 +1,6 @@
 #include "common/string_util.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cctype>
 
@@ -58,7 +59,17 @@ constexpr std::array<char, 256> kWordChar = [] {
 
 }  // namespace
 
-void tokenize_words(std::string_view text, std::vector<std::string>& out) {
+void tokenize_words(std::string_view text, std::vector<std::string_view>& out,
+                    std::string& lowered) {
+  // No early exit: the whole-text reduction vectorizes.
+  bool upper = false;
+  for (const char ch : text) upper |= static_cast<unsigned char>(ch - 'A') < 26;
+  if (upper) {
+    // Non-word bytes map to 0 in the copy, so it splits where `text` does.
+    lowered.resize(text.size());
+    std::ranges::transform(text, lowered.begin(), word_char);
+    text = lowered;
+  }
   const std::size_t n = text.size();
   std::size_t i = 0;
   while (i < n) {
@@ -66,8 +77,7 @@ void tokenize_words(std::string_view text, std::vector<std::string>& out) {
     const std::size_t start = i;
     while (i < n && word_char(text[i]) != 0) ++i;
     if (i == start) break;
-    std::string& word = out.emplace_back(i - start, '\0');
-    for (std::size_t k = start; k < i; ++k) word[k - start] = word_char(text[k]);
+    out.push_back(text.substr(start, i - start));
   }
 }
 

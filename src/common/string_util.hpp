@@ -41,8 +41,13 @@ void for_each_split(std::string_view s, char sep, Fn&& fn) {
 [[nodiscard]] std::optional<std::int64_t> parse_i64(std::string_view s);
 [[nodiscard]] std::optional<double> parse_double(std::string_view s);
 
-// Tokenize into lowercase words (runs of [A-Za-z0-9']); used by WordCount and
-// the histogram/TopK jobs. Appends to `out` to allow buffer reuse.
-void tokenize_words(std::string_view text, std::vector<std::string>& out);
+// Tokenize into lowercase words (runs of [A-Za-z0-9'], lowercased as the C
+// locale does); used by WordCount and the word histogram. Appends one view
+// per word to `out`. Text with no uppercase byte is tokenized in place and
+// the views alias `text`; otherwise `lowered` is overwritten with a
+// lowercased copy of `text` and the views alias `lowered`, so they stay
+// valid until `lowered` next changes (the next call that needs it).
+void tokenize_words(std::string_view text, std::vector<std::string_view>& out,
+                    std::string& lowered);
 
 }  // namespace datanet::common

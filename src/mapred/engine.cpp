@@ -6,7 +6,10 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "common/arena.hpp"
 #include "common/hash.hpp"
@@ -125,11 +128,12 @@ constexpr std::uint64_t kPartitionSeed = 0x9e3779b9;
 using CounterList = Emitter::CounterList;
 
 // A map-output pair with its partition hash computed once and carried along
-// so the reduce stage never rehashes the key.
+// so the reduce stage never rehashes the key. Both views point into the map
+// task's arena, which lives until Engine::run returns.
 struct HashedPair {
   std::uint64_t hash = 0;
-  Key key;
-  Value value;
+  std::string_view key;
+  std::string_view value;
 };
 
 // The one grouping routine, shared by the combiner and the reducer. Pairs
@@ -139,61 +143,55 @@ struct HashedPair {
 // (hash, key) order with that key's values in arrival order — the call
 // sequence a stable sort of the pairs by (hash, key) produces, without
 // sorting the pairs: only the distinct keys are sorted, and the values are
-// placed by a counting sort over their group ids. As an Emitter it groups a
-// combiner job's map output as it is emitted, counting into `counters`.
+// placed by a counting sort over their group ids.
+//
+// Two ways in. As the map task's Emitter in a combiner job, emit() copies
+// each new key into the task arena once and appends each value to one flat
+// buffer, counting into `counters`. At the reduce stage, add() borrows keys
+// and values that already live in the task arenas and copies nothing.
 class KeyGrouper final : public Emitter {
  public:
-  explicit KeyGrouper(CounterList* counters = nullptr) { counters_ = counters; }
-
-  void emit(Key key, Value value) override {
-    // add() takes references, so `key` is hashed before anything moves it.
-    add(partition_hash(key), std::move(key), std::move(value));
+  KeyGrouper() = default;
+  KeyGrouper(common::Arena& arena, CounterList* counters) : arena_(&arena) {
+    counters_ = counters;
   }
 
-  void add(std::uint64_t hash, Key&& key, Value&& value) {
-    if (2 * (groups_.size() + 1) > slots_.size()) grow();
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = slot_of(hash);
-    while (true) {
-      Slot& s = slots_[i];
-      if (s.group == kEmpty) {
-        s = {hash, static_cast<std::uint32_t>(groups_.size())};
-        groups_.push_back({hash, std::move(key), 0});
-        break;
-      }
-      if (s.hash == hash && groups_[s.group].key == key) break;
-      i = (i + 1) & mask;
-    }
-    const std::uint32_t g = slots_[i].group;
-    ++groups_[g].count;
-    ids_.push_back(g);
-    values_.push_back(std::move(value));
+  void emit(std::string_view key, std::string_view value) override {
+    ids_.push_back(group_of(partition_hash(key), key));
+    value_bytes_.append(value);
+    value_ends_.push_back(value_bytes_.size());
+  }
+
+  void add(std::uint64_t hash, std::string_view key, std::string_view value) {
+    ids_.push_back(group_of(hash, key));
+    values_.push_back(value);
   }
 
   void reduce(Reducer& reducer, Emitter& out) {
-    std::vector<std::uint32_t> order(groups_.size());
-    for (std::uint32_t g = 0; g < order.size(); ++g) order[g] = g;
-    std::sort(order.begin(), order.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-                const Group& x = groups_[a];
-                const Group& y = groups_[b];
-                if (x.hash != y.hash) return x.hash < y.hash;
-                return x.key < y.key;
-              });
+    // Distinct keys in (hash, key) order, sorted as flat (hash, group)
+    // pairs: keys are compared only inside a run of equal hashes.
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> order(groups_.size());
+    for (std::uint32_t g = 0; g < order.size(); ++g) {
+      order[g] = {groups_[g].hash, g};
+    }
+    std::sort(order.begin(), order.end(), [this](const auto& a, const auto& b) {
+      if (a.first != b.first) return a.first < b.first;
+      return groups_[a.second].key < groups_[b.second].key;
+    });
     // Each group's values land contiguously, groups in visiting order.
-    std::vector<std::uint32_t> next(groups_.size());
-    std::uint32_t offset = 0;
-    for (const std::uint32_t g : order) {
+    std::vector<std::size_t> next(groups_.size());
+    std::size_t offset = 0;
+    for (const auto& [hash, g] : order) {
       next[g] = offset;
       offset += groups_[g].count;
     }
-    std::vector<Value> grouped(values_.size());
-    for (std::size_t i = 0; i < values_.size(); ++i) {
-      grouped[next[ids_[i]]++] = std::move(values_[i]);
+    std::vector<std::string_view> grouped(ids_.size());
+    for (std::size_t i = 0; i < ids_.size(); ++i) {
+      grouped[next[ids_[i]]++] = value(i);
     }
-    const std::span<const Value> all(grouped);
+    const std::span<const std::string_view> all(grouped);
     offset = 0;
-    for (const std::uint32_t g : order) {
+    for (const auto& [hash, g] : order) {
       reducer.reduce(groups_[g].key, all.subspan(offset, groups_[g].count),
                      out);
       offset += groups_[g].count;
@@ -208,9 +206,40 @@ class KeyGrouper final : public Emitter {
   };
   struct Group {
     std::uint64_t hash;
-    Key key;
+    std::string_view key;
     std::uint32_t count;
   };
+
+  // The group of (hash, key), opened on first sight; an emitted key is then
+  // copied into the arena, a borrowed one is kept as it is.
+  std::uint32_t group_of(std::uint64_t hash, std::string_view key) {
+    if (2 * (groups_.size() + 1) > slots_.size()) grow();
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = slot_of(hash);; i = (i + 1) & mask) {
+      Slot& s = slots_[i];
+      if (s.group == kEmpty) {
+        s = {hash, static_cast<std::uint32_t>(groups_.size())};
+        if (arena_ != nullptr) {
+          char* bytes = static_cast<char*>(arena_->allocate(key.size(), 1));
+          std::ranges::copy(key, bytes);
+          key = {bytes, key.size()};
+        }
+        groups_.push_back({hash, key, 1});
+        return s.group;
+      }
+      if (s.hash == hash && groups_[s.group].key == key) {
+        ++groups_[s.group].count;
+        return s.group;
+      }
+    }
+  }
+
+  // The i-th value in arrival order.
+  [[nodiscard]] std::string_view value(std::size_t i) const {
+    if (arena_ == nullptr) return values_[i];
+    const std::size_t begin = i == 0 ? 0 : value_ends_[i - 1];
+    return std::string_view(value_bytes_).substr(begin, value_ends_[i] - begin);
+  }
 
   // Top bits: every key of one reduce partition shares hash % R, so the low
   // bits would cluster.
@@ -229,16 +258,20 @@ class KeyGrouper final : public Emitter {
     }
   }
 
+  common::Arena* arena_ = nullptr;  // null: keys and values are borrowed
   std::vector<Slot> slots_;  // power-of-two size, at most half full
   unsigned shift_ = 64;
   std::vector<Group> groups_;
   std::vector<std::uint32_t> ids_;  // group of each value, arrival order
-  std::vector<Value> values_;       // arrival order
+  std::vector<std::string_view> values_;  // borrowed values, arrival order
+  std::string value_bytes_;               // emitted values, back to back
+  std::vector<std::size_t> value_ends_;   // end of each in value_bytes_
 };
 
 struct TaskResult {
-  // The task's scratch arena backs `partitions`; declared first so the
-  // vectors die before their memory does.
+  // The task's scratch arena backs `partitions` and every key and value
+  // byte they view; declared first so the vectors die before their memory
+  // does.
   std::unique_ptr<common::Arena> arena;
   // Post-combiner map output, already split into one vector per reducer
   // (index = hash % R) — the serial global partition loop is gone.
@@ -250,9 +283,10 @@ struct TaskResult {
   std::uint64_t skipped = 0;
 };
 
-// Hashes each emitted key once and appends the pair to its reducer's slice
-// of the task result, in emission order. Counts go to `counters`; null drops
-// them (combiner counts never reached the report).
+// Hashes each emitted key once, copies the key and value bytes into the task
+// arena and appends the pair to its reducer's slice of the task result, in
+// emission order. Counts go to `counters`; null drops them (combiner counts
+// never reached the report).
 class PartitionEmitter final : public Emitter {
  public:
   PartitionEmitter(TaskResult& r, std::uint32_t num_reducers,
@@ -265,11 +299,16 @@ class PartitionEmitter final : public Emitter {
     }
     r.partition_bytes.assign(num_reducers, 0);
   }
-  void emit(Key key, Value value) override {
+  void emit(std::string_view key, std::string_view value) override {
     const std::uint64_t h = partition_hash(key);
     const auto p = static_cast<std::uint32_t>(h % r_.partitions.size());
     r_.partition_bytes[p] += key.size() + value.size() + 2;
-    r_.partitions[p].push_back(HashedPair{h, std::move(key), std::move(value)});
+    char* bytes = static_cast<char*>(
+        r_.arena->allocate(key.size() + value.size(), 1));
+    std::ranges::copy(key, bytes);
+    std::ranges::copy(value, bytes + key.size());
+    r_.partitions[p].push_back(
+        HashedPair{h, {bytes, key.size()}, {bytes + key.size(), value.size()}});
     ++r_.pair_count;
   }
 
@@ -277,12 +316,12 @@ class PartitionEmitter final : public Emitter {
   TaskResult& r_;
 };
 
-// Collects reducer output in emission order.
+// Collects reducer output in emission order, as owned strings.
 class VectorEmitter final : public Emitter {
  public:
   explicit VectorEmitter(CounterList& counters) { counters_ = &counters; }
-  void emit(Key key, Value value) override {
-    pairs_.emplace_back(std::move(key), std::move(value));
+  void emit(std::string_view key, std::string_view value) override {
+    pairs_.emplace_back(key, value);
   }
   [[nodiscard]] std::vector<std::pair<Key, Value>>& pairs() { return pairs_; }
 
@@ -430,7 +469,7 @@ JobReport Engine::run(const Job& job, const std::vector<InputSplit>& splits) con
         TaskResult& r = results[t];
         r.arena = std::make_unique<common::Arena>();
         PartitionEmitter partitioned(r, R, combine ? nullptr : &r.counters);
-        KeyGrouper grouper(&r.counters);
+        KeyGrouper grouper(*r.arena, &r.counters);
         Emitter& out = combine ? static_cast<Emitter&>(grouper) : partitioned;
         auto mapper = job.mapper_factory();
         r.skipped = workload::for_each_record(
@@ -472,9 +511,9 @@ JobReport Engine::run(const Job& job, const std::vector<InputSplit>& splits) con
   std::vector<CounterList> reduce_counters(R);
   common::parallel_for(pool, R, [&](std::size_t p) {
     KeyGrouper grouper;
-    for (auto& r : results) {
-      for (auto& hp : r.partitions[p]) {
-        grouper.add(hp.hash, std::move(hp.key), std::move(hp.value));
+    for (const auto& r : results) {
+      for (const auto& hp : r.partitions[p]) {
+        grouper.add(hp.hash, hp.key, hp.value);
       }
     }
     VectorEmitter out(reduce_counters[p]);

@@ -30,6 +30,15 @@
 // combiner's) within a task. That is exactly the call sequence a stable sort
 // of the pairs by (hash, key) yields, so stateful reducers see the same
 // input whatever the grouping method.
+//
+// Ownership (job.hpp): keys and values are std::string_views, and a view
+// passed to emit lives only through that call. Each map task copies what it
+// keeps into its own arena, which lives until run() returns: in a combiner
+// job, each distinct key once per task and each value once (into one flat
+// buffer that dies with the task); then each partitioned pair's key and
+// value. The reduce stage groups views into those arenas and copies
+// nothing. A reducer's views live until its reduce() returns; what it emits
+// is copied into JobReport::output's strings.
 
 #include <cstdint>
 #include <functional>

@@ -3,6 +3,14 @@
 // parse records, reducers aggregate), while a per-job cost model drives the
 // deterministic simulated clock used for all timing figures. Mappers are
 // created per task so they may keep state (combining, windows, top-K heaps).
+//
+// Ownership rule: keys and values travel as std::string_view. A view passed
+// to Emitter::emit needs to live only through that call, because the engine
+// copies what it keeps. Grouping a combiner job's map output, it copies each
+// distinct key once per task into the map task's arena and each value once
+// into a flat buffer; each pair it partitions for the reducers goes into the
+// arena too. The views a Reducer receives live until its reduce() returns;
+// a reducer that keeps a key or value past that must copy it.
 
 #include <cstdint>
 #include <functional>
@@ -18,6 +26,7 @@
 
 namespace datanet::mapred {
 
+// The owned form of a key and a value: JobReport::output's entries.
 using Key = std::string;
 using Value = std::string;
 
@@ -29,7 +38,8 @@ class Emitter {
   using CounterList = std::vector<std::pair<std::string, std::uint64_t>>;
 
   virtual ~Emitter() = default;
-  virtual void emit(Key key, Value value) = 0;
+  // `key` and `value` need to stay valid only until emit returns.
+  virtual void emit(std::string_view key, std::string_view value) = 0;
 
   // Hadoop-style named counters: accumulated per task and merged into the
   // JobReport. Counting is side-channel telemetry — it never affects
@@ -65,8 +75,10 @@ class Reducer {
  public:
   virtual ~Reducer() = default;
   // `values` are all values observed for `key` (combiner: within one task;
-  // reducer: across all tasks), in deterministic task-then-emit order.
-  virtual void reduce(const Key& key, std::span<const Value> values,
+  // reducer: across all tasks), in deterministic task-then-emit order. The
+  // key, the span and the views in it live until reduce returns.
+  virtual void reduce(std::string_view key,
+                      std::span<const std::string_view> values,
                       Emitter& out) = 0;
 };
 

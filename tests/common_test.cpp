@@ -271,30 +271,34 @@ TEST(StringUtil, ParseDouble) {
 }
 
 TEST(StringUtil, TokenizeWordsLowercases) {
-  std::vector<std::string> words;
-  dc::tokenize_words("Hello World", words);
+  std::vector<std::string_view> words;
+  std::string lowered;
+  dc::tokenize_words("Hello World", words, lowered);
   ASSERT_EQ(words.size(), 2u);
   EXPECT_EQ(words[0], "hello");
   EXPECT_EQ(words[1], "world");
 }
 
 TEST(StringUtil, TokenizeWordsPunctuation) {
-  std::vector<std::string> words;
-  dc::tokenize_words("don't stop, now! 42x", words);
+  std::vector<std::string_view> words;
+  std::string lowered;
+  dc::tokenize_words("don't stop, now! 42x", words, lowered);
   ASSERT_EQ(words.size(), 4u);
   EXPECT_EQ(words[0], "don't");
   EXPECT_EQ(words[3], "42x");
 }
 
 TEST(StringUtil, TokenizeWordsAppends) {
-  std::vector<std::string> words{"pre"};
-  dc::tokenize_words("a b", words);
+  std::vector<std::string_view> words{"pre"};
+  std::string lowered;
+  dc::tokenize_words("a b", words, lowered);
   EXPECT_EQ(words.size(), 3u);
 }
 
 TEST(StringUtil, TokenizeWordsEmpty) {
-  std::vector<std::string> words;
-  dc::tokenize_words("  ,,, ", words);
+  std::vector<std::string_view> words;
+  std::string lowered;
+  dc::tokenize_words("  ,,, ", words, lowered);
   EXPECT_TRUE(words.empty());
 }
 
@@ -319,9 +323,10 @@ std::vector<std::string> reference_tokenize(std::string_view text) {
 }
 
 std::vector<std::string> tokenize(std::string_view text) {
-  std::vector<std::string> out;
-  dc::tokenize_words(text, out);
-  return out;
+  std::vector<std::string_view> words;
+  std::string lowered;
+  dc::tokenize_words(text, words, lowered);
+  return {words.begin(), words.end()};
 }
 
 }  // namespace
@@ -338,6 +343,7 @@ TEST(StringUtil, TokenizeWordsMatchesCLocaleOnEveryByte) {
 
 TEST(StringUtil, TokenizeWordsMatchesCLocaleOnRandomBytes) {
   dc::Rng rng(1234);
+  std::string lowered;  // reused across cases, as the mappers reuse theirs
   for (int i = 0; i < 3000; ++i) {
     std::string text(rng.bounded(80), '\0');
     const bool ascii_heavy = rng.bernoulli(0.5);
@@ -346,12 +352,43 @@ TEST(StringUtil, TokenizeWordsMatchesCLocaleOnRandomBytes) {
                ? "aZ09' .,\t-Q"[rng.bounded(11)]
                : static_cast<char>(rng.bounded(256));
     }
-    std::vector<std::string> appended{"pre"};
-    dc::tokenize_words(text, appended);
+    std::vector<std::string_view> appended{"pre"};
+    dc::tokenize_words(text, appended, lowered);
     auto want = reference_tokenize(text);
     want.insert(want.begin(), "pre");
-    ASSERT_EQ(appended, want) << "case " << i;
+    ASSERT_EQ(std::vector<std::string>(appended.begin(), appended.end()), want)
+        << "case " << i;
   }
+}
+
+TEST(StringUtil, TokenizeWordViewsAliasInputUnlessUppercase) {
+  const auto inside = [](std::string_view view, std::string_view bytes) {
+    return view.data() >= bytes.data() &&
+           view.data() + view.size() <= bytes.data() + bytes.size();
+  };
+  std::string lowered;
+
+  const std::string lower = "rating=4 the quick fox's 42nd jump, again!";
+  std::vector<std::string_view> words;
+  dc::tokenize_words(lower, words, lowered);
+  EXPECT_EQ(std::vector<std::string>(words.begin(), words.end()),
+            reference_tokenize(lower));
+  for (const auto& w : words) EXPECT_TRUE(inside(w, lower)) << w;
+
+  const std::string mixed = "The Quick FOX's 42nd Jump, again!";
+  words.clear();
+  dc::tokenize_words(mixed, words, lowered);
+  const std::vector<std::string> copied(words.begin(), words.end());
+  EXPECT_EQ(copied, reference_tokenize(mixed));
+  for (const auto& w : words) EXPECT_TRUE(inside(w, lowered)) << w;
+
+  // A second call rewrites `lowered`; what the caller copied stands.
+  const std::string longer = "Another MIXED-case line, Longer than the first one";
+  words.clear();
+  dc::tokenize_words(longer, words, lowered);
+  EXPECT_EQ(std::vector<std::string>(words.begin(), words.end()),
+            reference_tokenize(longer));
+  EXPECT_EQ(copied, reference_tokenize(mixed));
 }
 
 // ---- units ----

@@ -29,7 +29,7 @@ class KeyCountMapper final : public dm::Mapper {
 
 class SumReducer final : public dm::Reducer {
  public:
-  void reduce(const dm::Key& key, std::span<const dm::Value> values,
+  void reduce(std::string_view key, std::span<const std::string_view> values,
               dm::Emitter& out) override {
     std::uint64_t sum = 0;
     for (const auto& v : values) {
@@ -298,7 +298,7 @@ class CountingMapper final : public dm::Mapper {
 };
 class CountingReducer final : public dm::Reducer {
  public:
-  void reduce(const dm::Key& key, std::span<const dm::Value> values,
+  void reduce(std::string_view key, std::span<const std::string_view> values,
               dm::Emitter& out) override {
     out.count("keys_reduced");
     out.emit(key, std::to_string(values.size()));
@@ -406,11 +406,11 @@ class RecordingReducer final : public dm::Reducer {
     const std::lock_guard lock(sink_.mu);
     sink_.logs.push_back(std::move(log_));
   }
-  void reduce(const dm::Key& key, std::span<const dm::Value> values,
+  void reduce(std::string_view key, std::span<const std::string_view> values,
               dm::Emitter& out) override {
     log_.emplace_back(key, std::vector<std::string>(values.begin(), values.end()));
     std::string joined;
-    for (const auto& v : values) joined += v + ",";
+    for (const auto& v : values) (joined += v) += ",";
     if (!combiner_) {
       out.emit(key, joined);
       return;
@@ -423,7 +423,7 @@ class RecordingReducer final : public dm::Reducer {
         break;
       default:
         out.emit(key, joined);
-        out.emit("derived_" + key.substr(key.size() / 2), key);
+        out.emit("derived_" + std::string(key.substr(key.size() / 2)), key);
     }
   }
 
@@ -456,8 +456,8 @@ class OrderMapper final : public dm::Mapper {
 
 class PairCollector final : public dm::Emitter {
  public:
-  void emit(dm::Key key, dm::Value value) override {
-    pairs.emplace_back(std::move(key), std::move(value));
+  void emit(std::string_view key, std::string_view value) override {
+    pairs.emplace_back(key, value);
   }
   std::vector<std::pair<dm::Key, dm::Value>> pairs;
 };
@@ -473,7 +473,7 @@ std::vector<std::pair<dm::Key, dm::Value>> sort_and_reduce(
   });
   PairCollector out;
   for (std::size_t i = 0; i < pairs.size();) {
-    std::vector<dm::Value> values;
+    std::vector<std::string_view> values;
     std::size_t j = i;
     for (; j < pairs.size() && pairs[j].first == pairs[i].first; ++j) {
       values.push_back(pairs[j].second);
@@ -564,6 +564,138 @@ TEST(Engine, GroupingOrderMatchesStableSortReference) {
         EXPECT_EQ(combine_sink.sorted(), ref_combine.sorted()) << where;
         EXPECT_EQ(reduce_sink.sorted(), ref_reduce.sorted()) << where;
       }
+    }
+  }
+}
+
+// ---- view lifetimes ----
+
+namespace {
+
+// Long enough that every scratch key leaves the small-string buffer, so
+// freeing the scratch string really frees the bytes a view pointed at.
+constexpr std::string_view kScratchPrefix = "scratch_key_past_the_sso_buffer_";
+
+// Builds each pair in one member buffer, emits views into it, then
+// overwrites and frees the buffer: a view the engine kept past emit would
+// read '#' bytes, or freed memory under ASan.
+class ScratchMapper final : public dm::Mapper {
+ public:
+  void map(const dw::RecordView& r, dm::Emitter& out) override {
+    out.count("records");
+    emit(out, r.key, std::to_string(r.timestamp % 7));
+    if (r.timestamp % 3 == 0) emit(out, "shared", "1");
+    ++records_;
+  }
+  void finish(dm::Emitter& out) override {
+    emit(out, "finish_count", std::to_string(records_));
+  }
+
+ private:
+  void emit(dm::Emitter& out, std::string_view key, std::string_view value) {
+    ((scratch_ = kScratchPrefix) += key) += value;
+    const std::string_view bytes(scratch_);
+    const std::size_t key_size = kScratchPrefix.size() + key.size();
+    out.emit(bytes.substr(0, key_size), bytes.substr(key_size));
+    std::fill(scratch_.begin(), scratch_.end(), '#');
+    std::string().swap(scratch_);
+  }
+
+  std::string scratch_;
+  std::uint64_t records_ = 0;
+};
+
+// Sums the values and emits the key and the sum from two buffers it reuses
+// (and scribbles over) from call to call.
+class ScratchSumReducer final : public dm::Reducer {
+ public:
+  void reduce(std::string_view key, std::span<const std::string_view> values,
+              dm::Emitter& out) override {
+    out.count("keys_reduced");
+    std::uint64_t sum = 0;
+    for (const auto& v : values) {
+      std::uint64_t x = 0;
+      std::from_chars(v.data(), v.data() + v.size(), x);
+      sum += x;
+    }
+    key_ = key;
+    value_ = std::to_string(sum);
+    out.emit(key_, value_);
+    std::fill(key_.begin(), key_.end(), '#');
+    std::fill(value_.begin(), value_.end(), '#');
+  }
+
+ private:
+  std::string key_;
+  std::string value_;
+};
+
+}  // namespace
+
+TEST(Engine, EmittedViewsNeedOnlyLiveThroughEmit) {
+  std::vector<std::string> blocks;
+  for (int s = 0; s < 5; ++s) {
+    std::string data;
+    for (int i = 0; i < 300; ++i) {
+      data += std::to_string(s * 1000 + i) + "\tkey_" +
+              std::to_string((s * 31 + i * 7) % 41) + "\tpayload\n";
+    }
+    blocks.push_back(std::move(data));
+  }
+  std::vector<dm::InputSplit> splits;
+  for (std::size_t s = 0; s < blocks.size(); ++s) {
+    splits.push_back({.node = static_cast<std::uint32_t>(s % 3),
+                      .data = blocks[s],
+                      .charged_bytes = 0});
+  }
+
+  // Reference in owned strings: the sum per key, the pairs each task emits,
+  // and the distinct keys per task (the pairs left after a combiner).
+  std::map<std::string, std::uint64_t> sums;
+  std::uint64_t records = 0;
+  std::uint64_t emitted_pairs = 0;
+  std::uint64_t combined_pairs = 0;
+  for (const auto& split : splits) {
+    std::map<std::string, std::uint64_t> task_sums;
+    std::uint64_t task_records = 0;
+    const auto add = [&](std::string_view key, std::uint64_t value) {
+      task_sums[std::string(kScratchPrefix) + std::string(key)] += value;
+      ++emitted_pairs;
+    };
+    (void)dw::for_each_record(split.data, [&](const dw::RecordView& rv) {
+      add(rv.key, rv.timestamp % 7);
+      if (rv.timestamp % 3 == 0) add("shared", 1);
+      ++task_records;
+    });
+    add("finish_count", task_records);
+    records += task_records;
+    combined_pairs += task_sums.size();
+    for (const auto& [key, sum] : task_sums) sums[key] += sum;
+  }
+  std::map<dm::Key, dm::Value> want_output;
+  for (const auto& [key, sum] : sums) want_output[key] = std::to_string(sum);
+  const std::map<std::string, std::uint64_t> want_counters = {
+      {"keys_reduced", sums.size()}, {"records", records}};
+
+  for (const bool combiner : {false, true}) {
+    dm::Job job;
+    job.config.num_reducers = 5;
+    job.mapper_factory = [] { return std::make_unique<ScratchMapper>(); };
+    job.reducer_factory = [] { return std::make_unique<ScratchSumReducer>(); };
+    if (combiner) {
+      job.combiner_factory = [] { return std::make_unique<ScratchSumReducer>(); };
+    }
+    for (const std::uint32_t threads : {1u, 4u}) {
+      dm::Engine engine(
+          {.num_nodes = 3, .slots_per_node = 2, .execution_threads = threads});
+      const auto report = engine.run(job, splits);
+      const std::string where = "combiner=" + std::to_string(combiner) +
+                                " threads=" + std::to_string(threads);
+      EXPECT_EQ(report.output, want_output) << where;
+      EXPECT_EQ(report.counters, want_counters) << where;
+      EXPECT_EQ(report.map_output_pairs,
+                combiner ? combined_pairs : emitted_pairs)
+          << where;
     }
   }
 }

@@ -317,8 +317,8 @@ TEST_P(EngineLaws, RecordAndByteConservation) {
     }
   };
   struct CountReducer final : datanet::mapred::Reducer {
-    void reduce(const datanet::mapred::Key& key,
-                std::span<const datanet::mapred::Value> values,
+    void reduce(std::string_view key,
+                std::span<const std::string_view> values,
                 datanet::mapred::Emitter& out) override {
       out.emit(key, std::to_string(values.size()));
     }
