@@ -468,21 +468,10 @@ SelectionResult SelectionRuntime::run_graph(const dfs::MiniDfs& dfs,
     // priced from. Every read, pin and fault/monitor hook stayed on this
     // thread above; only the scans fan out, each into its own task's slots.
     std::vector<mapred::SplitCensus> task_census(num_tasks);
-    const auto filter_task = [&](std::size_t j) {
-      if (done[j]) {
-        task_census[j] = filter_lines(task_data[j], key, task_output[j]);
-      }
-    };
-    const std::size_t threads = std::min(
-        common::resolve_thread_count(cfg.execution_threads), num_tasks);
-    if (threads <= 1) {
-      for (std::size_t j = 0; j < num_tasks; ++j) filter_task(j);
-    } else {
-      // One task per closure, as in the engine's map stage: a worker that
-      // loses its core delays one block's scan, not a chunk of them.
-      common::ThreadPool pool(threads);
-      common::parallel_for(pool, num_tasks, filter_task, /*grain=*/1);
-    }
+    common::parallel_for(cfg.execution_threads, num_tasks, [&](std::size_t j) {
+      if (!done[j]) return;
+      task_census[j] = filter_lines(task_data[j], key, task_output[j]);
+    }, /*grain=*/1);  // one block per claim, as in the engine's map stage
 
     // Rebuild the node-local view in task order, so the final buffers are
     // independent of the retry history. Each task's staging is handed over

@@ -4,7 +4,6 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 
 #include "common/thread_pool.hpp"
 
@@ -79,30 +78,14 @@ ElasticMapArray ElasticMapArray::build(const dfs::MiniDfs& dfs,
   const auto& blocks = dfs.blocks_of(path);
   out.block_ids_ = blocks;
 
-  const std::uint32_t threads =
-      options.build_threads != 0
-          ? options.build_threads
-          : std::max(1u, std::thread::hardware_concurrency());
-  if (threads <= 1 || blocks.size() <= 1) {
-    out.metas_.reserve(blocks.size());
-    for (const dfs::BlockId bid : blocks) {
-      std::uint64_t scanned = 0;
-      out.metas_.push_back(scan_block(dfs, bid, sep, options, &scanned));
-      out.raw_bytes_ += scanned;
-    }
-    return out;
-  }
-
-  // Parallel scan: blocks are independent, so results land in preallocated
-  // slots and the outcome is identical to the serial path.
+  // Blocks are independent, so each scan lands in its own preallocated slot
+  // and the outcome is identical at any thread count.
   std::vector<std::optional<BlockMeta>> slots(blocks.size());
   std::vector<std::uint64_t> scanned(blocks.size(), 0);
-  {
-    common::ThreadPool pool(threads);
-    common::parallel_for(pool, blocks.size(), [&](std::size_t i) {
-      slots[i] = scan_block(dfs, blocks[i], sep, options, &scanned[i]);
-    });
-  }
+  common::parallel_for(options.build_threads, blocks.size(),
+                       [&](std::size_t i) {
+    slots[i] = scan_block(dfs, blocks[i], sep, options, &scanned[i]);
+  });
   out.metas_.reserve(blocks.size());
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     out.metas_.push_back(std::move(*slots[i]));

@@ -23,9 +23,9 @@ struct BuildOptions {
   // Bucket geometry; zero unit means "derive from the DFS block size with
   // the paper's 64 MiB ratios" (SeparatorOptions::for_block_size).
   SeparatorOptions separator{.bucket_unit = 0, .bucket_max = 0};
-  // Worker threads for the build scan. Blocks are independent, so the
-  // result is bit-identical at any thread count. 1 = serial (default),
-  // 0 = hardware concurrency.
+  // Threads for the build scan (common::parallel_for). Blocks are
+  // independent, so the result is bit-identical at any thread count.
+  // 1 = serial on the caller (default), 0 = hardware concurrency.
   std::uint32_t build_threads = 1;
 };
 

@@ -445,10 +445,6 @@ JobReport Engine::run(const Job& job, const std::vector<InputSplit>& splits) con
   JobReport report;
   const std::uint32_t R = job.config.num_reducers;
 
-  // One pool serves the whole run: map tasks and the per-partition
-  // group+reduce stage share it.
-  common::ThreadPool pool(
-      common::resolve_thread_count(options_.execution_threads));
   const auto wall_now = [] { return std::chrono::steady_clock::now(); };
   const auto wall_since = [](std::chrono::steady_clock::time_point t0,
                              std::chrono::steady_clock::time_point t1) {
@@ -464,7 +460,7 @@ JobReport Engine::run(const Job& job, const std::vector<InputSplit>& splits) con
   std::vector<TaskResult> results(splits.size());
   const bool combine = static_cast<bool>(job.combiner_factory);
   common::parallel_for(
-      pool, splits.size(),
+      options_.execution_threads, splits.size(),
       [&](std::size_t t) {
         TaskResult& r = results[t];
         r.arena = std::make_unique<common::Arena>();
@@ -509,7 +505,7 @@ JobReport Engine::run(const Job& job, const std::vector<InputSplit>& splits) con
   // order, so output and counters are identical at any thread count.
   std::vector<std::vector<std::pair<Key, Value>>> reduced(R);
   std::vector<CounterList> reduce_counters(R);
-  common::parallel_for(pool, R, [&](std::size_t p) {
+  common::parallel_for(options_.execution_threads, R, [&](std::size_t p) {
     KeyGrouper grouper;
     for (const auto& r : results) {
       for (const auto& hp : r.partitions[p]) {

@@ -1,8 +1,9 @@
 #pragma once
 // The MapReduce engine: executes a Job over input splits placed on cluster
-// nodes. Real work happens on a thread pool; simulated time is computed
-// deterministically from the cost model and the split->node placement, so a
-// run's JobReport is bit-for-bit reproducible regardless of thread count.
+// nodes. Real work runs as fork-join loops on the process-wide pool
+// (common::parallel_for); simulated time is computed deterministically from
+// the cost model and the split->node placement, so a run's JobReport is
+// bit-for-bit reproducible regardless of thread count.
 //
 // Timing model (matches the phase structure measured in Section V):
 //   * map: each node runs its splits on `slots_per_node` slots in arrival
@@ -16,8 +17,10 @@
 //
 // Real execution is parallel end to end: map tasks emit pre-partitioned
 // output (key hash computed once per pair and cached), and the per-partition
-// group+reduce stage runs on the same thread pool as the map stage. All
-// results and simulated timings are bit-identical at any thread count.
+// group+reduce stage is a second parallel_for: the caller takes tasks beside
+// the pool workers (or alone, if another loop holds the pool), and no worker
+// is left inside a stage when it returns. All results and simulated timings
+// are bit-identical at any thread count.
 //
 // Grouping is by hash, with one routine for the combiner and the reducer: a
 // flat open-addressing table keyed by (partition_hash(key), key) collects

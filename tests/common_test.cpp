@@ -6,10 +6,14 @@
 #include <array>
 #include <atomic>
 #include <cctype>
+#include <chrono>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <unordered_set>
+#include <vector>
 
 #include "common/hash.hpp"
 #include "common/rng.hpp"
@@ -409,75 +413,107 @@ TEST(Units, FormatBytes) {
 
 // ---- thread pool ----
 
-TEST(ThreadPool, RunsAllTasks) {
-  dc::ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPool) {
-  dc::ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
-}
-
 TEST(ThreadPool, ZeroThreadsClampedToOne) {
-  dc::ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1u);
-  std::atomic<int> x{0};
-  pool.submit([&] { x = 5; });
-  pool.wait_idle();
-  EXPECT_EQ(x.load(), 5);
+  // 0 means one per hardware thread, never zero threads.
+  EXPECT_GE(dc::resolve_thread_count(0), 1u);
+  std::vector<std::atomic<int>> hits(64);
+  dc::parallel_for(0, hits.size(), [&](std::size_t i) { ++hits[i]; },
+                   /*grain=*/1);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ParallelForCoversAllIndices) {
-  dc::ThreadPool pool(8);
   std::vector<std::atomic<int>> hits(64);
-  dc::parallel_for(pool, 64, [&](std::size_t i) { ++hits[i]; });
+  dc::parallel_for(8, 64, [&](std::size_t i) { ++hits[i]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ParallelForZeroIterations) {
-  dc::ThreadPool pool(4);
   std::atomic<int> calls{0};
-  dc::parallel_for(pool, 0, [&](std::size_t) { ++calls; });
+  dc::parallel_for(4, 0, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls.load(), 0);
 }
 
 TEST(ThreadPool, ParallelForFewerIterationsThanThreads) {
-  dc::ThreadPool pool(8);
   std::vector<std::atomic<int>> hits(3);
-  dc::parallel_for(pool, 3, [&](std::size_t i) { ++hits[i]; });
+  dc::parallel_for(8, 3, [&](std::size_t i) { ++hits[i]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ParallelForManyMoreIterationsThanThreads) {
   // Auto grain chunks the range; every index must still run exactly once.
-  dc::ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(10000);
-  dc::parallel_for(pool, hits.size(), [&](std::size_t i) { ++hits[i]; });
+  dc::parallel_for(4, hits.size(), [&](std::size_t i) { ++hits[i]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ParallelForGrainOverride) {
-  dc::ThreadPool pool(4);
   for (const std::size_t grain : {std::size_t{1}, std::size_t{7},
                                   std::size_t{64}, std::size_t{1000}}) {
     std::vector<std::atomic<int>> hits(100);
-    dc::parallel_for(pool, hits.size(), [&](std::size_t i) { ++hits[i]; },
+    dc::parallel_for(4, hits.size(), [&](std::size_t i) { ++hits[i]; },
                      grain);
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
   }
 }
 
 TEST(ThreadPool, ReusableAfterWait) {
-  dc::ThreadPool pool(2);
   std::atomic<int> count{0};
-  dc::parallel_for(pool, 10, [&](std::size_t) { ++count; });
-  dc::parallel_for(pool, 10, [&](std::size_t) { ++count; });
+  dc::parallel_for(2, 10, [&](std::size_t) { ++count; }, /*grain=*/1);
+  dc::parallel_for(2, 10, [&](std::size_t) { ++count; }, /*grain=*/1);
   EXPECT_EQ(count.load(), 20);
+}
+
+TEST(ThreadPool, BodyExceptionReachesCallerAndPoolStaysUsable) {
+  EXPECT_THROW(dc::parallel_for(4, 1000, [&](std::size_t i) {
+    if (i == 0) throw std::runtime_error("body failed");
+  }, /*grain=*/1), std::runtime_error);
+  // Thrown only on a worker: the caller naps on each index it claims, so a
+  // worker joins long before the caller could finish the range alone.
+  const auto caller = std::this_thread::get_id();
+  EXPECT_THROW(dc::parallel_for(4, 1000, [&](std::size_t) {
+    if (std::this_thread::get_id() != caller) {
+      throw std::runtime_error("worker body failed");
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }, /*grain=*/1), std::runtime_error);
+  std::vector<std::atomic<int>> hits(1000);
+  dc::parallel_for(4, hits.size(), [&](std::size_t i) { ++hits[i]; },
+                   /*grain=*/1);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, NestedAndConcurrentCallsComplete) {
+  // A loop nested inside a body finds the pool busy and runs inline.
+  constexpr std::size_t kOuter = 16;
+  constexpr std::size_t kInner = 32;
+  std::vector<std::atomic<int>> nested(kOuter * kInner);
+  dc::parallel_for(4, kOuter, [&](std::size_t i) {
+    dc::parallel_for(4, kInner,
+                     [&](std::size_t j) { ++nested[i * kInner + j]; },
+                     /*grain=*/1);
+  }, /*grain=*/1);
+  for (const auto& h : nested) EXPECT_EQ(h.load(), 1);
+
+  // Two callers at once: one gets the pool, the other runs alone; both
+  // cover their whole range.
+  constexpr std::size_t kN = 5000;
+  std::vector<std::atomic<int>> a(kN);
+  std::vector<std::atomic<int>> b(kN);
+  for (int round = 0; round < 20; ++round) {
+    std::thread ta([&] {
+      dc::parallel_for(4, kN, [&](std::size_t i) { ++a[i]; }, /*grain=*/1);
+    });
+    std::thread tb([&] {
+      dc::parallel_for(4, kN, [&](std::size_t i) { ++b[i]; }, /*grain=*/1);
+    });
+    ta.join();
+    tb.join();
+  }
+  for (std::size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(a[i].load(), 20);
+    ASSERT_EQ(b[i].load(), 20);
+  }
 }
 
 // ---- table ----

@@ -509,20 +509,25 @@ TEST(HotPath, MonitorScanSkipsWhenEpochUnchanged) {
 // ---- parallel_for inline fast path ----
 
 TEST(HotPath, ParallelForRunsSmallRangesInlineAndCoversAllIndices) {
-  dco::ThreadPool pool(4);
   const auto caller = std::this_thread::get_id();
   // n <= grain: runs on the caller, no pool round trip.
   std::vector<std::thread::id> who(3);
-  dco::parallel_for(pool, 3, [&](std::size_t i) {
+  dco::parallel_for(4, 3, [&](std::size_t i) {
     who[i] = std::this_thread::get_id();
   }, /*grain=*/8);
   for (const auto& id : who) EXPECT_EQ(id, caller);
+  // Width 1: every index runs on the caller, whatever the range.
+  std::vector<std::thread::id> serial(100);
+  dco::parallel_for(1, serial.size(), [&](std::size_t i) {
+    serial[i] = std::this_thread::get_id();
+  }, /*grain=*/1);
+  for (const auto& id : serial) EXPECT_EQ(id, caller);
   // Large range still covers every index exactly once.
   std::vector<int> hits(10000, 0);
-  dco::parallel_for(pool, hits.size(), [&](std::size_t i) { ++hits[i]; });
+  dco::parallel_for(4, hits.size(), [&](std::size_t i) { ++hits[i]; });
   for (const int h : hits) ASSERT_EQ(h, 1);
   // Degenerate empty range is a no-op.
-  dco::parallel_for(pool, 0, [&](std::size_t) { FAIL(); });
+  dco::parallel_for(4, 0, [&](std::size_t) { FAIL(); });
 }
 
 // ---- zero-copy pin lifetime (PR 7 bugfix regression) ----
