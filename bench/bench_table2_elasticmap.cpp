@@ -4,10 +4,12 @@
 // representation ratios from 1857 up to 3497.
 //
 // Shape to match: accuracy falls and the representation ratio rises
-// monotonically as alpha shrinks. (Absolute ratios differ: our scaled
-// blocks are 128 KiB, not 64 MiB, so each block holds fewer sub-datasets.)
+// monotonically as alpha shrinks; the binary exits non-zero if either step
+// of the sweep breaks that. (Absolute ratios differ: our scaled blocks are
+// 128 KiB, not 64 MiB, so each block holds fewer sub-datasets.)
 
 #include <cstdio>
+#include <limits>
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
@@ -36,6 +38,10 @@ int main() {
   common::TextTable table({"alpha", "accuracy (chi)", "repr. ratio",
                            "meta KiB", "Eq.5 predicted KiB",
                            "avg dominant/block"});
+  bool chi_falls = true;
+  bool ratio_rises = true;
+  double prev_chi = std::numeric_limits<double>::infinity();
+  double prev_ratio = -std::numeric_limits<double>::infinity();
   for (const double alpha : {0.51, 0.40, 0.31, 0.25, 0.21, 0.15, 0.10}) {
     const auto em =
         elasticmap::ElasticMapArray::build(*ds.dfs, ds.path, {.alpha = alpha});
@@ -52,9 +58,15 @@ int main() {
     model.hashmap_record_bits = 128.0;
     model.hashmap_load_factor = 1.0;
     const auto predicted = elasticmap::elasticmap_cost_bytes(subdatasets, model);
+    const double chi = em.accuracy_chi(totals);
+    const double ratio = em.representation_ratio();
+    chi_falls = chi_falls && chi < prev_chi;
+    ratio_rises = ratio_rises && ratio > prev_ratio;
+    prev_chi = chi;
+    prev_ratio = ratio;
     table.add_row(
-        {common::fmt_percent(alpha, 0), common::fmt_percent(em.accuracy_chi(totals)),
-         common::fmt_double(em.representation_ratio(), 0),
+        {common::fmt_percent(alpha, 0), common::fmt_percent(chi),
+         common::fmt_double(ratio, 0),
          common::fmt_double(static_cast<double>(em.memory_bytes()) / 1024.0, 1),
          common::fmt_double(static_cast<double>(predicted) / 1024.0, 1),
          common::fmt_double(static_cast<double>(dominant) /
@@ -62,6 +74,12 @@ int main() {
                             1)});
   }
   std::printf("\n%s\n", table.to_string().c_str());
+  if (!chi_falls || !ratio_rises) {
+    std::printf("trend check FAILED:%s%s\n",
+                chi_falls ? "" : " accuracy does not fall as alpha shrinks;",
+                ratio_rises ? "" : " representation ratio does not rise;");
+    return 1;
+  }
   std::printf("trend check: accuracy decreases and representation ratio "
               "increases as alpha shrinks, as in Table II.\n");
   return 0;

@@ -1,7 +1,7 @@
 // Operating through failures: a cluster loses nodes mid-life, the NameNode
-// re-replicates, fsck verifies health, the balancer evens replica placement,
-// and sub-dataset analyses keep working with the same meta-data. Exercises
-// the fault-handling substrate end-to-end the way an operator would.
+// re-replicates, fsck verifies health, and sub-dataset analyses keep working
+// with the same meta-data. Exercises the fault-handling substrate end-to-end
+// the way an operator would.
 
 #include <cstdio>
 
@@ -55,13 +55,6 @@ int main() {
     std::printf("cluster unhealthy — aborting\n");
     return 1;
   }
-
-  // Re-replication targets were chosen randomly; the balancer evens out the
-  // per-node replica counts like the HDFS balancer would.
-  const auto balanced = dfs::balance_replicas(*ds.dfs, /*tolerance=*/1);
-  std::printf("balancer moved %llu replicas\n",
-              static_cast<unsigned long long>(balanced.moves));
-  report_health("after balancing:");
 
   // The same meta-data still schedules correctly: weights are per-block and
   // placement comes from the (repaired) replica map at scheduling time.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 #include "common/hash.hpp"
@@ -15,7 +14,7 @@ constexpr double kLn2 = 0.6931471805599453;
 constexpr std::uint32_t kSerialMagic = 0x424c4f4du;  // "BLOM"
 constexpr std::uint32_t kSerialVersion = 1;
 // Far above any useful hash count (the ctor clamps to 30); rejecting larger
-// values bounds the per-query work a corrupt header can demand.
+// values bounds the per-query work an explicit geometry can demand.
 constexpr std::uint32_t kMaxHashes = 1024;
 
 std::uint64_t round_up_words(std::uint64_t bits) { return (bits + 63) / 64; }
@@ -97,7 +96,7 @@ double BloomFilter::estimated_cardinality() const {
 
 std::string BloomFilter::serialize() const {
   std::string out;
-  out.reserve(24 + words_.size() * 8);
+  out.reserve(32 + words_.size() * 8);
   auto put_u32 = [&](std::uint32_t v) {
     for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
   };
@@ -112,43 +111,6 @@ std::string BloomFilter::serialize() const {
   put_u64(static_cast<std::uint64_t>(words_.size()));
   for (std::uint64_t w : words_) put_u64(w);
   return out;
-}
-
-BloomFilter BloomFilter::deserialize(std::string_view bytes) {
-  auto get_u32 = [&](std::size_t off) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[off + i]))
-           << (8 * i);
-    return v;
-  };
-  auto get_u64 = [&](std::size_t off) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[off + i]))
-           << (8 * i);
-    return v;
-  };
-  if (bytes.size() < 32) throw std::invalid_argument("BloomFilter: truncated");
-  if (get_u32(0) != kSerialMagic || get_u32(4) != kSerialVersion) {
-    throw std::invalid_argument("BloomFilter: bad header");
-  }
-  BloomFilter f;
-  f.num_hashes_ = get_u32(8);
-  f.inserts_ = get_u64(16);
-  // Compare against the buffer instead of computing 32 + nwords * 8, which
-  // overflows for hostile nwords and could pass the check before a huge
-  // resize.
-  const std::uint64_t nwords = get_u64(24);
-  if ((bytes.size() - 32) % 8 != 0 || nwords != (bytes.size() - 32) / 8) {
-    throw std::invalid_argument("BloomFilter: size mismatch");
-  }
-  f.words_.resize(nwords);
-  for (std::uint64_t i = 0; i < nwords; ++i) f.words_[i] = get_u64(32 + i * 8);
-  if (f.num_hashes_ == 0 || f.num_hashes_ > kMaxHashes || f.words_.empty()) {
-    throw std::invalid_argument("BloomFilter: bad geometry");
-  }
-  return f;
 }
 
 }  // namespace datanet::bloom

@@ -43,9 +43,9 @@ class BloomFilter {
   // Cardinality estimate from fill ratio: -m/k * ln(1 - X/m).
   [[nodiscard]] double estimated_cardinality() const;
 
-  // Compact binary round-trip (little-endian, versioned header).
+  // Compact little-endian encoding: a 32-byte versioned header, then the
+  // bitmap. BlockMeta::serialize embeds it.
   [[nodiscard]] std::string serialize() const;
-  static BloomFilter deserialize(std::string_view bytes);
 
   // Theoretical bits/key for a target fpp (Eq. 5's bloom term).
   [[nodiscard]] static double bits_per_key(double target_fpp);

@@ -10,21 +10,4 @@ void put_varint(std::string& out, std::uint64_t v) {
   out.push_back(static_cast<char>(v));
 }
 
-std::optional<std::uint64_t> get_varint(std::string_view bytes,
-                                        std::size_t& offset) {
-  std::uint64_t v = 0;
-  int shift = 0;
-  std::size_t pos = offset;
-  while (pos < bytes.size() && shift < 64) {
-    const auto byte = static_cast<unsigned char>(bytes[pos++]);
-    v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-    if (!(byte & 0x80)) {
-      offset = pos;
-      return v;
-    }
-    shift += 7;
-  }
-  return std::nullopt;  // truncated or overlong
-}
-
 }  // namespace datanet::common

@@ -1,12 +1,10 @@
 #pragma once
-// LEB128 variable-length integers for compact meta-data serialization.
+// LEB128 variable-length integers for the compact BlockMeta encoding.
 // Sub-dataset byte sizes are small (KB-scale), so varints cut the hash-map
 // part of a serialized BlockMeta roughly in half versus fixed u64s.
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <string_view>
 
 namespace datanet::common {
 
@@ -22,10 +20,5 @@ void put_varint(std::string& out, std::uint64_t v);
   }
   return n;
 }
-
-// Decode a varint at `offset` in `bytes`; advances offset past it. Returns
-// nullopt on truncation or overlong (> 10 byte) encodings.
-[[nodiscard]] std::optional<std::uint64_t> get_varint(std::string_view bytes,
-                                                      std::size_t& offset);
 
 }  // namespace datanet::common

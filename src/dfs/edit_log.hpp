@@ -34,7 +34,7 @@ enum class EditOp : std::uint8_t {
   kDecommission = 3,   // node leaves service; its replicas are dropped
   kRemoveReplica = 4,  // block, node (corrupt copy dropped by the NameNode)
   kAddReplica = 5,     // block, node (re-replication / monitor repair)
-  kMoveReplica = 6,    // block, node -> node2 (balancer move)
+  kMoveReplica = 6,    // block, node -> node2 (replica move)
   // Every block is journaled in three acts so a crash at any byte leaves a
   // replayable prefix: placement is fixed at open (replicas journaled
   // explicitly — replay never re-runs the RNG), each group commit is one

@@ -187,41 +187,4 @@ OpenBlockAudit audit_open_blocks(const MiniDfs& live, const MiniDfs& durable) {
   return audit;
 }
 
-BalanceResult balance_replicas(MiniDfs& dfs, std::uint64_t tolerance) {
-  BalanceResult result;
-  const std::uint32_t nodes = dfs.topology().num_nodes();
-
-  for (;;) {
-    // Recompute per-node counts (active nodes only participate).
-    std::vector<std::uint64_t> counts(nodes, 0);
-    for (BlockId id = 0; id < dfs.num_blocks(); ++id) {
-      for (const NodeId n : dfs.block(id).replicas) ++counts[n];
-    }
-    NodeId busiest = nodes, idlest = nodes;
-    for (NodeId n = 0; n < nodes; ++n) {
-      if (!dfs.is_active(n)) continue;
-      if (busiest == nodes || counts[n] > counts[busiest]) busiest = n;
-      if (idlest == nodes || counts[n] < counts[idlest]) idlest = n;
-    }
-    if (busiest == nodes || idlest == nodes ||
-        counts[busiest] <= counts[idlest] + tolerance) {
-      break;
-    }
-    // Move the first block on the busiest node that the idlest doesn't hold.
-    bool moved = false;
-    for (const BlockId id : std::vector<BlockId>(dfs.blocks_on(busiest))) {
-      const auto& reps = dfs.block(id).replicas;
-      if (std::find(reps.begin(), reps.end(), idlest) == reps.end()) {
-        dfs.move_replica(id, busiest, idlest);
-        ++result.moves;
-        moved = true;
-        break;
-      }
-    }
-    if (!moved) break;  // no legal move between this pair
-  }
-  result.after = fsck(dfs);
-  return result;
-}
-
 }  // namespace datanet::dfs

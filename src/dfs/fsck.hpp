@@ -1,8 +1,7 @@
 #pragma once
-// NameNode administrative utilities: fsck (replication health report) and a
-// balancer that evens out per-node block counts by moving replicas — the
-// MiniDfs counterparts of `hdfs fsck` and the HDFS balancer. Used by the
-// fault-handling tests and available to examples/CLI users.
+// NameNode administrative utilities: fsck (replication health report), the
+// MiniDfs counterpart of `hdfs fsck`, plus the open-block and post-fault
+// invariant audits. Used by the fault-handling tests and the CLI.
 
 #include <cstdint>
 #include <string>
@@ -92,16 +91,5 @@ struct OpenBlockAudit {
                                                const MiniDfs& durable);
 
 [[nodiscard]] PostFaultCheck check_post_fault_invariants(const MiniDfs& dfs);
-
-struct BalanceResult {
-  std::uint64_t moves = 0;  // replicas relocated
-  FsckReport after;
-};
-
-// Even out per-node replica counts: repeatedly move one replica from the
-// most-loaded active node to the least-loaded active node that does not
-// already hold the block, until the spread is within `tolerance` blocks or
-// no legal move remains. Never changes a block's replica count.
-BalanceResult balance_replicas(MiniDfs& dfs, std::uint64_t tolerance = 1);
 
 }  // namespace datanet::dfs

@@ -260,7 +260,7 @@ class MiniDfs {
     return cs_->mutation_epoch.load(std::memory_order_relaxed);
   }
 
-  // Relocate one replica of `id` from `from` to `to` (balancer primitive).
+  // Relocate one replica of `id` from `from` to `to` (replica churn).
   // Throws unless `from` hosts the block, `to` is an active node that does
   // not already host it. A corrupt source copy stays corrupt after the move.
   void move_replica(BlockId id, NodeId from, NodeId to);

@@ -2,8 +2,7 @@
 // Little-endian byte-buffer primitives shared by the dfs persistence plane
 // (EditLog frames, FsImage checkpoints). Every read is bounds-checked against
 // the buffer, so torn or corrupt inputs surface as typed errors instead of
-// out-of-range reads or attacker-sized allocations (same discipline as the
-// elasticmap::MetaStore deserializers).
+// out-of-range reads or attacker-sized allocations.
 
 #include <cstdint>
 #include <stdexcept>

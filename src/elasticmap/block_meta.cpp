@@ -1,7 +1,6 @@
 #include "elasticmap/block_meta.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "common/varint.hpp"
 
@@ -14,14 +13,6 @@ constexpr std::uint64_t kVersion = 2;          // v2: varint sizes
 void put_u64(std::string& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
 }
-
-std::uint64_t get_u64(std::string_view bytes, std::size_t off) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[off + i]))
-         << (8 * i);
-  return v;
-}
 }  // namespace
 
 BlockMeta::BlockMeta(
@@ -33,11 +24,6 @@ BlockMeta::BlockMeta(
       delta_(delta) {
   for (const auto id : tail_ids) bloom_.insert(id);
 }
-
-BlockMeta::BlockMeta(
-    std::unordered_map<workload::SubDatasetId, std::uint64_t> dominant,
-    bloom::BloomFilter bloom, std::uint64_t delta)
-    : dominant_(std::move(dominant)), bloom_(std::move(bloom)), delta_(delta) {}
 
 std::optional<std::uint64_t> BlockMeta::exact_size(
     workload::SubDatasetId id) const {
@@ -86,36 +72,6 @@ std::string BlockMeta::serialize() const {
   }
   out += bloom_.serialize();
   return out;
-}
-
-BlockMeta BlockMeta::deserialize(std::string_view bytes) {
-  if (bytes.size() < 18) throw std::invalid_argument("BlockMeta: truncated");
-  if (get_u64(bytes, 0) != kMagic) throw std::invalid_argument("BlockMeta: magic");
-  if (get_u64(bytes, 8) != kVersion) {
-    throw std::invalid_argument("BlockMeta: unsupported version");
-  }
-  std::size_t off = 16;
-  const auto delta = common::get_varint(bytes, off);
-  const auto count = common::get_varint(bytes, off);
-  if (!delta || !count) throw std::invalid_argument("BlockMeta: bad header");
-  // Each dominant record occupies >= 9 bytes (8-byte id + >= 1 varint byte);
-  // bound the count before reserving so a corrupt value cannot drive a huge
-  // allocation.
-  if (*count > (bytes.size() - off) / 9) {
-    throw std::invalid_argument("BlockMeta: corrupt record count");
-  }
-  std::unordered_map<workload::SubDatasetId, std::uint64_t> dominant;
-  dominant.reserve(*count);
-  for (std::uint64_t i = 0; i < *count; ++i) {
-    if (off + 8 > bytes.size()) throw std::invalid_argument("BlockMeta: truncated");
-    const std::uint64_t id = get_u64(bytes, off);
-    off += 8;
-    const auto size = common::get_varint(bytes, off);
-    if (!size) throw std::invalid_argument("BlockMeta: truncated size");
-    dominant.emplace(id, *size);
-  }
-  auto bloom = bloom::BloomFilter::deserialize(bytes.substr(off));
-  return BlockMeta(std::move(dominant), std::move(bloom), *delta);
 }
 
 }  // namespace datanet::elasticmap

@@ -55,14 +55,11 @@ class BlockMeta {
     return bloom_;
   }
 
-  // Binary round-trip (the structure the master node would persist).
+  // Compact binary encoding: the footprint memory_bytes() measures (Table
+  // II's "meta KiB"). The array lives in memory only, so nothing decodes it.
   [[nodiscard]] std::string serialize() const;
-  static BlockMeta deserialize(std::string_view bytes);
 
  private:
-  BlockMeta(std::unordered_map<workload::SubDatasetId, std::uint64_t> dominant,
-            bloom::BloomFilter bloom, std::uint64_t delta);
-
   std::unordered_map<workload::SubDatasetId, std::uint64_t> dominant_;
   bloom::BloomFilter bloom_;
   std::uint64_t delta_;

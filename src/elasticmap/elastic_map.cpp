@@ -94,20 +94,6 @@ ElasticMapArray ElasticMapArray::build(const dfs::MiniDfs& dfs,
   return out;
 }
 
-ElasticMapArray ElasticMapArray::from_parts(std::string path, BuildOptions options,
-                                            std::vector<BlockMeta> metas,
-                                            std::vector<dfs::BlockId> block_ids,
-                                            std::uint64_t raw_bytes) {
-  if (metas.size() != block_ids.size()) {
-    throw std::invalid_argument("from_parts: metas/block_ids size mismatch");
-  }
-  ElasticMapArray out(std::move(path), options);
-  out.metas_ = std::move(metas);
-  out.block_ids_ = std::move(block_ids);
-  out.raw_bytes_ = raw_bytes;
-  return out;
-}
-
 std::uint64_t ElasticMapArray::extend(const dfs::MiniDfs& dfs) {
   return extend(dfs, ~0ull);
 }

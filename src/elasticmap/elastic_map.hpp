@@ -40,15 +40,12 @@ struct BlockShare {
 
 class ElasticMapArray {
  public:
+  // An empty array over `path` (no blocks covered yet); extend() fills it.
+  ElasticMapArray(std::string path, BuildOptions options);
+
   // Single scan over every block of `path` in `dfs` (O(total records)).
   static ElasticMapArray build(const dfs::MiniDfs& dfs, const std::string& path,
                                const BuildOptions& options);
-
-  // Reassemble from previously persisted parts (see MetaStore).
-  static ElasticMapArray from_parts(std::string path, BuildOptions options,
-                                    std::vector<BlockMeta> metas,
-                                    std::vector<dfs::BlockId> block_ids,
-                                    std::uint64_t raw_bytes);
 
   // Incremental maintenance for append-only logs (Flume-style ingestion):
   // scan only the blocks appended to `path` since this array was built.
@@ -92,8 +89,6 @@ class ElasticMapArray {
   [[nodiscard]] const BuildOptions& options() const noexcept { return options_; }
 
  private:
-  ElasticMapArray(std::string path, BuildOptions options);
-
   std::string path_;
   BuildOptions options_;
   std::vector<BlockMeta> metas_;

@@ -12,7 +12,7 @@ ElasticMapArray initial_map(const dfs::MiniDfs& dfs, const std::string& path,
   // The dataset may not exist yet (maintainer attached before the first
   // ingest): start from an empty array; extend covers it once blocks seal.
   if (!dfs.exists(path)) {
-    return ElasticMapArray::from_parts(path, build, {}, {}, 0);
+    return ElasticMapArray(path, build);
   }
   return ElasticMapArray::build(dfs, path, build);
 }

@@ -1,6 +1,6 @@
 #pragma once
-// Process-wide cache of built DataNet metadata (ElasticMap array + MetaStore
-// content) keyed by dataset path, with epoch-based invalidation against the
+// Process-wide cache of built DataNet metadata (the in-memory ElasticMap
+// array) keyed by dataset path, with epoch-based invalidation against the
 // live MiniDfs. Building an ElasticMap is a full scan of the file — the one
 // cost the paper amortizes across queries (Section III-B; Table II) — so
 // datanetd builds it once per dataset and every query on every connection
@@ -10,7 +10,7 @@
 // by every namespace mutation:
 //   * epoch unchanged            -> pure hit, no locks beyond the cache map.
 //   * epoch moved, same per-path block count -> replica churn (healing,
-//     balancing, decommission re-replication). Block BYTES and membership
+//     replica moves, decommission re-replication). Block BYTES and membership
 //     are unchanged, so the ElasticMap is still exact: revalidate the entry
 //     at the new epoch instead of rebuilding. This is what keeps a serving
 //     daemon's cache warm while a ReplicationMonitor heals underneath it.

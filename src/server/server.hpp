@@ -17,7 +17,7 @@
 // meta_shards); queries route to the shard owning the hosted path and run
 // as READERS of that shard's MiniDfs (pinned zero-copy block reads,
 // snapshot replica sets), so one external mutator — a healing
-// ReplicationMonitor, a balancer, a fault hook in tests — may run
+// ReplicationMonitor, a replica mover, a fault hook in tests — may run
 // concurrently under the MiniDfs single-mutator contract, and the owning
 // shard's epoch check in DatasetCache keeps the served metadata honest
 // across that churn without caring about churn on other shards.

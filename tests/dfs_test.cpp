@@ -347,7 +347,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<std::uint64_t>(128, 1024, 65536),
                        ::testing::Values<std::uint32_t>(1, 2, 3)));
 
-// ---- fsck + balancer ----
+// ---- fsck ----
 
 #include "dfs/fsck.hpp"
 
@@ -394,49 +394,6 @@ TEST(Fsck, ReportsMissingAfterSingleReplicaLoss) {
   const auto report = dd::fsck(fs);
   EXPECT_EQ(report.missing_blocks, lost.size());
   EXPECT_EQ(report.healthy(), lost.empty());
-}
-
-TEST(Balancer, EvensOutSkewedReplicaCounts) {
-  // Round-robin primary + random extras is already fair; skew it manually by
-  // piling replicas onto node 0 via moves, then balance back.
-  auto fs = make_dfs(6, 256, 2);
-  auto w = fs.create("/f");
-  for (int i = 0; i < 80; ++i) w.append(record_of_size(60));
-  w.close();
-  // Skew: move every movable replica to node 0.
-  for (dd::NodeId n = 1; n < 6; ++n) {
-    const auto hosted = fs.blocks_on(n);  // copy
-    for (const auto b : std::vector<dd::BlockId>(hosted)) {
-      const auto& reps = fs.block(b).replicas;
-      if (std::find(reps.begin(), reps.end(), 0u) == reps.end()) {
-        fs.move_replica(b, n, 0);
-      }
-    }
-  }
-  const auto before = dd::fsck(fs);
-  const auto result = dd::balance_replicas(fs, 1);
-  EXPECT_GT(result.moves, 0u);
-  EXPECT_LT(result.after.replica_balance_cv, before.replica_balance_cv);
-  const auto [mn, mx] = std::minmax_element(
-      result.after.node_block_counts.begin(),
-      result.after.node_block_counts.end());
-  EXPECT_LE(*mx - *mn, 2u);
-  // Replica invariants preserved.
-  for (const auto b : fs.blocks_of("/f")) {
-    const auto& reps = fs.block(b).replicas;
-    std::set<dd::NodeId> uniq(reps.begin(), reps.end());
-    EXPECT_EQ(uniq.size(), 2u);
-  }
-}
-
-TEST(Balancer, NoopOnBalancedCluster) {
-  auto fs = make_dfs(4, 256, 2);
-  auto w = fs.create("/f");
-  for (int i = 0; i < 64; ++i) w.append(record_of_size(60));
-  w.close();
-  dd::balance_replicas(fs, 1);  // idempotence: second run does nothing
-  const auto again = dd::balance_replicas(fs, 1);
-  EXPECT_EQ(again.moves, 0u);
 }
 
 TEST(MoveReplica, ValidatesArguments) {

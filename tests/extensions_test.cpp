@@ -1,19 +1,12 @@
 // Tests for the extension features beyond the paper's core: the runtime
 // rebalancing comparator (Section V-A-4 discussion), aggregation-transfer
 // planning (Section IV-B future work), heterogeneous-capability scheduling,
-// speculative execution, meta-data persistence (MetaStore), incremental
-// ElasticMap maintenance, multi-key scheduling, and DFS fault handling.
+// speculative execution, incremental ElasticMap maintenance, multi-key
+// scheduling, and DFS fault handling.
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <numeric>
 #include <set>
 
@@ -23,7 +16,6 @@
 #include "datanet/experiment.hpp"
 #include "datanet/rebalance.hpp"
 #include "datanet/selection_runtime.hpp"
-#include "elasticmap/meta_store.hpp"
 #include "mapred/engine.hpp"
 #include "scheduler/datanet_sched.hpp"
 #include "scheduler/locality.hpp"
@@ -359,166 +351,6 @@ TEST(Speculation, HelpsSlowNodeStraggler) {
   EXPECT_EQ(r_spec.output, r_plain.output);
 }
 
-// ---- MetaStore persistence ----
-
-namespace {
-struct TempDir {
-  std::filesystem::path dir;
-  TempDir() {
-    dir = std::filesystem::temp_directory_path() /
-          ("datanet_test_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir);
-  }
-  ~TempDir() { std::filesystem::remove_all(dir); }
-  std::string file(const std::string& name) const { return (dir / name).string(); }
-};
-
-dc::StoredDataset meta_dataset() {
-  dc::ExperimentConfig cfg;
-  cfg.num_nodes = 8;
-  cfg.block_size = 16 * 1024;
-  cfg.seed = 11;
-  return dc::make_movie_dataset(cfg, 24, 150);
-}
-}  // namespace
-
-TEST(MetaStore, SaveLoadRoundTrip) {
-  TempDir tmp;
-  const auto ds = meta_dataset();
-  const auto em = de::ElasticMapArray::build(*ds.dfs, ds.path, {.alpha = 0.3});
-  de::MetaStore::save(em, tmp.file("meta.bin"));
-  const auto loaded = de::MetaStore::load(tmp.file("meta.bin"));
-
-  EXPECT_EQ(loaded.num_blocks(), em.num_blocks());
-  EXPECT_EQ(loaded.raw_bytes(), em.raw_bytes());
-  EXPECT_EQ(loaded.path(), em.path());
-  EXPECT_DOUBLE_EQ(loaded.options().alpha, 0.3);
-  for (const auto id : ds.truth->ids_by_size()) {
-    EXPECT_EQ(loaded.estimate_total_size(id), em.estimate_total_size(id));
-  }
-}
-
-TEST(MetaStore, LazyReaderMatchesEagerLoad) {
-  TempDir tmp;
-  const auto ds = meta_dataset();
-  const auto em = de::ElasticMapArray::build(*ds.dfs, ds.path, {.alpha = 0.3});
-  de::MetaStore::save(em, tmp.file("meta.bin"));
-
-  de::MetaStore::Reader reader(tmp.file("meta.bin"));
-  EXPECT_EQ(reader.num_blocks(), em.num_blocks());
-  EXPECT_EQ(reader.dataset_path(), em.path());
-  EXPECT_EQ(reader.raw_bytes(), em.raw_bytes());
-  // Random-access a few blocks, out of order.
-  for (const std::uint64_t b : {em.num_blocks() - 1, std::uint64_t{0},
-                                em.num_blocks() / 2}) {
-    const auto meta = reader.load_block(b);
-    EXPECT_EQ(meta.num_dominant(), em.block_meta(b).num_dominant());
-    EXPECT_EQ(meta.delta(), em.block_meta(b).delta());
-    EXPECT_EQ(reader.block_id(b), em.block_id(b));
-  }
-  EXPECT_THROW(reader.load_block(em.num_blocks()), std::out_of_range);
-}
-
-TEST(MetaStore, ShardedRoundTrip) {
-  TempDir tmp;
-  const auto ds = meta_dataset();
-  const auto em = de::ElasticMapArray::build(*ds.dfs, ds.path, {.alpha = 0.3});
-  const auto hot = dw::subdataset_id(ds.hot_keys[0]);
-  // 64 shards over 24 blocks guarantees empty shards: load() must not care
-  // which shards happened to get blocks.
-  ASSERT_LT(em.num_blocks(), 64u);
-  for (const std::uint32_t shards : {1u, 3u, 7u, 64u}) {
-    const auto prefix = tmp.file("sharded" + std::to_string(shards));
-    de::ShardedMetaStore::save(em, prefix, shards);
-    for (std::uint32_t s = 0; s < shards; ++s) {
-      EXPECT_TRUE(std::filesystem::exists(
-          de::ShardedMetaStore::shard_file(prefix, s)));
-    }
-    const auto loaded = de::ShardedMetaStore::load(prefix, shards);
-    EXPECT_EQ(loaded.num_blocks(), em.num_blocks());
-    EXPECT_EQ(loaded.estimate_total_size(hot), em.estimate_total_size(hot));
-    const auto da = loaded.distribution(hot);
-    const auto db = em.distribution(hot);
-    ASSERT_EQ(da.size(), db.size());
-    for (std::size_t i = 0; i < da.size(); ++i) {
-      EXPECT_EQ(da[i].block_id, db[i].block_id);
-      EXPECT_EQ(da[i].estimated_bytes, db[i].estimated_bytes);
-    }
-  }
-}
-
-TEST(MetaStore, LoadRejectsGarbage) {
-  TempDir tmp;
-  {
-    std::ofstream f(tmp.file("junk.bin"), std::ios::binary);
-    f << "this is not a metastore file at all................";
-  }
-  EXPECT_THROW(de::MetaStore::load(tmp.file("junk.bin")), std::runtime_error);
-  EXPECT_THROW(de::MetaStore::load(tmp.file("missing.bin")), std::runtime_error);
-}
-
-TEST(MetaStore, RejectsVersionOneStore) {
-  TempDir tmp;
-  const auto ds = meta_dataset();
-  const auto em = de::ElasticMapArray::build(*ds.dfs, ds.path, {.alpha = 0.3});
-  de::MetaStore::save(em, tmp.file("meta.bin"));
-
-  // Re-lay the store out as the retired version-1 format: version word 1 and
-  // 32-byte index entries without the CRC word. Only version 2 exists, so
-  // the header alone must be rejected with the typed error.
-  std::string bytes;
-  {
-    std::ifstream in(tmp.file("meta.bin"), std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in), {});
-  }
-  const auto u64_at = [&](std::size_t pos) {
-    std::uint64_t v = 0;
-    std::memcpy(&v, bytes.data() + pos, 8);  // little-endian host
-    return v;
-  };
-  const std::size_t index_at = 48 + u64_at(40) + 8;
-  const std::uint64_t n = u64_at(index_at - 8);
-  std::string v1 = bytes.substr(0, index_at);
-  v1[8] = 1;
-  for (std::uint64_t i = 0; i < n; ++i) v1 += bytes.substr(index_at + i * 40, 32);
-  v1 += bytes.substr(index_at + n * 40);
-  {
-    std::ofstream out(tmp.file("v1.bin"), std::ios::binary | std::ios::trunc);
-    out << v1;
-  }
-
-  EXPECT_THROW((void)de::MetaStore::load(tmp.file("v1.bin")),
-               de::MetaStoreCorruptError);
-  EXPECT_THROW(de::MetaStore::Reader reader(tmp.file("v1.bin")),
-               de::MetaStoreCorruptError);
-}
-
-TEST(MetaStore, CorruptShardBlobFailsTyped) {
-  TempDir tmp;
-  const auto ds = meta_dataset();
-  const auto em = de::ElasticMapArray::build(*ds.dfs, ds.path, {.alpha = 0.3});
-  const auto prefix = tmp.file("corrupt");
-  de::ShardedMetaStore::save(em, prefix, 2);
-  (void)de::ShardedMetaStore::load(prefix, 2);  // clean: loads fine
-
-  // Flip a byte inside some blob of shard 0 (past header+index): the blob
-  // CRC catches it with the typed error, not garbage metadata.
-  const auto victim = de::ShardedMetaStore::shard_file(prefix, 0);
-  std::fstream f(victim, std::ios::in | std::ios::out | std::ios::binary);
-  f.seekg(0, std::ios::end);
-  const auto size = static_cast<std::uint64_t>(f.tellg());
-  f.seekg(static_cast<std::streamoff>(size - 5));
-  char b = 0;
-  f.read(&b, 1);
-  f.seekp(static_cast<std::streamoff>(size - 5));
-  b = static_cast<char>(b ^ 0x40);
-  f.write(&b, 1);
-  f.close();
-
-  EXPECT_THROW((void)de::ShardedMetaStore::load(prefix, 2),
-               de::MetaStoreCorruptError);
-}
-
 // ---- incremental extend ----
 
 TEST(Extend, MatchesFullRebuild) {
@@ -611,8 +443,18 @@ TEST(Extend, IncorporatesAppendedBlocks) {
 
 // ---- multi-key scheduling ----
 
+namespace {
+dc::StoredDataset small_movie_dataset() {
+  dc::ExperimentConfig cfg;
+  cfg.num_nodes = 8;
+  cfg.block_size = 16 * 1024;
+  cfg.seed = 11;
+  return dc::make_movie_dataset(cfg, 24, 150);
+}
+}  // namespace
+
 TEST(MultiKey, GraphSumsWeights) {
-  const auto ds = meta_dataset();
+  const auto ds = small_movie_dataset();
   const dc::DataNet net(*ds.dfs, ds.path, {.alpha = 0.3});
   const std::vector<std::string> keys{ds.hot_keys[0], ds.hot_keys[1]};
   const auto multi = net.scheduling_graph(std::span(keys));
@@ -624,7 +466,7 @@ TEST(MultiKey, GraphSumsWeights) {
 }
 
 TEST(MultiKey, EmptyKeyListEmptyGraph) {
-  const auto ds = meta_dataset();
+  const auto ds = small_movie_dataset();
   const dc::DataNet net(*ds.dfs, ds.path, {.alpha = 0.3});
   const std::vector<std::string> none;
   EXPECT_EQ(net.scheduling_graph(std::span(none)).num_blocks(), 0u);
@@ -715,102 +557,4 @@ TEST(Faults, RejectsBadNode) {
   auto dfs = faulty_dfs(2);
   EXPECT_THROW(dfs.decommission(99), std::out_of_range);
   EXPECT_THROW((void)dfs.is_active(99), std::out_of_range);
-}
-
-// ---- MetaStore robustness: corrupt and truncated stores ----
-
-namespace {
-
-std::string slurp(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(f),
-                     std::istreambuf_iterator<char>());
-}
-
-void spit(const std::string& path, const std::string& bytes) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-}  // namespace
-
-TEST(MetaStoreRobustness, ByteFlipFuzzRaisesTypedErrorsOnly) {
-  TempDir tmp;
-  const auto ds = meta_dataset();
-  const auto em = de::ElasticMapArray::build(*ds.dfs, ds.path, {.alpha = 0.3});
-  de::MetaStore::save(em, tmp.file("meta.bin"));
-  const std::string good = slurp(tmp.file("meta.bin"));
-  ASSERT_GT(good.size(), 48u);
-
-  // Exhaustive over the header + index region, sampled over the blobs.
-  std::vector<std::size_t> positions;
-  for (std::size_t p = 0; p < std::min<std::size_t>(good.size(), 512); ++p) {
-    positions.push_back(p);
-  }
-  for (std::size_t p = 512; p < good.size(); p += 37) positions.push_back(p);
-
-  for (const std::size_t pos : positions) {
-    std::string bad = good;
-    bad[pos] = static_cast<char>(bad[pos] ^ 0x20);
-    spit(tmp.file("fuzz.bin"), bad);
-    try {
-      const auto loaded = de::MetaStore::load(tmp.file("fuzz.bin"));
-      (void)loaded.num_blocks();  // a value flip that parses is acceptable
-    } catch (const std::bad_alloc&) {
-      FAIL() << "bad_alloc from flipped byte at " << pos;
-    } catch (const std::exception&) {
-      // typed rejection (runtime_error / invalid_argument / out_of_range)
-    }
-  }
-}
-
-TEST(MetaStoreRobustness, EveryTruncationIsRejected) {
-  TempDir tmp;
-  const auto ds = meta_dataset();
-  const auto em = de::ElasticMapArray::build(*ds.dfs, ds.path, {.alpha = 0.3});
-  de::MetaStore::save(em, tmp.file("meta.bin"));
-  const std::string good = slurp(tmp.file("meta.bin"));
-
-  std::vector<std::size_t> lengths{0, 7, 8, 16, 40, 47, 48};
-  for (std::size_t len = 49; len < good.size(); len += 101) lengths.push_back(len);
-  lengths.push_back(good.size() - 1);
-
-  for (const std::size_t len : lengths) {
-    if (len >= good.size()) continue;
-    spit(tmp.file("trunc.bin"), good.substr(0, len));
-    try {
-      (void)de::MetaStore::load(tmp.file("trunc.bin"));
-      FAIL() << "truncation to " << len << " bytes loaded successfully";
-    } catch (const std::bad_alloc&) {
-      FAIL() << "bad_alloc at truncation length " << len;
-    } catch (const std::exception&) {
-    }
-    try {
-      de::MetaStore::Reader r(tmp.file("trunc.bin"));
-      // The lazy reader defers blob reads; force them all.
-      for (std::uint64_t b = 0; b < em.num_blocks(); ++b) (void)r.load_block(b);
-      FAIL() << "Reader accepted truncation to " << len << " bytes";
-    } catch (const std::bad_alloc&) {
-      FAIL() << "Reader bad_alloc at truncation length " << len;
-    } catch (const std::exception&) {
-    }
-  }
-}
-
-TEST(MetaStoreRobustness, ShardedLoadRejectsMixedHeaders) {
-  TempDir tmp;
-  const auto ds = meta_dataset();
-  const auto em = de::ElasticMapArray::build(*ds.dfs, ds.path, {.alpha = 0.3});
-  de::ShardedMetaStore::save(em, tmp.file("meta"), 2);
-  ASSERT_EQ(de::ShardedMetaStore::load(tmp.file("meta"), 2).num_blocks(),
-            em.num_blocks());
-
-  // Rewrite shard 1's raw_bytes header field (offset 16): the shards now
-  // describe different datasets and must not merge silently.
-  const auto shard1 = de::ShardedMetaStore::shard_file(tmp.file("meta"), 1);
-  std::string bytes = slurp(shard1);
-  bytes[16] = static_cast<char>(bytes[16] ^ 0x01);
-  spit(shard1, bytes);
-  EXPECT_THROW((void)de::ShardedMetaStore::load(tmp.file("meta"), 2),
-               std::runtime_error);
 }

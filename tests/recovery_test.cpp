@@ -1,10 +1,10 @@
 // Tests for the crash-consistency layer: EditLog framing and torn-tail
 // replay, FsImage checkpoints, MiniDfs::recover (checkpoint + journal
-// suffix), the kCrashNameNode fault seam, the background ReplicationMonitor,
-// and the crash-atomic / CRC-checked MetaStore format. The heart of the
-// suite is a truncation fuzz: the journal of a scripted mutation history is
-// cut at EVERY byte offset and recovery must always land on a valid prefix
-// state — bit-identical to the live namespace at each mutation boundary.
+// suffix), the kCrashNameNode fault seam, and the background
+// ReplicationMonitor. The heart of the suite is a truncation fuzz: the
+// journal of a scripted mutation history is cut at EVERY byte offset and
+// recovery must always land on a valid prefix state — bit-identical to the
+// live namespace at each mutation boundary.
 
 #include <gtest/gtest.h>
 
@@ -28,8 +28,6 @@
 #include "dfs/mini_dfs.hpp"
 #include "dfs/replication_monitor.hpp"
 #include "dfs/wire.hpp"
-#include "elasticmap/elastic_map.hpp"
-#include "elasticmap/meta_store.hpp"
 #include "mapred/report_json.hpp"
 #include "scheduler/datanet_sched.hpp"
 #include "sim/selection_sim.hpp"
@@ -38,7 +36,6 @@
 
 namespace dc = datanet::core;
 namespace dd = datanet::dfs;
-namespace de = datanet::elasticmap;
 namespace dm = datanet::mapred;
 namespace dsch = datanet::scheduler;
 namespace dw = datanet::workload;
@@ -136,7 +133,7 @@ struct DurableCluster {
     dfs->corrupt_replica(0, reps[0]);
     ASSERT_TRUE(dfs->report_corrupt_replica(0, reps[0]));
     record();
-    // A balancer move.
+    // A replica move.
     const auto& reps1 = dfs->block(1).replicas;
     for (dd::NodeId to = 0; to < 6; ++to) {
       if (dfs->is_active(to) && !dfs->is_local(1, to)) {
@@ -843,86 +840,4 @@ TEST(RuntimeRecovery, CleanRunsSurfaceUnderReplicationToo) {
       dc::SelectionRuntime(read2, faults2, timing2)
           .run(*ds2.dfs, ds2.path, ds2.hot_keys[0], sched2, nullptr, cfg2);
   EXPECT_EQ(degraded.report.under_replicated, expected);
-}
-
-// ------------------------------------------------ MetaStore durability --
-
-namespace {
-
-dc::StoredDataset meta_dataset() {
-  dc::ExperimentConfig cfg;
-  cfg.num_nodes = 8;
-  cfg.block_size = 16 * 1024;
-  cfg.seed = 11;
-  return dc::make_movie_dataset(cfg, 16, 100);
-}
-
-}  // namespace
-
-TEST(MetaStoreDurability, SaveIsAtomicAndLeavesNoTempFile) {
-  TempDir tmp;
-  const auto ds = meta_dataset();
-  const auto em = de::ElasticMapArray::build(*ds.dfs, ds.path, {.alpha = 0.3});
-  const auto path = tmp.file("meta.bin");
-  de::MetaStore::save(em, path);
-  EXPECT_TRUE(fs::exists(path));
-  EXPECT_FALSE(fs::exists(path + ".tmp"));
-  // Saving over an existing store also goes through the tmp+rename path.
-  de::MetaStore::save(em, path);
-  EXPECT_FALSE(fs::exists(path + ".tmp"));
-  (void)de::MetaStore::load(path);
-
-  de::ShardedMetaStore::save(em, tmp.file("meta"), 3);
-  for (std::uint32_t s = 0; s < 3; ++s) {
-    const auto shard = de::ShardedMetaStore::shard_file(tmp.file("meta"), s);
-    EXPECT_TRUE(fs::exists(shard));
-    EXPECT_FALSE(fs::exists(shard + ".tmp"));
-  }
-}
-
-TEST(MetaStoreDurability, BitFlippedBlobFailsWithTypedError) {
-  TempDir tmp;
-  const auto ds = meta_dataset();
-  const auto em = de::ElasticMapArray::build(*ds.dfs, ds.path, {.alpha = 0.3});
-  const auto path = tmp.file("meta.bin");
-  de::MetaStore::save(em, path);
-
-  // Flip a byte near the END of the file — inside some blob, past the
-  // header/index — and both the eager and lazy paths must refuse it.
-  const auto corrupt = tmp.file("meta.corrupt");
-  fs::copy_file(path, corrupt);
-  flip_byte(corrupt, file_size(corrupt) - 7);
-  EXPECT_THROW((void)de::MetaStore::load(corrupt), de::MetaStoreCorruptError);
-
-  de::MetaStore::Reader reader(corrupt);
-  bool threw = false;
-  for (std::uint64_t b = 0; b < reader.num_blocks(); ++b) {
-    try {
-      (void)reader.load_block(b);
-    } catch (const de::MetaStoreCorruptError&) {
-      threw = true;
-    }
-  }
-  EXPECT_TRUE(threw) << "some blob must fail its CRC through the lazy Reader";
-}
-
-TEST(MetaStoreDurability, TruncatedStoreFailsWithTypedError) {
-  TempDir tmp;
-  const auto ds = meta_dataset();
-  const auto em = de::ElasticMapArray::build(*ds.dfs, ds.path, {.alpha = 0.3});
-  const auto path = tmp.file("meta.bin");
-  de::MetaStore::save(em, path);
-
-  const auto cut = tmp.file("meta.cut");
-  for (const double frac : {0.1, 0.5, 0.95}) {
-    copy_truncated(path, cut,
-                   static_cast<std::uint64_t>(
-                       static_cast<double>(file_size(path)) * frac));
-    EXPECT_THROW((void)de::MetaStore::load(cut), de::MetaStoreCorruptError);
-  }
-  // Bad magic is typed too.
-  const auto junk = tmp.file("meta.junk");
-  std::ofstream(junk, std::ios::binary) << "not a metastore at all";
-  EXPECT_THROW((void)de::MetaStore::load(junk), de::MetaStoreCorruptError);
-  EXPECT_THROW(de::MetaStore::Reader r(junk), de::MetaStoreCorruptError);
 }

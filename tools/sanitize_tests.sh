@@ -4,17 +4,18 @@
 # Configures a dedicated build tree with -DDATANET_SANITIZE=<sanitizer>,
 # builds everything, and runs ctest:
 #
-#   address   -> build-asan/   corrupt/truncated meta-data inputs and the
-#                              fault-injection paths stay memory-clean (no
-#                              overflow, no use-after-free, no leak);
+#   address   -> build-asan/   corrupt/truncated journal and image inputs
+#                              and the fault-injection paths stay
+#                              memory-clean (no overflow, no use-after-free,
+#                              no leak);
 #   thread    -> build-tsan/   the parallel MapReduce engine and the
 #                              SelectionRuntime's thread-count invariance:
 #                              the straggler tests run the same faulted
 #                              selection at 1 and N engine threads;
 #   undefined -> build-ubsan/  the recovery/durability deserializers: torn
-#                              edit-log frames and bit-flipped FsImages and
-#                              MetaStores must not provoke misaligned loads,
-#                              shift overflows or bad enum casts.
+#                              edit-log frames and bit-flipped FsImages must
+#                              not provoke misaligned loads, shift overflows
+#                              or bad enum casts.
 #
 # Each report fails the test instead of just printing (abort_on_error /
 # halt_on_error); ASan also detects leaks on the deserializer paths.
