@@ -73,10 +73,4 @@ graph::BipartiteGraph DataNet::scheduling_graph(
   return graph::BipartiteGraph(dfs_->topology().num_nodes(), std::move(blocks));
 }
 
-graph::BipartiteGraph DataNet::baseline_graph() const {
-  return graph::BipartiteGraph::from_dfs(
-      *dfs_, path_, [](std::size_t, dfs::BlockId) { return 0; },
-      /*keep_zero_weight=*/true);
-}
-
 }  // namespace datanet::core

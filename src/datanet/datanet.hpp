@@ -68,11 +68,6 @@ class DataNet {
   [[nodiscard]] graph::BipartiteGraph scheduling_graph(
       std::span<const std::string> keys) const;
 
-  // The baseline's view: every block of the file, all weights zero (the
-  // locality scheduler is content-blind). Exposed here so baseline and
-  // DataNet runs share one code path.
-  [[nodiscard]] graph::BipartiteGraph baseline_graph() const;
-
  private:
   std::shared_ptr<const dfs::MiniDfs> keep_alive_;  // null for the ref ctor
   const dfs::MiniDfs* dfs_;

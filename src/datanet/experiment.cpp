@@ -16,14 +16,6 @@ namespace {
 constexpr double kAvgMovieRecordBytes = 150.0;
 constexpr double kAvgGithubRecordBytes = 130.0;
 
-mapred::EngineOptions engine_options(const ExperimentConfig& cfg) {
-  mapred::EngineOptions opt;
-  opt.num_nodes = cfg.num_nodes;
-  opt.slots_per_node = cfg.slots_per_node;
-  opt.execution_threads = cfg.execution_threads;
-  return opt;
-}
-
 // Shared DFS-construction half of the dataset builders: validate the
 // cluster shape once, then stand up the MiniDfs the generators ingest into.
 StoredDataset make_dataset_shell(const ExperimentConfig& cfg,
@@ -65,6 +57,14 @@ void ExperimentConfig::validate() const {
     throw std::invalid_argument(
         "ExperimentConfig: replication exceeds num_nodes");
   }
+}
+
+mapred::EngineOptions engine_options(const ExperimentConfig& cfg) {
+  mapred::EngineOptions opt;
+  opt.num_nodes = cfg.num_nodes;
+  opt.slots_per_node = cfg.slots_per_node;
+  opt.execution_threads = cfg.execution_threads;
+  return opt;
 }
 
 dfs::DfsOptions make_dfs_options(const ExperimentConfig& cfg) {

@@ -64,6 +64,10 @@ struct StoredDataset {
 // build shards placement-identical to make_movie_dataset's MiniDfs.
 [[nodiscard]] dfs::DfsOptions make_dfs_options(const ExperimentConfig& cfg);
 
+// The mapred::EngineOptions for cfg's cluster shape (nodes, slots per node,
+// execution threads) — shared by run_analysis and AnalyticBackend's pricing.
+[[nodiscard]] mapred::EngineOptions engine_options(const ExperimentConfig& cfg);
+
 // Generation + ingestion half of make_movie_dataset, against a DFS the
 // caller owns. Byte-identical records and hot keys to make_movie_dataset
 // with the same (cfg, num_blocks, num_movies): ingesting into a fresh

@@ -10,18 +10,6 @@
 
 namespace datanet::core {
 
-namespace {
-
-mapred::EngineOptions engine_options(const ExperimentConfig& cfg) {
-  mapred::EngineOptions opt;
-  opt.num_nodes = cfg.num_nodes;
-  opt.slots_per_node = cfg.slots_per_node;
-  opt.execution_threads = cfg.execution_threads;
-  return opt;
-}
-
-}  // namespace
-
 // ---- read policies ----
 
 ReplicaRead DirectReadPolicy::read(dfs::BlockId block, dfs::NodeId node) {
@@ -92,14 +80,12 @@ std::vector<double> InjectedFaults::node_speeds() const {
   return injector_->node_speeds();
 }
 
-// ---- analytic timing backend ----
+// ---- timing backends ----
 
-scheduler::AssignmentRecord AnalyticBackend::assign(
+scheduler::AssignmentRecord TimingBackend::assign(
     scheduler::TaskScheduler& sched, const graph::BipartiteGraph& graph,
     const std::vector<std::uint64_t>& block_bytes) {
-  return scheduler::pull_assign(
-      sched, graph, block_bytes,
-      {.order = scheduler::PullOptions::Order::kRoundRobin});
+  return scheduler::drain(sched, graph, block_bytes);
 }
 
 mapred::JobReport AnalyticBackend::report(
@@ -150,18 +136,6 @@ mapred::JobReport AnalyticBackend::report(
   return report;
 }
 
-// ---- cost-only timing backend ----
-
-scheduler::AssignmentRecord CostOnlyBackend::assign(
-    scheduler::TaskScheduler& sched, const graph::BipartiteGraph& graph,
-    const std::vector<std::uint64_t>& block_bytes) {
-  // Identical pull order to AnalyticBackend: the assignment (and therefore
-  // the materialized selection) matches the analytic run bit-for-bit.
-  return scheduler::pull_assign(
-      sched, graph, block_bytes,
-      {.order = scheduler::PullOptions::Order::kRoundRobin});
-}
-
 mapred::JobReport CostOnlyBackend::report(
     const std::string&, const std::vector<mapred::InputSplit>&,
     const ExperimentConfig&, const std::vector<double>&,
@@ -185,9 +159,7 @@ SelectionResult SelectionRuntime::run(const dfs::MiniDfs& dfs,
   // everything, content-blind.
   const graph::BipartiteGraph graph =
       net ? net->scheduling_graph(key)
-          : graph::BipartiteGraph::from_dfs(
-                dfs, path, [](std::size_t, dfs::BlockId) { return 0; },
-                /*keep_zero_weight=*/true);
+          : graph::BipartiteGraph::content_blind(dfs, path);
   return run_graph(dfs, graph, key, sched, cfg);
 }
 
@@ -507,8 +479,7 @@ SelectionResult SelectionRuntime::run_graph(const dfs::MiniDfs& dfs,
   result.report.retries = retries;
   result.report.lost_blocks = result.lost_block_ids.size();
   // Merge the loop's attempt counters over whatever the backend priced
-  // (AnalyticBackend contributes timing_backups; EventSimBackend its
-  // event-level duplicates).
+  // (AnalyticBackend contributes timing_backups).
   result.report.attempts += counters;
   // Post-run DFS health, on clean and timing-only runs too: an
   // under-replicated seed layout is visible without injecting a fault, and

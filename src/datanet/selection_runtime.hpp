@@ -14,9 +14,10 @@
 //     InjectedFaults adapts dfs::FaultInjector (kill / corrupt / slow /
 //     stall / transient-read).
 //   * TimingBackend — how the assignment is ordered and the phase is timed.
-//     AnalyticBackend keeps the fair round-robin request order and prices
-//     the FilterStats job with the closed-form cost model (mapred::price)
-//     from the census the materialize scan took of each split, so
+//     AnalyticBackend keeps the default fair round-robin request order
+//     (scheduler::drain) and prices the FilterStats job with the
+//     closed-form cost model (mapred::price) from the census the
+//     materialize scan took of each split, so
 //     report.output is live without a second pass over the bytes.
 //     sim::EventSimBackend (sim/selection_sim.hpp) drives the same scheduler
 //     with discrete-event pull-on-slot-free ordering instead.
@@ -162,11 +163,12 @@ class InjectedFaults final : public FaultPolicy {
 class TimingBackend {
  public:
   virtual ~TimingBackend() = default;
-  // Drive `sched` to a full assignment over `graph` (the pull loop; the
-  // backend owns the request order).
+  // Drive `sched` to a full assignment over `graph`. The default is the
+  // fair round-robin pull loop, scheduler::drain; a backend that owns its
+  // own request order (the event simulator's pull-on-slot-free) overrides.
   [[nodiscard]] virtual scheduler::AssignmentRecord assign(
       scheduler::TaskScheduler& sched, const graph::BipartiteGraph& graph,
-      const std::vector<std::uint64_t>& block_bytes) = 0;
+      const std::vector<std::uint64_t>& block_bytes);
   // Selection-phase JobReport over the materialized splits. `node_speeds`
   // is the FaultPolicy's post-run view (empty = homogeneous); `attempts`
   // the materialize loop's attempt counters (one attempt per task and
@@ -188,9 +190,6 @@ class TimingBackend {
 // non-speculative timings.
 class AnalyticBackend final : public TimingBackend {
  public:
-  [[nodiscard]] scheduler::AssignmentRecord assign(
-      scheduler::TaskScheduler& sched, const graph::BipartiteGraph& graph,
-      const std::vector<std::uint64_t>& block_bytes) override;
   [[nodiscard]] mapred::JobReport report(
       const std::string& key, const std::vector<mapred::InputSplit>& splits,
       const ExperimentConfig& cfg, const std::vector<double>& node_speeds,
@@ -206,9 +205,6 @@ class AnalyticBackend final : public TimingBackend {
 // in the report via run_graph's post-merge.
 class CostOnlyBackend final : public TimingBackend {
  public:
-  [[nodiscard]] scheduler::AssignmentRecord assign(
-      scheduler::TaskScheduler& sched, const graph::BipartiteGraph& graph,
-      const std::vector<std::uint64_t>& block_bytes) override;
   [[nodiscard]] mapred::JobReport report(
       const std::string& key, const std::vector<mapred::InputSplit>& splits,
       const ExperimentConfig& cfg, const std::vector<double>& node_speeds,

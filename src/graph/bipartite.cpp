@@ -18,6 +18,19 @@ BipartiteGraph::BipartiteGraph(std::uint32_t num_nodes,
   }
 }
 
+BipartiteGraph BipartiteGraph::content_blind(const dfs::MiniDfs& dfs,
+                                             const std::string& path) {
+  std::vector<BlockVertex> blocks;
+  for (const dfs::BlockId id : dfs.blocks_of(path)) {
+    // Snapshot, not reference: graph building may race background healing
+    // (datanetd jobs vs ReplicationMonitor), and the replica vector mutates
+    // under repair.
+    blocks.push_back(BlockVertex{
+        .block_id = id, .weight = 0, .hosts = dfs.replicas_snapshot(id)});
+  }
+  return BipartiteGraph(dfs.topology().num_nodes(), std::move(blocks));
+}
+
 const BlockVertex& BipartiteGraph::block(std::size_t idx) const {
   if (idx >= blocks_.size()) throw std::out_of_range("BipartiteGraph::block");
   return blocks_[idx];

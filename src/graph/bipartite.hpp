@@ -34,27 +34,11 @@ class BipartiteGraph {
 
   [[nodiscard]] std::uint64_t total_weight() const noexcept { return total_weight_; }
 
-  // Build the graph for one sub-dataset from the DFS replica map plus a
-  // per-block weight lookup; blocks with zero weight can optionally be kept
-  // (the locality baseline must still process them: it does not know they
-  // are empty).
-  template <typename WeightFn>
-  static BipartiteGraph from_dfs(const dfs::MiniDfs& dfs, const std::string& path,
-                                 WeightFn&& weight_of, bool keep_zero_weight) {
-    std::vector<BlockVertex> blocks;
-    const auto& ids = dfs.blocks_of(path);
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      const std::uint64_t w = weight_of(i, ids[i]);
-      if (w == 0 && !keep_zero_weight) continue;
-      // Snapshot, not reference: graph building may race background healing
-      // (datanetd jobs vs ReplicationMonitor), and the replica vector
-      // mutates under repair.
-      blocks.push_back(BlockVertex{.block_id = ids[i],
-                                   .weight = w,
-                                   .hosts = dfs.replicas_snapshot(ids[i])});
-    }
-    return BipartiteGraph(dfs.topology().num_nodes(), std::move(blocks));
-  }
+  // The content-blind view of `path`: every block of the file with weight
+  // zero and its current replica holders. The locality baseline scans every
+  // block: it does not know which ones hold the sub-dataset.
+  static BipartiteGraph content_blind(const dfs::MiniDfs& dfs,
+                                      const std::string& path);
 
  private:
   std::uint32_t num_nodes_;

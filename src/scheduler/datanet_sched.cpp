@@ -2,8 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <numeric>
-#include <stdexcept>
 
 namespace datanet::scheduler {
 
@@ -15,36 +13,15 @@ void DataNetScheduler::reset(const graph::BipartiteGraph& graph) {
   workload_.assign(graph.num_nodes(), 0);
   average_ = static_cast<double>(graph.total_weight()) /
              static_cast<double>(graph.num_nodes());
-  targets_.clear();
-  if (!options_.capabilities.empty()) {
-    if (options_.capabilities.size() != graph.num_nodes()) {
-      throw std::invalid_argument(
-          "DataNetScheduler: capabilities size != node count");
-    }
-    const double cap_total = std::accumulate(options_.capabilities.begin(),
-                                             options_.capabilities.end(), 0.0);
-    if (!(cap_total > 0.0)) {
-      throw std::invalid_argument("DataNetScheduler: capabilities must sum > 0");
-    }
-    targets_.resize(graph.num_nodes());
-    for (dfs::NodeId n = 0; n < graph.num_nodes(); ++n) {
-      if (!(options_.capabilities[n] >= 0.0)) {
-        throw std::invalid_argument("DataNetScheduler: negative capability");
-      }
-      targets_[n] = static_cast<double>(graph.total_weight()) *
-                    options_.capabilities[n] / cap_total;
-    }
-  }
   local_.assign(graph.num_nodes(), {});
   for (dfs::NodeId n = 0; n < graph.num_nodes(); ++n) local_[n] = graph.blocks_on(n);
 }
 
 double DataNetScheduler::score(dfs::NodeId node, std::size_t block) const {
-  // |W_i + |b_x ∩ s| - W|  (Algorithm 1, lines 10/14); in heterogeneous
-  // mode W is the node's capability-proportional target.
+  // |W_i + |b_x ∩ s| - W|  (Algorithm 1, lines 10/14).
   const double w = static_cast<double>(workload_[node]) +
                    static_cast<double>(graph_->block(block).weight);
-  return std::fabs(w - target_of(node));
+  return std::fabs(w - average_);
 }
 
 void DataNetScheduler::commit(dfs::NodeId node, std::size_t block) {

@@ -32,12 +32,6 @@ struct DataNetSchedulerOptions {
   bool strict_locality = false;
   // Remote-assignment penalty as a fraction of the average workload W.
   double locality_bias = 0.25;
-  // Relative computing capability per node (Section IV-B: "According to the
-  // computing capability of computational nodes, we can calculate the
-  // amount of sub-datasets to be assigned to each node"). Empty =
-  // homogeneous. Node i's workload target becomes
-  // total * capabilities[i] / sum(capabilities).
-  std::vector<double> capabilities;
 };
 
 class DataNetScheduler final : public TaskScheduler {
@@ -57,10 +51,6 @@ class DataNetScheduler final : public TaskScheduler {
     return workload_;
   }
   [[nodiscard]] double average_target() const noexcept { return average_; }
-  // Node i's individual target (== average_target() when homogeneous).
-  [[nodiscard]] double target_of(dfs::NodeId node) const {
-    return targets_.empty() ? average_ : targets_[node];
-  }
 
  private:
   [[nodiscard]] double score(dfs::NodeId node, std::size_t block) const;
@@ -75,7 +65,6 @@ class DataNetScheduler final : public TaskScheduler {
   std::size_t remaining_ = 0;
   std::vector<std::uint64_t> workload_;  // W_i
   double average_ = 0.0;                 // W
-  std::vector<double> targets_;          // per-node W (heterogeneous mode)
   std::vector<std::vector<std::size_t>> local_;  // d_i (lazily compacted)
 };
 

@@ -7,57 +7,26 @@
 namespace datanet::scheduler {
 
 void FlowScheduler::reset(const graph::BipartiteGraph& graph) {
-  graph_ = &graph;
   const auto result = graph::balanced_assignment(graph);
   fractional_capacity_ = result.fractional_capacity;
-  queues_.assign(graph.num_nodes(), {});
-  pending_weight_.assign(graph.num_nodes(), 0);
-  remaining_ = graph.num_blocks();
+  plan_.reset(graph);
   // Serve each node its heaviest blocks first: long tasks start early, which
   // minimizes end-of-phase straggling.
-  std::vector<std::vector<std::size_t>> per_node(graph.num_nodes());
+  std::vector<std::vector<std::size_t>> by_node(graph.num_nodes());
   for (std::size_t j = 0; j < graph.num_blocks(); ++j) {
-    per_node[result.assignment[j]].push_back(j);
-    pending_weight_[result.assignment[j]] += graph.block(j).weight;
+    by_node[result.assignment[j]].push_back(j);
   }
   for (dfs::NodeId n = 0; n < graph.num_nodes(); ++n) {
-    std::sort(per_node[n].begin(), per_node[n].end(),
+    std::sort(by_node[n].begin(), by_node[n].end(),
               [&](std::size_t a, std::size_t b) {
                 return graph.block(a).weight > graph.block(b).weight;
               });
-    queues_[n].assign(per_node[n].begin(), per_node[n].end());
+    for (const std::size_t j : by_node[n]) plan_.push(n, j);
   }
 }
 
 std::optional<std::size_t> FlowScheduler::next_task(dfs::NodeId node) {
-  if (graph_ == nullptr || remaining_ == 0) return std::nullopt;
-
-  auto pop_from = [&](dfs::NodeId owner) {
-    const std::size_t j = queues_[owner].front();
-    queues_[owner].pop_front();
-    pending_weight_[owner] -= graph_->block(j).weight;
-    --remaining_;
-    return j;
-  };
-
-  if (!queues_[node].empty()) return pop_from(node);
-
-  // Steal from the node with the most pending weight.
-  dfs::NodeId victim = node;
-  std::uint64_t most = 0;
-  for (dfs::NodeId n = 0; n < static_cast<dfs::NodeId>(queues_.size()); ++n) {
-    if (!queues_[n].empty() && pending_weight_[n] >= most) {
-      most = pending_weight_[n];
-      victim = n;
-    }
-  }
-  if (queues_[victim].empty()) return std::nullopt;
-  // Steal from the back (lightest task) to disturb the owner least.
-  const std::size_t j = queues_[victim].back();
-  queues_[victim].pop_back();
-  pending_weight_[victim] -= graph_->block(j).weight;
-  --remaining_;
-  return j;
+  return plan_.next(node);
 }
 
 }  // namespace datanet::scheduler

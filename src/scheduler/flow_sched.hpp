@@ -1,11 +1,8 @@
 #pragma once
 // Flow-based scheduler: precomputes the max-flow balanced assignment
 // (graph::balanced_assignment — the paper's Ford–Fulkerson remark) at
-// reset() and serves each node its precomputed queue. If a node is asked for
-// work after its queue drains (e.g. heterogeneous progress), it steals from
-// the most-loaded remaining queue so the schedule stays work-conserving.
-
-#include <deque>
+// reset() and serves each node its precomputed queue through PlanQueues
+// (own queue first, then a steal from the most-loaded remaining queue).
 
 #include "scheduler/scheduler.hpp"
 
@@ -25,10 +22,7 @@ class FlowScheduler final : public TaskScheduler {
   }
 
  private:
-  const graph::BipartiteGraph* graph_ = nullptr;
-  std::vector<std::deque<std::size_t>> queues_;
-  std::vector<std::uint64_t> pending_weight_;
-  std::size_t remaining_ = 0;
+  PlanQueues plan_;
   std::uint64_t fractional_capacity_ = 0;
 };
 

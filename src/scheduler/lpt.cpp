@@ -6,11 +6,8 @@
 namespace datanet::scheduler {
 
 void LptScheduler::reset(const graph::BipartiteGraph& graph) {
-  graph_ = &graph;
-  queues_.assign(graph.num_nodes(), {});
-  pending_weight_.assign(graph.num_nodes(), 0);
+  plan_.reset(graph);
   planned_.assign(graph.num_nodes(), 0);
-  remaining_ = graph.num_blocks();
 
   std::vector<std::size_t> order(graph.num_blocks());
   std::iota(order.begin(), order.end(), std::size_t{0});
@@ -37,36 +34,12 @@ void LptScheduler::reset(const graph::BipartiteGraph& graph) {
       }
     }
     planned_[target] += graph.block(j).weight;
-    queues_[target].push_back(j);
-    pending_weight_[target] += graph.block(j).weight;
+    plan_.push(target, j);
   }
 }
 
 std::optional<std::size_t> LptScheduler::next_task(dfs::NodeId node) {
-  if (graph_ == nullptr || remaining_ == 0) return std::nullopt;
-  auto pop = [&](dfs::NodeId owner) {
-    const std::size_t j = queues_[owner].front();
-    queues_[owner].pop_front();
-    pending_weight_[owner] -= graph_->block(j).weight;
-    --remaining_;
-    return j;
-  };
-  if (!queues_[node].empty()) return pop(node);
-  // Work-conserving steal from the most-loaded remaining queue.
-  dfs::NodeId victim = node;
-  std::uint64_t most = 0;
-  for (dfs::NodeId n = 0; n < static_cast<dfs::NodeId>(queues_.size()); ++n) {
-    if (!queues_[n].empty() && pending_weight_[n] >= most) {
-      most = pending_weight_[n];
-      victim = n;
-    }
-  }
-  if (queues_[victim].empty()) return std::nullopt;
-  const std::size_t j = queues_[victim].back();
-  queues_[victim].pop_back();
-  pending_weight_[victim] -= graph_->block(j).weight;
-  --remaining_;
-  return j;
+  return plan_.next(node);
 }
 
 }  // namespace datanet::scheduler

@@ -6,8 +6,7 @@
 // least-loaded replica holder; with a relocation allowance, a block may go
 // to the globally least-loaded node when every replica holder is already
 // past the average (the same soft-locality idea as DataNetScheduler).
-
-#include <deque>
+// Requests are served from the plan through PlanQueues.
 
 #include "scheduler/scheduler.hpp"
 
@@ -35,11 +34,8 @@ class LptScheduler final : public TaskScheduler {
 
  private:
   LptSchedulerOptions options_;
-  const graph::BipartiteGraph* graph_ = nullptr;
-  std::vector<std::deque<std::size_t>> queues_;
-  std::vector<std::uint64_t> pending_weight_;
+  PlanQueues plan_;
   std::vector<std::uint64_t> planned_;
-  std::size_t remaining_ = 0;
 };
 
 }  // namespace datanet::scheduler

@@ -1,26 +1,52 @@
 #include "scheduler/scheduler.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 namespace datanet::scheduler {
 
-AssignmentRecord pull_assign(TaskScheduler& sched,
-                             const graph::BipartiteGraph& graph,
-                             const std::vector<std::uint64_t>& block_bytes,
-                             const PullOptions& options) {
-  if (block_bytes.size() != graph.num_blocks()) {
-    throw std::invalid_argument("pull_assign: block_bytes size mismatch");
+void PlanQueues::reset(const graph::BipartiteGraph& graph) {
+  graph_ = &graph;
+  queues_.assign(graph.num_nodes(), {});
+  pending_weight_.assign(graph.num_nodes(), 0);
+  queued_ = 0;
+}
+
+void PlanQueues::push(dfs::NodeId node, std::size_t block) {
+  queues_[node].push_back(block);
+  pending_weight_[node] += graph_->block(block).weight;
+  ++queued_;
+}
+
+std::optional<std::size_t> PlanQueues::next(dfs::NodeId node) {
+  if (queued_ == 0) return std::nullopt;
+  dfs::NodeId owner = node;
+  std::size_t j = 0;
+  if (!queues_[node].empty()) {
+    j = queues_[node].front();
+    queues_[node].pop_front();
+  } else {
+    // Steal from the node with the most pending weight (ties to the highest
+    // id), taking its back (lightest) task to disturb the owner least.
+    std::uint64_t most = 0;
+    for (dfs::NodeId n = 0; n < static_cast<dfs::NodeId>(queues_.size()); ++n) {
+      if (!queues_[n].empty() && pending_weight_[n] >= most) {
+        most = pending_weight_[n];
+        owner = n;
+      }
+    }
+    j = queues_[owner].back();
+    queues_[owner].pop_back();
   }
-  const bool timed = options.order == PullOptions::Order::kTimed;
-  if (!options.node_speed.empty()) {
-    if (options.node_speed.size() != graph.num_nodes()) {
-      throw std::invalid_argument("pull_assign: node_speed size mismatch");
-    }
-    for (const double s : options.node_speed) {
-      if (!(s > 0.0)) throw std::invalid_argument("pull_assign: speed <= 0");
-    }
+  pending_weight_[owner] -= graph_->block(j).weight;
+  --queued_;
+  return j;
+}
+
+AssignmentRecord drain(TaskScheduler& sched, const graph::BipartiteGraph& graph,
+                       const std::vector<std::uint64_t>& block_bytes) {
+  if (block_bytes.size() != graph.num_blocks()) {
+    throw std::invalid_argument("drain: block_bytes size mismatch");
   }
   sched.reset(graph);
   AssignmentRecord rec;
@@ -29,80 +55,36 @@ AssignmentRecord pull_assign(TaskScheduler& sched,
   rec.node_input_bytes.assign(graph.num_nodes(), 0);
 
   std::vector<std::uint8_t> assigned(graph.num_blocks(), 0);
-  std::vector<double> clock(graph.num_nodes(), 0.0);
-  std::vector<bool> exhausted(graph.num_nodes(), false);
   std::size_t remaining = graph.num_blocks();
-  std::uint32_t live_nodes = graph.num_nodes();
-  // Round-robin stall detection: a full round of unanswered requests with
-  // tasks remaining means the scheduler will never drain.
+  // A full round of unanswered requests with tasks remaining means the
+  // scheduler will never drain.
   std::uint32_t barren_requests = 0;
-
-  while (remaining > 0 && live_nodes > 0) {
-    // Earliest-clock non-exhausted node requests next; ties to lowest id.
-    dfs::NodeId next = 0;
-    double best = std::numeric_limits<double>::infinity();
-    for (dfs::NodeId n = 0; n < graph.num_nodes(); ++n) {
-      if (!exhausted[n] && clock[n] < best) {
-        best = clock[n];
-        next = n;
-      }
-    }
-    const auto task = sched.next_task(next);
+  for (dfs::NodeId node = 0; remaining > 0;
+       node = (node + 1) % graph.num_nodes()) {
+    const auto task = sched.next_task(node);
     if (!task) {
-      if (timed) {
-        // A freed slot with no answer retires: this worker is done.
-        exhausted[next] = true;
-        --live_nodes;
-      } else {
-        // Skip this round; ask again next round (like drain's retry rounds).
-        clock[next] += 1.0;
-        if (++barren_requests >= graph.num_nodes()) break;
+      if (++barren_requests >= graph.num_nodes()) {
+        throw std::logic_error("drain: scheduler stalled with tasks remaining");
       }
       continue;
     }
     if (*task >= graph.num_blocks() || assigned[*task]) {
-      throw std::logic_error("pull_assign: scheduler returned bad/duplicate task");
+      throw std::logic_error("drain: scheduler returned bad/duplicate task");
     }
     assigned[*task] = 1;
     barren_requests = 0;
-    rec.block_to_node[*task] = next;
-    rec.node_load[next] += graph.block(*task).weight;
-    rec.node_input_bytes[next] += block_bytes[*task];
-    if (timed) {
-      const double speed =
-          options.node_speed.empty() ? 1.0 : options.node_speed[next];
-      clock[next] += static_cast<double>(block_bytes[*task]) / speed;
-    } else {
-      clock[next] += 1.0;
-    }
+    rec.block_to_node[*task] = node;
+    rec.node_load[node] += graph.block(*task).weight;
+    rec.node_input_bytes[node] += block_bytes[*task];
     --remaining;
     const auto& hosts = graph.block(*task).hosts;
-    if (std::find(hosts.begin(), hosts.end(), next) != hosts.end()) {
+    if (std::find(hosts.begin(), hosts.end(), node) != hosts.end()) {
       ++rec.local_tasks;
     } else {
       ++rec.remote_tasks;
     }
-    if (options.on_assign) options.on_assign(*task, next);
-  }
-  if (remaining > 0) {
-    throw std::logic_error("pull_assign: scheduler stalled with tasks remaining");
   }
   return rec;
-}
-
-AssignmentRecord drain(TaskScheduler& sched, const graph::BipartiteGraph& graph,
-                       const std::vector<std::uint64_t>& block_bytes) {
-  return pull_assign(sched, graph, block_bytes,
-                     {.order = PullOptions::Order::kRoundRobin});
-}
-
-AssignmentRecord drain_timed(TaskScheduler& sched,
-                             const graph::BipartiteGraph& graph,
-                             const std::vector<std::uint64_t>& block_bytes,
-                             const std::vector<double>& node_speed) {
-  return pull_assign(sched, graph, block_bytes,
-                     {.order = PullOptions::Order::kTimed,
-                      .node_speed = node_speed});
 }
 
 dfs::NodeId pick_failover_node(const AssignmentRecord& rec,

@@ -5,7 +5,7 @@
 // graph, or nothing when the task set T is exhausted.
 
 #include <cstdint>
-#include <functional>
+#include <deque>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -28,6 +28,27 @@ class TaskScheduler {
   [[nodiscard]] virtual std::string_view name() const = 0;
 };
 
+// Per-node task queues for the static-plan schedulers (FlowScheduler,
+// LptScheduler): reset() plans every block onto a node queue up front, and
+// a request pops the front of the requester's own queue. Once that queue is
+// empty the node steals the back (lightest-planned) task of the queue with
+// the most pending weight, so the schedule stays work-conserving.
+class PlanQueues {
+ public:
+  // Bind to `graph` with every queue empty.
+  void reset(const graph::BipartiteGraph& graph);
+  // Append block `block` to `node`'s queue.
+  void push(dfs::NodeId node, std::size_t block);
+  // Serve one request from `node`; nullopt once every queue is empty.
+  [[nodiscard]] std::optional<std::size_t> next(dfs::NodeId node);
+
+ private:
+  const graph::BipartiteGraph* graph_ = nullptr;
+  std::vector<std::deque<std::size_t>> queues_;
+  std::vector<std::uint64_t> pending_weight_;
+  std::size_t queued_ = 0;
+};
+
 // Summary of a completed assignment: which node ran each block, and the
 // per-node byte loads (weights of assigned blocks) — the workload series
 // plotted in Fig. 1b / 5c / 8b.
@@ -40,47 +61,18 @@ struct AssignmentRecord {
 };
 
 // ---- the pull loop ----
-// One implementation drives every analytic selection path (drain and
-// drain_timed are thin spellings of it; core::SelectionRuntime calls it
-// directly). Each node carries a virtual clock; the node with the earliest
-// clock requests next (ties to the lowest id). The request-order policy is
-// what the clock measures:
-//   * kRoundRobin — every request (answered or not) costs one tick, which
-//     reproduces Hadoop's fair heartbeat rounds: node 0..N-1 ask in id order
-//     until the task set is exhausted. A node whose request goes unanswered
-//     is asked again next round (a later request may succeed).
-//   * kTimed — an assigned task costs block_bytes / node_speed, so a slow
-//     node naturally asks for fewer blocks, like a real task tracker that
-//     heartbeats only when a slot frees up; an unanswered request retires
-//     the node.
-struct PullOptions {
-  enum class Order { kRoundRobin, kTimed };
-  Order order = Order::kRoundRobin;
-  // Relative processing speed per node; kTimed only. Empty = homogeneous.
-  std::vector<double> node_speed;
-  // Invoked as each task is handed out (tracing / progress hooks).
-  std::function<void(std::size_t task, dfs::NodeId node)> on_assign;
-};
-
-// Drive `sched` to a full assignment over `graph`. `block_bytes[j]` is the
-// raw size of block j (node_input_bytes accounting + kTimed clock costs).
-// Throws std::logic_error if the scheduler returns an out-of-range or
-// duplicate task, or stalls with tasks remaining.
-AssignmentRecord pull_assign(TaskScheduler& sched,
-                             const graph::BipartiteGraph& graph,
-                             const std::vector<std::uint64_t>& block_bytes,
-                             const PullOptions& options = {});
-
-// Fair round-robin request order (PullOptions::Order::kRoundRobin).
+// One implementation drives every analytic selection path
+// (core::TimingBackend::assign's default calls it). Workers request in fair
+// turns, like Hadoop task trackers heartbeating on a homogeneous cluster:
+// nodes 0..N-1 ask in id order, cycling until the task set is exhausted.
+// Every request, answered or not, passes the turn to the next node; a node
+// whose request goes unanswered is asked again on its next turn (a later
+// request may succeed). `block_bytes[j]` is the raw size of block j
+// (node_input_bytes accounting). Throws std::logic_error if the scheduler
+// returns an out-of-range or duplicate task, or leaves N requests in a row
+// unanswered with tasks remaining (it stalled).
 AssignmentRecord drain(TaskScheduler& sched, const graph::BipartiteGraph& graph,
                        const std::vector<std::uint64_t>& block_bytes);
-
-// Speed-aware pull order (PullOptions::Order::kTimed). Empty `node_speed` =
-// homogeneous unit speeds (clocks advance by raw block bytes).
-AssignmentRecord drain_timed(TaskScheduler& sched,
-                             const graph::BipartiteGraph& graph,
-                             const std::vector<std::uint64_t>& block_bytes,
-                             const std::vector<double>& node_speed);
 
 // Deterministic failover choice for one task: the eligible replica holder
 // with the least assigned input bytes (ties to the lowest node id), else the

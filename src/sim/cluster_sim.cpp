@@ -11,16 +11,9 @@ constexpr double kMiB = 1024.0 * 1024.0;
 
 ClusterSim::ClusterSim(SimConfig config) : config_(std::move(config)) {
   if (config_.num_nodes == 0) throw std::invalid_argument("sim: num_nodes == 0");
-  if (!config_.per_node.empty() &&
-      config_.per_node.size() != config_.num_nodes) {
-    throw std::invalid_argument("sim: per_node size mismatch");
-  }
-  for (std::uint32_t n = 0; n < config_.num_nodes; ++n) {
-    const auto& nc = config_.node_config(n);
-    if (nc.slots == 0 || !(nc.disk_mbps > 0.0) || !(nc.nic_mbps > 0.0) ||
-        !(nc.cpu_speed > 0.0)) {
-      throw std::invalid_argument("sim: invalid node config");
-    }
+  const NodeConfig& nc = config_.node;
+  if (nc.slots == 0 || !(nc.disk_mbps > 0.0) || !(nc.nic_mbps > 0.0)) {
+    throw std::invalid_argument("sim: invalid node config");
   }
 }
 
@@ -36,102 +29,34 @@ SimResult ClusterSim::run(const std::vector<SimTask>& tasks,
   EventQueue queue;
   // Per-node FIFO disk: the time at which the disk frees.
   std::vector<Time> disk_free(config_.num_nodes, 0.0);
+  const NodeConfig& nc = config_.node;
 
-  // A task may have up to two live attempts (the scheduler's original and
-  // one speculative duplicate); the first finish event wins and cancels the
-  // rival, whose slot frees at the win time.
-  struct Attempt {
-    std::size_t task;
-    std::uint32_t node;
-    Time finish;
-    bool speculative;
-    bool cancelled = false;
-  };
-  std::vector<Attempt> attempts;
-  std::vector<std::uint8_t> task_done(tasks.size(), 0);
-  std::vector<std::uint8_t> task_backed(tasks.size(), 0);
-  std::vector<std::vector<std::size_t>> task_live(tasks.size());
-
-  std::function<void(std::uint32_t)> pull;
-
-  // Projected finish of `t` if started on `node` now (disk FIFO + NIC bound
-  // + compute). Finish times never change after launch, so projections are
-  // exact — backup selection can compare against them safely.
-  const auto project = [&](std::uint32_t node, std::size_t t) {
-    const SimTask& task = tasks[t];
-    const auto& nc = config_.node_config(node);
-    const bool remote = is_remote ? is_remote(node, t) : task.remote;
+  std::function<void(std::uint32_t)> pull = [&](std::uint32_t node) {
+    const auto t = next_task(node);
+    if (!t) return;  // slot retires
+    if (*t >= tasks.size()) throw std::logic_error("sim: bad task index");
+    // Disk FIFO, NIC-bounded when the read is remote, then compute.
+    const SimTask& task = tasks[*t];
+    const bool remote = is_remote ? is_remote(node, *t) : task.remote;
     const double rate_mbps =
         remote ? std::min(nc.disk_mbps, nc.nic_mbps) : nc.disk_mbps;
-    const double read_dur =
-        static_cast<double>(task.input_bytes) / kMiB / rate_mbps;
-    const Time read_end = std::max(queue.now(), disk_free[node]) + read_dur;
-    const Time finish = read_end + task.cpu_seconds / nc.cpu_speed;
-    return std::tuple(read_end, finish, remote);
-  };
-
-  const auto launch = [&](std::uint32_t node, std::size_t t, bool speculative) {
-    const auto [read_end, finish, remote] = project(node, t);
+    const Time read_end = std::max(queue.now(), disk_free[node]) +
+                          static_cast<double>(task.input_bytes) / kMiB /
+                              rate_mbps;
+    const Time finish = read_end + task.cpu_seconds;
     disk_free[node] = read_end;
     if (remote) ++result.remote_reads;
-    const std::size_t aid = attempts.size();
-    attempts.push_back({t, node, finish, speculative});
-    task_live[t].push_back(aid);
-    queue.schedule(finish, [&, aid, node, finish] {
-      if (attempts[aid].cancelled) return;  // rival won; slot re-pulled then
-      const std::size_t task = attempts[aid].task;
-      task_done[task] = 1;
-      result.task_finish[task] = finish;
-      result.task_node[task] = node;
+    queue.schedule(finish, [&, t = *t, node, finish] {
+      result.task_finish[t] = finish;
+      result.task_node[t] = node;
       result.node_finish[node] = std::max(result.node_finish[node], finish);
-      if (attempts[aid].speculative) ++result.speculative_wins;
-      for (const std::size_t rid : task_live[task]) {
-        if (rid == aid || attempts[rid].cancelled) continue;
-        attempts[rid].cancelled = true;  // preempt: its finish event no-ops
-        const std::uint32_t rn = attempts[rid].node;
-        result.node_finish[rn] = std::max(result.node_finish[rn], finish);
-        queue.schedule(finish, [&, rn] { pull(rn); });
-      }
-      task_live[task].clear();
       pull(node);
     });
   };
 
-  pull = [&](std::uint32_t node) {
-    const auto t = next_task(node);
-    if (t) {
-      if (*t >= tasks.size()) throw std::logic_error("sim: bad task index");
-      launch(node, *t, /*speculative=*/false);
-      return;
-    }
-    if (!config_.speculative) return;  // slot retires
-    // Speculation: duplicate the running, not-yet-backed task with the
-    // latest projected finish — but only when this slot would beat it
-    // strictly. Ascending scan keeps ties on the lowest task id.
-    std::size_t best = tasks.size();
-    Time best_finish = 0.0;
-    for (std::size_t j = 0; j < tasks.size(); ++j) {
-      if (task_done[j] || task_backed[j] || task_live[j].empty()) continue;
-      const Attempt& running = attempts[task_live[j].front()];
-      if (running.cancelled || running.node == node) continue;
-      const auto [read_end, backup_finish, remote] = project(node, j);
-      (void)read_end;
-      (void)remote;
-      if (backup_finish >= running.finish) continue;
-      if (best == tasks.size() || running.finish > best_finish) {
-        best = j;
-        best_finish = running.finish;
-      }
-    }
-    if (best == tasks.size()) return;  // nothing worth duplicating: retire
-    task_backed[best] = 1;
-    ++result.speculative_launched;
-    launch(node, best, /*speculative=*/true);
-  };
-
   // Kick off every slot at t = 0.
   for (std::uint32_t n = 0; n < config_.num_nodes; ++n) {
-    for (std::uint32_t s = 0; s < config_.node_config(n).slots; ++s) {
+    for (std::uint32_t s = 0; s < nc.slots; ++s) {
       queue.schedule(0.0, [&, n] { pull(n); });
     }
   }

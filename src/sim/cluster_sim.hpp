@@ -6,14 +6,9 @@
 // lifecycle: wait for a slot -> queue on the source disk -> read -> compute
 // -> release slot and pull the next task from the scheduler (genuine
 // pull-on-slot-free, the paper's "worker process requests a task" loop).
-//
-// With SimConfig::speculative set, a slot whose pull goes unanswered turns
-// into a speculative backup runner (the Hadoop straggler defence): it
-// duplicates the running task with the latest projected finish — provided
-// this slot would beat it strictly — and the first attempt to finish wins,
-// cancelling the rival and freeing its slot at the win time. Every choice
-// is deterministic (ties to the lowest task id; the event queue breaks
-// time ties FIFO), so reports stay reproducible.
+// Every node has the same hardware (the paper's homogeneous cluster), each
+// task runs once, and a slot whose pull goes unanswered retires. The event
+// queue breaks time ties FIFO, so reports stay reproducible.
 //
 // Used by bench_sim_vs_analytic to check that the paper's conclusions are
 // robust to the timing model, not an artifact of the closed-form engine.
@@ -31,25 +26,16 @@ struct NodeConfig {
   std::uint32_t slots = 2;
   double disk_mbps = 80.0;   // sequential read bandwidth
   double nic_mbps = 100.0;   // remote-read ceiling
-  double cpu_speed = 1.0;    // relative compute speed
 };
 
 struct SimConfig {
   std::uint32_t num_nodes = 1;
-  NodeConfig node;  // homogeneous default
-  // Optional per-node overrides (size 0 or num_nodes).
-  std::vector<NodeConfig> per_node;
-  // Idle slots launch speculative duplicates of projected stragglers.
-  bool speculative = false;
-
-  [[nodiscard]] const NodeConfig& node_config(std::uint32_t n) const {
-    return per_node.empty() ? node : per_node[n];
-  }
+  NodeConfig node;  // every node's hardware
 };
 
 struct SimTask {
   std::uint64_t input_bytes = 0;
-  double cpu_seconds = 1.0;  // at speed 1.0
+  double cpu_seconds = 1.0;
   bool remote = false;       // read crosses the network (see RemoteFn)
 };
 
@@ -63,12 +49,10 @@ using RemoteFn = std::function<bool(std::uint32_t node, std::size_t task)>;
 
 struct SimResult {
   std::vector<Time> task_finish;   // per task (indexed as given)
-  std::vector<std::uint32_t> task_node;  // winning attempt's node
+  std::vector<std::uint32_t> task_node;  // node the task ran on
   std::vector<Time> node_finish;   // last completion per node
   Time makespan = 0.0;
-  std::uint64_t remote_reads = 0;  // reads started, duplicates included
-  std::uint64_t speculative_launched = 0;
-  std::uint64_t speculative_wins = 0;
+  std::uint64_t remote_reads = 0;  // reads that crossed the network
 };
 
 class ClusterSim {

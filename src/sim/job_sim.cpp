@@ -39,7 +39,7 @@ JobSimReport simulate_analysis_job(
   std::vector<SimTask> tasks;
   std::vector<std::uint32_t> task_owner;
   for (std::uint32_t n = 0; n < nodes; ++n) {
-    const auto slots = options.cluster.node_config(n).slots;
+    const auto slots = options.cluster.node.slots;
     const std::uint64_t per_slot = node_input_bytes[n] / slots;
     for (std::uint32_t s = 0; s < slots; ++s) {
       const std::uint64_t bytes =
@@ -55,14 +55,14 @@ JobSimReport simulate_analysis_job(
     }
   }
   ClusterSim cluster(options.cluster);
-  std::vector<std::vector<std::size_t>> per_node(nodes);
+  std::vector<std::vector<std::size_t>> node_tasks(nodes);
   for (std::size_t t = 0; t < tasks.size(); ++t) {
-    per_node[task_owner[t]].push_back(t);
+    node_tasks[task_owner[t]].push_back(t);
   }
   std::vector<std::size_t> cursor(nodes, 0);
   report.map = cluster.run(tasks, [&](std::uint32_t n) -> std::optional<std::size_t> {
-    if (cursor[n] >= per_node[n].size()) return std::nullopt;
-    return per_node[n][cursor[n]++];
+    if (cursor[n] >= node_tasks[n].size()) return std::nullopt;
+    return node_tasks[n][cursor[n]++];
   });
   report.map_phase = report.map.makespan;
 
@@ -106,9 +106,7 @@ JobSimReport simulate_analysis_job(
   }
   for (const auto& t : transfers) {
     const std::uint32_t dst = report.reducer_host[t.r];
-    const double nic =
-        std::min(options.cluster.node_config(t.src).nic_mbps,
-                 options.cluster.node_config(dst).nic_mbps);
+    const double nic = options.cluster.node.nic_mbps;
     const Time start = std::max({t.ready, tx_free[t.src], rx_free[dst]});
     const Time end = start + t.bytes / kMiB / nic;
     tx_free[t.src] = end;
@@ -124,11 +122,9 @@ JobSimReport simulate_analysis_job(
       total_in += static_cast<double>(node_input_bytes[n]) *
                   options.output_ratio / options.num_reducers;
     }
-    const auto host = report.reducer_host[r];
     report.reduce_finish[r] =
         report.shuffle_finish[r] +
-        options.reduce_cpu_seconds_per_mib * total_in / kMiB /
-            options.cluster.node_config(host).cpu_speed;
+        options.reduce_cpu_seconds_per_mib * total_in / kMiB;
     report.makespan = std::max(report.makespan, report.reduce_finish[r]);
   }
   return report;

@@ -53,14 +53,11 @@ scheduler::AssignmentRecord EventSimBackend::assign(
 mapred::JobReport EventSimBackend::report(
     const std::string& /*key*/, const std::vector<mapred::InputSplit>& splits,
     const core::ExperimentConfig& /*cfg*/,
-    const std::vector<double>& /*node_speeds — heterogeneity comes from
-                                  SimConfig::per_node cpu_speed instead */,
-    const mapred::AttemptCounters& /*attempts — the simulator models its own
-                                     duplicates as events; the runtime merges
-                                     the loop's counters on top */) {
+    const std::vector<double>& /*node_speeds — the event model times the
+                                  homogeneous cluster */,
+    const mapred::AttemptCounters& /*attempts — the runtime merges the
+                                     loop's counters on top */) {
   mapred::JobReport rep;
-  rep.attempts.speculative_launched = last_sim_.speculative_launched;
-  rep.attempts.speculative_wins = last_sim_.speculative_wins;
   rep.node_map_seconds.assign(last_sim_.node_finish.begin(),
                               last_sim_.node_finish.end());
   rep.map_phase_seconds = last_sim_.makespan;

@@ -19,9 +19,8 @@
 namespace datanet::sim {
 
 struct SelectionSimOptions {
-  SimConfig cluster;  // cluster.speculative turns on event-level duplicates
-  // Compute cost of the selection map (filtering) per input MiB, at cpu
-  // speed 1.0.
+  SimConfig cluster;
+  // Compute cost of the selection map (filtering) per input MiB.
   double cpu_seconds_per_mib = 0.2;
 };
 
@@ -29,9 +28,8 @@ struct SelectionSimOptions {
 // (placement falls out of which slot freed first); the raw SimResult of the
 // latest run stays available via last_sim(). report() translates it into
 // the phase-level JobReport fields (node/map/total seconds, first finish,
-// input bytes) and carries the simulator's speculative-duplicate counters
-// in the attempts section — per-task engine details (map_tasks, output,
-// shuffle) stay empty, since the event model times the selection scan only.
+// input bytes) — per-task engine details (map_tasks, output, shuffle) stay
+// empty, since the event model times the selection scan only.
 class EventSimBackend final : public core::TimingBackend {
  public:
   EventSimBackend(const dfs::MiniDfs& dfs, SelectionSimOptions options)

@@ -1,6 +1,6 @@
 // Tests for the extension features beyond the paper's core: the runtime
 // rebalancing comparator (Section V-A-4 discussion), aggregation-transfer
-// planning (Section IV-B future work), heterogeneous-capability scheduling,
+// planning (Section IV-B future work), heterogeneous engine speeds and
 // speculative execution, incremental ElasticMap maintenance, multi-key
 // scheduling, and DFS fault handling.
 
@@ -149,112 +149,6 @@ TEST(Aggregation, MoreReducersThanNodesWraps) {
 TEST(Aggregation, RejectsBadArgs) {
   EXPECT_THROW(dc::plan_aggregation({}, 2), std::invalid_argument);
   EXPECT_THROW(dc::plan_aggregation({1}, 0), std::invalid_argument);
-}
-
-// ---- heterogeneous capability scheduling ----
-
-namespace {
-datanet::graph::BipartiteGraph hetero_graph(std::uint32_t nodes,
-                                            std::size_t blocks,
-                                            std::uint64_t seed) {
-  datanet::common::Rng rng(seed);
-  std::vector<datanet::graph::BlockVertex> bs;
-  for (std::size_t j = 0; j < blocks; ++j) {
-    datanet::graph::BlockVertex v;
-    v.block_id = j;
-    v.weight = 500 + rng.bounded(4000);
-    while (v.hosts.size() < 3) {
-      const auto n = static_cast<datanet::dfs::NodeId>(rng.bounded(nodes));
-      if (std::find(v.hosts.begin(), v.hosts.end(), n) == v.hosts.end()) {
-        v.hosts.push_back(n);
-      }
-    }
-    bs.push_back(std::move(v));
-  }
-  return datanet::graph::BipartiteGraph(nodes, std::move(bs));
-}
-}  // namespace
-
-TEST(Heterogeneous, LoadsTrackCapabilities) {
-  const auto g = hetero_graph(8, 256, 5);
-  // Nodes 0-3 are twice as capable as nodes 4-7: they heartbeat twice as
-  // often (drain_timed) and their Algorithm 1 target is twice as large.
-  const std::vector<double> caps{2, 2, 2, 2, 1, 1, 1, 1};
-  dsch::DataNetSchedulerOptions opt;
-  opt.capabilities = caps;
-  dsch::DataNetScheduler sched(opt);
-  const auto rec = dsch::drain_timed(
-      sched, g, std::vector<std::uint64_t>(g.num_blocks(), 1 << 20), caps);
-  double fast = 0, slow = 0;
-  for (int n = 0; n < 4; ++n) fast += static_cast<double>(rec.node_load[n]);
-  for (int n = 4; n < 8; ++n) slow += static_cast<double>(rec.node_load[n]);
-  EXPECT_NEAR(fast / slow, 2.0, 0.3);
-}
-
-TEST(DrainTimed, HomogeneousMatchesTotals) {
-  const auto g = hetero_graph(6, 96, 23);
-  const std::vector<std::uint64_t> bytes(g.num_blocks(), 1 << 20);
-  dsch::DataNetScheduler sched;
-  const auto rec = dsch::drain_timed(sched, g, bytes, {});
-  const auto total =
-      std::accumulate(rec.node_load.begin(), rec.node_load.end(), 0ull);
-  EXPECT_EQ(total, g.total_weight());
-  EXPECT_EQ(rec.local_tasks + rec.remote_tasks, g.num_blocks());
-}
-
-TEST(DrainTimed, SlowNodeScansFewerBlocks) {
-  const auto g = hetero_graph(4, 128, 29);
-  const std::vector<std::uint64_t> bytes(g.num_blocks(), 1 << 20);
-  dsch::LocalityScheduler sched(3);
-  const auto rec = dsch::drain_timed(sched, g, bytes, {1.0, 1.0, 1.0, 0.25});
-  std::vector<int> counts(4, 0);
-  for (const auto n : rec.block_to_node) ++counts[n];
-  EXPECT_LT(counts[3], counts[0] / 2);
-}
-
-TEST(DrainTimed, RejectsBadArgs) {
-  const auto g = hetero_graph(4, 16, 31);
-  dsch::LocalityScheduler sched(1);
-  const std::vector<std::uint64_t> bytes(g.num_blocks(), 1);
-  EXPECT_THROW(dsch::drain_timed(sched, g, {1, 2}, {}), std::invalid_argument);
-  EXPECT_THROW(dsch::drain_timed(sched, g, bytes, {1.0}), std::invalid_argument);
-  EXPECT_THROW(dsch::drain_timed(sched, g, bytes, {1, 1, 1, 0}),
-               std::invalid_argument);
-}
-
-TEST(Heterogeneous, UniformCapabilitiesMatchHomogeneous) {
-  const auto g = hetero_graph(6, 128, 9);
-  dsch::DataNetSchedulerOptions opt;
-  opt.capabilities = {3, 3, 3, 3, 3, 3};
-  dsch::DataNetScheduler uniform(opt);
-  dsch::DataNetScheduler plain;
-  const std::vector<std::uint64_t> bytes(g.num_blocks(), 1 << 20);
-  EXPECT_EQ(dsch::drain(uniform, g, bytes).block_to_node,
-            dsch::drain(plain, g, bytes).block_to_node);
-}
-
-TEST(Heterogeneous, TargetOfReflectsCapability) {
-  const auto g = hetero_graph(4, 64, 13);
-  dsch::DataNetSchedulerOptions opt;
-  opt.capabilities = {1, 1, 1, 3};
-  dsch::DataNetScheduler sched(opt);
-  sched.reset(g);
-  EXPECT_NEAR(sched.target_of(3), 3.0 * sched.target_of(0), 1e-9);
-  EXPECT_NEAR(sched.target_of(0) + sched.target_of(1) + sched.target_of(2) +
-                  sched.target_of(3),
-              static_cast<double>(g.total_weight()), 1e-6);
-}
-
-TEST(Heterogeneous, RejectsBadCapabilities) {
-  const auto g = hetero_graph(4, 16, 17);
-  dsch::DataNetSchedulerOptions wrong_size;
-  wrong_size.capabilities = {1, 1};
-  dsch::DataNetScheduler a(wrong_size);
-  EXPECT_THROW(a.reset(g), std::invalid_argument);
-  dsch::DataNetSchedulerOptions zeros;
-  zeros.capabilities = {0, 0, 0, 0};
-  dsch::DataNetScheduler b(zeros);
-  EXPECT_THROW(b.reset(g), std::invalid_argument);
 }
 
 // ---- heterogeneous engine speeds + speculation ----

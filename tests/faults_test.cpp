@@ -41,15 +41,6 @@ dc::ExperimentConfig small_cfg() {
   return cfg;
 }
 
-// The baseline (content-blind) selection graph, mirroring what the harness
-// builds for net == nullptr. Used to precompute assignments for targeted
-// fault plans.
-dg::BipartiteGraph baseline_graph(const dd::MiniDfs& dfs, const std::string& path) {
-  return dg::BipartiteGraph::from_dfs(
-      dfs, path, [](std::size_t, dd::BlockId) { return 0; },
-      /*keep_zero_weight=*/true);
-}
-
 // Clean-path runtime run (DirectRead + NoFaults + Analytic).
 dc::SelectionResult run_clean(const dd::MiniDfs& dfs, const std::string& path,
                               const std::string& key,
@@ -234,7 +225,7 @@ TEST(FaultedRun, ReportIsBitIdenticalAcrossThreadCounts) {
   {
     const auto cfg = small_cfg();
     auto probe = dc::make_movie_dataset(cfg, 24, 150);
-    const auto graph = baseline_graph(*probe.dfs, probe.path);
+    const auto graph = dg::BipartiteGraph::content_blind(*probe.dfs, probe.path);
     std::vector<std::uint64_t> bytes(graph.num_blocks());
     for (std::size_t j = 0; j < graph.num_blocks(); ++j) {
       bytes[j] = probe.dfs->block(graph.block(j).block_id).size_bytes;
@@ -275,7 +266,7 @@ TEST(FaultedRun, CorruptReplicaRetriesOnSurvivingCopy) {
   // Corrupt the copy on the exact node each of the first three blocks is
   // assigned to (the drain is deterministic, so precompute it), forcing the
   // local read to fail checksum and fall back to a surviving replica.
-  const auto graph = baseline_graph(*ds.dfs, ds.path);
+  const auto graph = dg::BipartiteGraph::content_blind(*ds.dfs, ds.path);
   std::vector<std::uint64_t> bytes(graph.num_blocks());
   for (std::size_t j = 0; j < graph.num_blocks(); ++j) {
     bytes[j] = ds.dfs->block(graph.block(j).block_id).size_bytes;

@@ -174,7 +174,7 @@ TEST_P(SchedulerLaws, AllSchedulersConserveWeightAndBlocks) {
   datanet::scheduler::LocalityScheduler loc(GetParam());
   datanet::scheduler::DataNetScheduler dn;
   datanet::scheduler::DataNetScheduler strict(
-      {.strict_locality = true, .locality_bias = 0.25, .capabilities = {}});
+      {.strict_locality = true, .locality_bias = 0.25});
   datanet::scheduler::FlowScheduler flow;
   for (datanet::scheduler::TaskScheduler* sched :
        {static_cast<datanet::scheduler::TaskScheduler*>(&loc),

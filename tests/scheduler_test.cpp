@@ -49,6 +49,31 @@ std::vector<double> to_doubles(const std::vector<std::uint64_t>& v) {
   return {v.begin(), v.end()};
 }
 
+// Records every request. Answers the 1st, 3rd, 5th, ... request with the
+// next task id until `answers` tasks went out, and nothing after that.
+class RecordingScheduler final : public dsch::TaskScheduler {
+ public:
+  explicit RecordingScheduler(std::size_t answers) : answers_(answers) {}
+  void reset(const dg::BipartiteGraph&) override {
+    requests.clear();
+    handed_out_ = 0;
+  }
+  std::optional<std::size_t> next_task(datanet::dfs::NodeId node) override {
+    requests.push_back(node);
+    if (requests.size() % 2 == 0 || handed_out_ == answers_) {
+      return std::nullopt;
+    }
+    return handed_out_++;
+  }
+  [[nodiscard]] std::string_view name() const override { return "recording"; }
+
+  std::vector<datanet::dfs::NodeId> requests;
+
+ private:
+  std::size_t answers_;
+  std::size_t handed_out_ = 0;
+};
+
 }  // namespace
 
 // ---- drain harness ----
@@ -81,6 +106,30 @@ TEST(Drain, InputBytesAccounted) {
 }
 
 // ---- locality scheduler ----
+
+TEST(Drain, RequestsCycleNodesInIdOrder) {
+  // Three nodes, five blocks. Every request passes the turn, answered or
+  // not, so nodes ask 0, 1, 2, 0, 1, 2, ... until the task set is empty.
+  std::vector<dg::BlockVertex> bs;
+  for (std::size_t j = 0; j < 5; ++j) {
+    bs.push_back({.block_id = j, .weight = 1, .hosts = {0}});
+  }
+  const dg::BipartiteGraph g(3, std::move(bs));
+  const std::vector<std::uint64_t> bytes(5, 1);
+  RecordingScheduler sched(5);
+  const auto rec = dsch::drain(sched, g, bytes);
+  EXPECT_EQ(sched.requests,
+            (std::vector<datanet::dfs::NodeId>{0, 1, 2, 0, 1, 2, 0, 1, 2}));
+  EXPECT_EQ(rec.block_to_node,
+            (std::vector<datanet::dfs::NodeId>{0, 2, 1, 0, 2}));
+
+  // Two tasks go out, then three requests in a row (one per node) find
+  // nothing with tasks remaining: the scheduler stalled.
+  RecordingScheduler stalls(2);
+  EXPECT_THROW((void)dsch::drain(stalls, g, bytes), std::logic_error);
+  EXPECT_EQ(stalls.requests,
+            (std::vector<datanet::dfs::NodeId>{0, 1, 2, 0, 1, 2}));
+}
 
 TEST(Locality, MostTasksAreLocal) {
   const auto g = clustered_graph(8, 128, 10, 5);

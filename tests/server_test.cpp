@@ -367,6 +367,42 @@ TEST(DatasetCache, GrowthUnderTheSamePathDeltaApplies) {
             fresh.estimate_total_size(id));
 }
 
+// ---- golden digests ----
+
+TEST(ServerGolden, PerSchedulerDigestsPinned) {
+  // The selection digest hashes each node's filtered buffer in node order,
+  // so it pins every scheduler's assignment, not just the selected bytes.
+  // Values recorded on small_server()'s dataset; with the content-blind
+  // graph (use_datanet_meta = false) all weights are zero, so lpt and
+  // maxflow plan the same queues.
+  struct Pin {
+    const char* scheduler;
+    bool use_datanet_meta;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"datanet", true, 0xa72eb98ad1473ebfull},
+      {"locality", true, 0x742bffbc54cf7e89ull},
+      {"lpt", true, 0xde3f65b3066c1467ull},
+      {"maxflow", true, 0x3d4204a39682aa57ull},
+      {"datanet", false, 0x76a00a163860421cull},
+      {"locality", false, 0x9bf44bc773f19112ull},
+      {"lpt", false, 0x9e01f5a869b84649ull},
+      {"maxflow", false, 0x9e01f5a869b84649ull},
+  };
+  const srv::ServerOptions opts = small_server();
+  for (const Pin& pin : pins) {
+    srv::QueryRequest q = query_for("pin", "movie_00001", pin.scheduler);
+    q.use_datanet_meta = pin.use_datanet_meta;
+    const srv::QueryOutcome out = srv::local_query(opts, q);
+    ASSERT_TRUE(out.ok) << out.error;
+    EXPECT_EQ(out.reply.digest, pin.digest)
+        << pin.scheduler << " use_datanet_meta=" << pin.use_datanet_meta;
+    EXPECT_EQ(out.reply.matched_bytes, 107394u) << pin.scheduler;
+    EXPECT_EQ(out.reply.blocks_scanned, pin.use_datanet_meta ? 19u : 33u);
+  }
+}
+
 // ---- end to end over loopback ----
 
 TEST(ServerEndToEnd, ServedDigestsMatchInProcessGoldenRuns) {
