@@ -2,7 +2,7 @@
 // optimizations stacked on the selection path —
 //
 //   1. kernel sweep    — filter_lines pinned to each available scan kernel
-//                        (scalar memchr reference, SSE2, AVX2) plus the
+//                        (scalar memchr reference, AVX2) plus the
 //                        decode-every-line reference, MB/s over the movie
 //                        corpus;
 //   2. copy vs zero-copy — the old per-task `std::string(block)` copy
@@ -90,7 +90,6 @@ int main() {
   std::printf("\n[filter_lines kernel sweep] corpus %.1f MiB, key \"%s\"\n",
               corpus_mib, key.c_str());
   const common::ScanKernel kernels[] = {common::ScanKernel::kScalar,
-                                        common::ScanKernel::kSse2,
                                         common::ScanKernel::kAvx2};
   for (const auto kernel : kernels) {
     if (!common::scan_kernel_available(kernel)) {

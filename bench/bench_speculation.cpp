@@ -41,19 +41,9 @@ mapred::JobReport analyze(const core::SelectionResult& sel,
   std::vector<mapred::InputSplit> splits;
   for (std::uint32_t n = 0; n < cfg.num_nodes; ++n) {
     const std::string_view data = sel.node_local_data[n];
-    if (data.empty()) continue;
-    const std::uint64_t chunk =
-        std::max<std::uint64_t>(data.size() / cfg.slots_per_node, 1);
-    std::size_t start = 0;
-    while (start < data.size()) {
-      std::size_t end = std::min<std::size_t>(start + chunk, data.size());
-      if (end < data.size()) {
-        const std::size_t nl = data.find('\n', end);
-        end = (nl == std::string_view::npos) ? data.size() : nl + 1;
-      }
-      splits.push_back({.node = n, .data = data.substr(start, end - start),
-                        .charged_bytes = 0});
-      start = end;
+    for (const std::string_view piece :
+         mapred::split_at_record_boundaries(data, cfg.slots_per_node)) {
+      splits.push_back({.node = n, .data = piece, .charged_bytes = 0});
     }
   }
   return engine.run(job, splits);

@@ -25,9 +25,9 @@
 #include "dfs/ingest.hpp"
 #include "dfs/meta_plane.hpp"
 #include "dfs/replication_monitor.hpp"
-#include "elasticmap/live_map.hpp"
 #include "scheduler/datanet_sched.hpp"
 #include "scheduler/locality.hpp"
+#include "server/dataset_cache.hpp"
 #include "mapred/report_json.hpp"
 #include "sim/job_sim.hpp"
 #include "sim/selection_sim.hpp"
@@ -738,10 +738,6 @@ int cmd_ingest(const Args& args, std::ostream& out) {
     dopt.seed = args.get_u64_or("seed", 42);
     dfs::IngestOptions iopt;
     iopt.group_records = args.get_u64_or("group", 64);
-    elasticmap::LiveMapOptions lopt;
-    lopt.max_blocks_per_tick =
-        static_cast<std::uint32_t>(args.get_u64_or("map-blocks-per-tick", 4));
-    lopt.rebuild_watermark = args.get_double_or("rebuild-watermark", 0.25);
     const std::string path = "/data/stream.log";
 
     // The byte stream a never-crashed run stores, and per-key ground truth.
@@ -791,25 +787,47 @@ int cmd_ingest(const Args& args, std::ostream& out) {
     dfs::EditLog journal(journal_path);
     live.attach_edit_log(&journal);
     dfs::FsImage::save(live, image_path);  // consistent (image, empty journal)
-    elasticmap::LiveMapMaintainer maint(live, path, lopt);
-    double peak_drift = 0.0;
-    auto ing = std::make_unique<dfs::Ingestor>(live, path, iopt);
-    ing->on_seal = [&](dfs::BlockId) {
-      maint.scan();
-      peak_drift = std::max(peak_drift, maint.ledger().estimated_chi_drift);
-      if (maint.ledger().rebuild_recommended) {
-        maint.full_rebuild();
-      } else {
-        maint.tick();
+
+    // The serving cache keeps the ElasticMap current: one get() per seal,
+    // so the query cadence plays the drain interval. Right before each get,
+    // the bundle it would replace is measured: its stale bytes over the
+    // file's sealed bytes (a cold cache is 100% stale by definition, so
+    // the fraction is recorded once a bundle exists).
+    server::DatasetCache cache;
+    const auto stale_fraction = [&](const core::DataNet& net) {
+      std::uint64_t total = 0;
+      for (const dfs::BlockId b : net.dfs().blocks_of(path)) {
+        total += net.dfs().block(b).size_bytes;
       }
+      return total == 0 ? 0.0
+                        : static_cast<double>(
+                              net.meta().stale_bytes(net.dfs())) /
+                              static_cast<double>(total);
     };
+    double peak_stale = 0.0;
+    const auto get_on_seal = [&](const dfs::MiniDfs& dfs) {
+      if (const auto bundle = cache.get_stale(path)) {
+        peak_stale = std::max(peak_stale, stale_fraction(*bundle));
+      }
+      (void)cache.get(dfs, path);
+    };
+    const auto print_ledger = [&](const core::DataNet& net) {
+      const auto cs = cache.stats();
+      out << net.meta().num_blocks() << " blocks covered, "
+          << common::format_bytes(net.meta().stale_bytes(net.dfs()))
+          << " stale (fraction " << common::fmt_double(stale_fraction(net), 4)
+          << ", peak " << common::fmt_double(peak_stale, 4) << "), "
+          << cs.delta_applies << " delta(s), " << cs.rebuilds
+          << " full rebuild(s)\n";
+    };
+    auto ing = std::make_unique<dfs::Ingestor>(live, path, iopt);
+    ing->on_seal = [&](dfs::BlockId) { get_on_seal(live); };
     for (std::uint64_t i = 0; i < kill_at; ++i) {
       ing->append(lines[i]);
       if (i + 1 == checkpoint_at) {
         dfs::FsImage::save(live, image_path);  // checkpoint with a block open
       }
     }
-    maint.scan();
     const auto st = ing->stats();
     out << "streamed " << st.records_appended << "/" << lines.size()
         << " records before the crash: " << st.group_commits
@@ -817,12 +835,10 @@ int cmd_ingest(const Args& args, std::ostream& out) {
         << st.blocks_sealed << " block(s) sealed, "
         << (st.blocks_opened - st.blocks_sealed) << " open, "
         << common::format_bytes(st.bytes_committed) << " durable\n";
-    const auto lg = maint.ledger();
-    out << "live map at crash: " << lg.covered_blocks << " blocks covered, "
-        << lg.stale_blocks << " stale, chi drift bound "
-        << common::fmt_double(lg.estimated_chi_drift, 4) << " (peak "
-        << common::fmt_double(peak_drift, 4) << "), " << lg.deltas_applied
-        << " delta(s), " << lg.full_rebuilds << " full rebuild(s)\n";
+    if (const auto bundle = cache.get_stale(path)) {
+      out << "served map at crash: ";
+      print_ledger(*bundle);
+    }
 
     // CRASH: the journal file as it exists this instant is what survives;
     // the ingestor's buffered tail (< one group) dies with the process.
@@ -852,7 +868,10 @@ int cmd_ingest(const Args& args, std::ostream& out) {
       for (const auto& v : audit.violations) out << "error: " << v << "\n";
       rc = 1;
     }
-    ing.reset();  // the dead writer's buffer never reaches the crash journal
+    // The dead writer's buffer never reaches the crash journal, and its
+    // closing seal is no seal the cache should serve.
+    ing->on_seal = nullptr;
+    ing.reset();
 
     // Crash consistency: the recovered content is exactly a group-committed
     // prefix of the reference stream, short of the kill point by less than
@@ -873,26 +892,20 @@ int cmd_ingest(const Args& args, std::ostream& out) {
 
     // Continue on the recovered NameNode: fresh (checkpoint, empty journal)
     // pair as in MetaPlane::recover_shard, adopt the open block, stream the
-    // uncommitted remainder, then drain the map maintainer.
+    // uncommitted remainder. The recovered namespace is a new instance, so
+    // the cache's first get on it rebuilds instead of revalidating.
     dfs::EditLog journal2(journal_path);
     recovered.attach_edit_log(&journal2);
     dfs::FsImage::save(recovered, image_path);
-    elasticmap::LiveMapMaintainer maint2(recovered, path, lopt);
+    (void)cache.get(recovered, path);
     {
       dfs::Ingestor ing2(recovered, path, iopt);
-      ing2.on_seal = [&](dfs::BlockId) {
-        maint2.scan();
-        if (maint2.ledger().rebuild_recommended) {
-          maint2.full_rebuild();
-        } else {
-          maint2.tick();
-        }
-      };
+      ing2.on_seal = [&](dfs::BlockId) { get_on_seal(recovered); };
       for (std::uint64_t i = committed; i < lines.size(); ++i) {
         ing2.append(lines[i]);
       }
     }
-    const std::uint64_t drain_ticks = maint2.drain();
+    const auto served = cache.get(recovered, path);
 
     // The continued run must be indistinguishable from one that never
     // crashed: same bytes, same block boundaries, same estimates.
@@ -903,8 +916,8 @@ int cmd_ingest(const Args& args, std::ostream& out) {
       return fail(out,
                   "continued ingestion produced different block boundaries");
     }
-    const auto ref_map =
-        elasticmap::ElasticMapArray::build(ref, path, lopt.build);
+    const auto ref_map = elasticmap::ElasticMapArray::build(
+        ref, path, served->meta().options());
     std::vector<std::pair<std::uint64_t, std::string>> ranked;
     for (const auto& [key, bytes] : truth_bytes) ranked.emplace_back(bytes, key);
     std::sort(ranked.rbegin(), ranked.rend());
@@ -912,7 +925,7 @@ int cmd_ingest(const Args& args, std::ostream& out) {
     for (std::size_t i = 0; i < std::min<std::size_t>(5, ranked.size()); ++i) {
       const auto& key = ranked[i].second;
       const auto id = workload::subdataset_id(key);
-      const std::uint64_t est = maint2.map().estimate_total_size(id);
+      const std::uint64_t est = served->meta().estimate_total_size(id);
       if (est != ref_map.estimate_total_size(id)) {
         out << "error: delta-built estimate for '" << key
             << "' diverges from the full rebuild\n";
@@ -925,14 +938,9 @@ int cmd_ingest(const Args& args, std::ostream& out) {
                                   static_cast<double>(ranked[i].first),
                               4)});
     }
-    const auto lg2 = maint2.ledger();
-    out << "\nchi ledger after recovery + drain (" << drain_ticks
-        << " tick(s)): " << lg2.covered_blocks << " blocks covered, "
-        << lg2.stale_blocks << " stale, chi drift bound "
-        << common::fmt_double(lg2.estimated_chi_drift, 4) << ", "
-        << lg2.deltas_applied << " delta(s), " << lg2.full_rebuilds
-        << " full rebuild(s)\n"
-        << table.to_string();
+    out << "\nchi ledger after recovery: ";
+    print_ledger(*served);
+    out << table.to_string();
 
     const auto report = dfs::fsck(recovered);
     out << "\nfsck: " << report.total_blocks << " blocks, "
@@ -1044,8 +1052,7 @@ commands:
              the sharded-plane kill-one-shard drill instead)
   ingest    [--in FILE | --type movie|github|worldcup --records N] [--seed S]
             [--group RECORDS] [--kill-at R | --kill-seed S] [--checkpoint-at R]
-            [--nodes N] [--block-size BYTES] [--replication R]
-            [--map-blocks-per-tick B] [--rebuild-watermark F] [--workdir DIR]
+            [--nodes N] [--block-size BYTES] [--replication R] [--workdir DIR]
             (streams records with group commit, crashes at a seeded point,
              recovers, continues, and exits non-zero unless content, block
              boundaries, and ElasticMap estimates match a never-crashed run)

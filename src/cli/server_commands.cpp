@@ -49,14 +49,14 @@ void print_reply(std::ostream& out, const server::QueryReply& r, bool json) {
         << ", \"service_micros\": " << r.service_micros
         << ", \"queue_micros\": " << r.queue_micros
         << ", \"degraded\": " << (r.degraded ? "true" : "false")
-        << ", \"staleness_micros\": " << r.staleness_micros << "}\n";
+        << ", \"stale_bytes\": " << r.stale_bytes << "}\n";
   } else {
     out << "digest=" << r.digest << " matched_bytes=" << r.matched_bytes
         << " blocks_scanned=" << r.blocks_scanned
         << " service_us=" << r.service_micros
         << " queue_us=" << r.queue_micros;
     if (r.degraded) {
-      out << " degraded=1 staleness_us=" << r.staleness_micros;
+      out << " degraded=1 stale_bytes=" << r.stale_bytes;
     }
     out << "\n";
   }

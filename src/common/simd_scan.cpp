@@ -83,7 +83,7 @@ void scan_lines_scalar(std::string_view data, void* ctx, LineSink sink) {
   }
 }
 
-// ---- masked kernels (x86-64: SSE2 baseline, AVX2 when present) ----
+// ---- masked kernel (x86-64 with AVX2) ----
 
 #if defined(DATANET_SCAN_X86)
 
@@ -93,26 +93,8 @@ struct WordMasks {
   std::uint64_t tab;
 };
 
-// Fill out[w] for `words` full 64-byte words starting at p.
-using MaskFillFn = void (*)(const char* p, std::size_t words, WordMasks* out);
-
 inline std::uint64_t lane_bits(__m128i cmp) {
   return static_cast<std::uint32_t>(_mm_movemask_epi8(cmp));
-}
-
-void fill_masks_sse2(const char* p, std::size_t words, WordMasks* out) {
-  const __m128i vnl = _mm_set1_epi8('\n');
-  const __m128i vtab = _mm_set1_epi8('\t');
-  for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t mn = 0, mt = 0;
-    for (int i = 0; i < 4; ++i) {
-      const __m128i v = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(p + 64 * w + 16 * i));
-      mn |= lane_bits(_mm_cmpeq_epi8(v, vnl)) << (16 * i);
-      mt |= lane_bits(_mm_cmpeq_epi8(v, vtab)) << (16 * i);
-    }
-    out[w] = {mn, mt};
-  }
 }
 
 __attribute__((target("avx2"))) inline std::uint64_t lane_bits(__m256i lo,
@@ -123,6 +105,7 @@ __attribute__((target("avx2"))) inline std::uint64_t lane_bits(__m256i lo,
           << 32);
 }
 
+// Fill out[w] for `words` full 64-byte words starting at p.
 __attribute__((target("avx2"))) void fill_masks_avx2(const char* p,
                                                      std::size_t words,
                                                      WordMasks* out) {
@@ -229,7 +212,7 @@ inline void emit_if_candidate(const char* base, std::size_t cur,
 // base and leftover tabs of the open line are already folded into `tab`.
 template <bool kWantKey>
 LineCensus walk_masked(std::string_view data, std::string_view key, void* ctx,
-                       LineSink sink, MaskFillFn fill) {
+                       LineSink sink) {
   const char* base = data.data();
   const std::size_t n = data.size();
   WordMasks masks[kWordsPerChunk];
@@ -240,7 +223,7 @@ LineCensus walk_masked(std::string_view data, std::string_view key, void* ctx,
   std::size_t chunk = 0;
   while (chunk < n) {
     std::size_t words = std::min((n - chunk) / 64, kWordsPerChunk);
-    if (words > 0) fill(base + chunk, words, masks);
+    if (words > 0) fill_masks_avx2(base + chunk, words, masks);
     std::size_t covered = words * 64;
     if (words < kWordsPerChunk && chunk + covered < n) {
       fill_tail_word(base + chunk + covered, n - chunk - covered,
@@ -289,15 +272,12 @@ LineCensus walk_masked(std::string_view data, std::string_view key, void* ctx,
   return census;
 }
 
-MaskFillFn fill_fn_for(ScanKernel kernel) noexcept {
-  return kernel == ScanKernel::kAvx2 ? fill_masks_avx2 : fill_masks_sse2;
-}
-
 #endif  // DATANET_SCAN_X86
 
 ScanKernel detect_kernel() noexcept {
 #if defined(DATANET_SCAN_X86)
-  return __builtin_cpu_supports("avx2") ? ScanKernel::kAvx2 : ScanKernel::kSse2;
+  return __builtin_cpu_supports("avx2") ? ScanKernel::kAvx2
+                                         : ScanKernel::kScalar;
 #else
   return ScanKernel::kScalar;
 #endif
@@ -321,12 +301,6 @@ bool scan_kernel_available(ScanKernel kernel) noexcept {
   switch (kernel) {
     case ScanKernel::kScalar:
       return true;
-    case ScanKernel::kSse2:
-#if defined(DATANET_SCAN_X86)
-      return true;
-#else
-      return false;
-#endif
     case ScanKernel::kAvx2:
 #if defined(DATANET_SCAN_X86)
       return __builtin_cpu_supports("avx2");
@@ -341,8 +315,6 @@ const char* scan_kernel_name(ScanKernel kernel) noexcept {
   switch (kernel) {
     case ScanKernel::kScalar:
       return "scalar";
-    case ScanKernel::kSse2:
-      return "sse2";
     case ScanKernel::kAvx2:
       return "avx2";
   }
@@ -359,7 +331,7 @@ LineCensus scan_key_lines(std::string_view data, std::string_view key,
   require_available(kernel);
 #if defined(DATANET_SCAN_X86)
   if (kernel != ScanKernel::kScalar) {
-    return walk_masked<true>(data, key, ctx, sink, fill_fn_for(kernel));
+    return walk_masked<true>(data, key, ctx, sink);
   }
 #endif
   return scan_key_lines_scalar(data, key, ctx, sink);
@@ -374,7 +346,7 @@ void scan_lines(std::string_view data, void* ctx, LineSink sink,
   require_available(kernel);
 #if defined(DATANET_SCAN_X86)
   if (kernel != ScanKernel::kScalar) {
-    (void)walk_masked<false>(data, {}, ctx, sink, fill_fn_for(kernel));
+    (void)walk_masked<false>(data, {}, ctx, sink);
     return;
   }
 #endif

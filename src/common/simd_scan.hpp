@@ -1,10 +1,10 @@
 #pragma once
 // Vectorized record-line scanning for the selection hot loop. The scanner
 // walks newline-separated data in 64-byte stripes, building '\n' and '\t'
-// bitmasks with SIMD compares (AVX2 when the CPU has it, SSE2 as the x86-64
-// baseline) and iterating set bits — so per-line work is bit arithmetic, not
-// two memchr calls per ~80-byte line. A portable scalar kernel is the
-// reference implementation: every kernel must produce byte-identical
+// bitmasks with AVX2 compares and iterating set bits — so per-line work is
+// bit arithmetic, not two memchr calls per ~80-byte line. A portable scalar
+// kernel is the reference implementation and the fallback on CPUs without
+// AVX2: both kernels must produce byte-identical
 // callback sequences and censuses on any input (tests/hotpath_test.cpp
 // fuzzes every alignment offset and degenerate shape).
 //
@@ -18,10 +18,11 @@
 
 namespace datanet::common {
 
-enum class ScanKernel : std::uint8_t { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+enum class ScanKernel : std::uint8_t { kScalar = 0, kAvx2 = 2 };
 
 // The kernel the dispatcher selected for this process (cached after the
-// first call). kScalar everywhere off x86-64 or under DATANET_FORCE_SCALAR.
+// first call). kScalar off x86-64, on CPUs without AVX2, and under
+// DATANET_FORCE_SCALAR.
 [[nodiscard]] ScanKernel active_scan_kernel() noexcept;
 
 // True when `kernel` can run on this build + CPU (kScalar always can).

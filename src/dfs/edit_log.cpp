@@ -95,11 +95,6 @@ std::string EditLog::encode(const EditRecord& record) {
       wire::put_u64(out, record.block);
       wire::put_u32(out, record.node);
       break;
-    case EditOp::kMoveReplica:
-      wire::put_u64(out, record.block);
-      wire::put_u32(out, record.node);
-      wire::put_u32(out, record.node2);
-      break;
     case EditOp::kOpenBlock:
       wire::put_u64(out, record.block);
       wire::put_bytes(out, record.file);
@@ -136,11 +131,6 @@ EditRecord EditLog::decode(std::string_view payload) {
     case EditOp::kAddReplica:
       rec.block = c.u64();
       rec.node = c.u32();
-      break;
-    case EditOp::kMoveReplica:
-      rec.block = c.u64();
-      rec.node = c.u32();
-      rec.node2 = c.u32();
       break;
     case EditOp::kOpenBlock: {
       rec.block = c.u64();

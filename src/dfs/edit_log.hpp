@@ -27,14 +27,14 @@ namespace datanet::dfs {
 
 using BlockId = std::uint64_t;  // same alias as mini_dfs.hpp (no cycle)
 
-// Opcode 2 is retired and must not be reused: decode rejects it like any
-// unknown opcode, so a journal that carries it fails typed, not misparsed.
+// Opcodes 2 and 6 are retired and must not be reused: decode rejects them
+// like any unknown opcode, so a journal that carries one fails typed, not
+// misparsed.
 enum class EditOp : std::uint8_t {
   kCreateFile = 1,     // file
   kDecommission = 3,   // node leaves service; its replicas are dropped
   kRemoveReplica = 4,  // block, node (corrupt copy dropped by the NameNode)
   kAddReplica = 5,     // block, node (re-replication / monitor repair)
-  kMoveReplica = 6,    // block, node -> node2 (replica move)
   // Every block is journaled in three acts so a crash at any byte leaves a
   // replayable prefix: placement is fixed at open (replicas journaled
   // explicitly — replay never re-runs the RNG), each group commit is one
@@ -51,8 +51,7 @@ struct EditRecord {
   BlockId block = 0;              // block-scoped ops
   std::uint64_t num_records = 0;  // kAppendExtent / kSealBlock
   std::uint32_t checksum = 0;     // kSealBlock: CRC32 of the block bytes
-  NodeId node = 0;                // node-scoped ops; kMoveReplica source
-  NodeId node2 = 0;               // kMoveReplica target
+  NodeId node = 0;                // node-scoped ops
   std::vector<NodeId> replicas;   // kOpenBlock initial placement
   std::string data;               // kAppendExtent bytes
   std::uint64_t extent_seq = 0;   // kAppendExtent: 0-based per-block index

@@ -103,7 +103,7 @@ void MiniDfs::append_extent_impl(BlockId id, std::string_view data,
   BlockInfo& b = blocks_[id];
   b.size_bytes += data.size();
   b.num_records += num_records;
-  // The running CRC keeps verify_block and checkpoints uniform across open
+  // The running CRC keeps verification and checkpoints uniform across open
   // and sealed blocks at every group-commit boundary. It is chained over the
   // new extent only, so each block byte is hashed once per write or replay.
   b.checksum = common::crc32(data, b.checksum);
@@ -282,42 +282,6 @@ bool MiniDfs::is_active(NodeId node) const {
   return node_active_[node];
 }
 
-void MiniDfs::move_replica(BlockId id, NodeId from, NodeId to) {
-  std::unique_lock lock(cs_->mu);
-  if (id >= blocks_.size()) throw std::out_of_range("move_replica: bad block");
-  if (from >= node_blocks_.size() || to >= node_blocks_.size()) {
-    throw std::out_of_range("move_replica: bad node");
-  }
-  if (!node_active_[to]) {
-    throw std::invalid_argument("move_replica: target node inactive");
-  }
-  const auto& reps = blocks_[id].replicas;
-  if (std::find(reps.begin(), reps.end(), from) == reps.end()) {
-    throw std::invalid_argument("move_replica: source does not host block");
-  }
-  if (std::find(reps.begin(), reps.end(), to) != reps.end()) {
-    throw std::invalid_argument("move_replica: target already hosts block");
-  }
-  move_replica_impl(id, from, to);
-  log_edit({.op = EditOp::kMoveReplica, .block = id, .node = from, .node2 = to});
-}
-
-void MiniDfs::move_replica_impl(BlockId id, NodeId from, NodeId to) {
-  auto& reps = blocks_[id].replicas;
-  *std::find(reps.begin(), reps.end(), from) = to;
-  auto& from_inv = node_blocks_[from];
-  from_inv.erase(std::remove(from_inv.begin(), from_inv.end(), id),
-                 from_inv.end());
-  node_blocks_[to].push_back(id);
-  // The new copy is made from the source copy, so a bad source stays bad.
-  if (replica_marked_corrupt(id, from)) {
-    auto& marks = corrupt_replicas_[id];
-    std::replace(marks.begin(), marks.end(), from, to);
-  }
-  // Replica count unchanged, placement not.
-  cs_->mutation_epoch.fetch_add(1, std::memory_order_relaxed);
-}
-
 std::vector<BlockId> MiniDfs::drop_node(NodeId node) {
   node_active_[node] = false;
   --active_nodes_;
@@ -467,11 +431,6 @@ bool MiniDfs::verify_block_unlocked(BlockId id) const {
   return v == kOk;
 }
 
-bool MiniDfs::verify_block(BlockId id) const {
-  std::shared_lock lock(cs_->mu);
-  return verify_block_unlocked(id);
-}
-
 bool MiniDfs::replica_marked_corrupt(BlockId id, NodeId node) const {
   const auto it = corrupt_replicas_.find(id);
   if (it == corrupt_replicas_.end()) return false;
@@ -598,12 +557,6 @@ void MiniDfs::apply_edit(const EditRecord& record) {
     case EditOp::kAddReplica:
       if (!is_local_unlocked(record.block, record.node)) {
         add_replica(record.block, record.node);
-      }
-      break;
-    case EditOp::kMoveReplica:
-      if (is_local_unlocked(record.block, record.node) &&
-          !is_local_unlocked(record.block, record.node2)) {
-        move_replica_impl(record.block, record.node, record.node2);
       }
       break;
     case EditOp::kOpenBlock: {

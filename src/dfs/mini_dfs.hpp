@@ -214,7 +214,7 @@ class MiniDfs {
   // Append one group-committed extent (one journal frame + flush). `data`
   // is raw line-oriented bytes (records already '\n'-terminated). The
   // block's checksum is extended over the new bytes (CRC32 chains), so it
-  // is always the CRC of the whole block and verify_block and checkpoints
+  // is always the CRC of the whole block and verification and checkpoints
   // stay uniform across open and sealed blocks.
   void append_extent(BlockId id, std::string_view data,
                      std::uint64_t num_records);
@@ -251,7 +251,7 @@ class MiniDfs {
   }
 
   // Monotone counter bumped by every mutation that can change replica
-  // placement or health (commits, drops, repairs, moves, corruption marks).
+  // placement or health (commits, drops, repairs, corruption marks).
   // ReplicationMonitor::scan compares it against the epoch of its last full
   // scan to skip whole-namespace rescans when nothing changed; the server's
   // dataset cache uses it for epoch-based invalidation. Atomic for the same
@@ -259,11 +259,6 @@ class MiniDfs {
   [[nodiscard]] std::uint64_t mutation_epoch() const noexcept {
     return cs_->mutation_epoch.load(std::memory_order_relaxed);
   }
-
-  // Relocate one replica of `id` from `from` to `to` (replica churn).
-  // Throws unless `from` hosts the block, `to` is an active node that does
-  // not already host it. A corrupt source copy stays corrupt after the move.
-  void move_replica(BlockId id, NodeId from, NodeId to);
 
   // ---- checksums & corruption ----
 
@@ -274,10 +269,6 @@ class MiniDfs {
   // Fault hook: mark the copy of `id` hosted on `node` as corrupt (a single
   // datanode's disk going bad). Throws unless `node` hosts the block.
   void corrupt_replica(BlockId id, NodeId node);
-
-  // Recompute-and-compare the block's CRC32 (memoized until the next
-  // corruption hook touches the block).
-  [[nodiscard]] bool verify_block(BlockId id) const;
 
   // True iff `node` hosts `id`, is active, the copy is not marked corrupt,
   // and the block data passes verification.
@@ -404,7 +395,6 @@ class MiniDfs {
   // hosting `id`, and journal it as kAddReplica so replay never re-runs the
   // RNG. Returns the target, or nullopt when no node is eligible.
   std::optional<NodeId> rereplicate(BlockId id);
-  void move_replica_impl(BlockId id, NodeId from, NodeId to);
   // Incremental under-replication accounting: bracket every replica-set
   // change with changing (before) / changed (after); recount when the
   // active-node count moves (the threshold shifts for every block at once).

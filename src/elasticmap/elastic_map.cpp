@@ -57,11 +57,15 @@ BlockMeta scan_block(const dfs::MiniDfs& dfs, dfs::BlockId bid,
   // block's average tail size — still an overestimate for the typical
   // tail entry (accuracy falls as alpha shrinks, as in Table II) while
   // keeping the aggregate within a factor of the true tail mass.
+  // The final clamp to the block's record bytes keeps every per-block
+  // estimate within the block (a lone tail entry would otherwise get up to
+  // twice its size), which is what makes stale_bytes an exact bound.
   std::uint64_t delta = dominant.empty() ? threshold : min_dominant;
   if (!tail.empty()) {
     const std::uint64_t avg_tail = tail_bytes / tail.size();
     delta = std::min<std::uint64_t>(delta, std::max<std::uint64_t>(2 * avg_tail, 1));
   }
+  delta = std::min(delta, separator.total_bytes());
   return BlockMeta(std::move(dominant), tail, options.bloom_fpp, delta);
 }
 
@@ -94,32 +98,36 @@ ElasticMapArray ElasticMapArray::build(const dfs::MiniDfs& dfs,
   return out;
 }
 
-std::uint64_t ElasticMapArray::extend(const dfs::MiniDfs& dfs) {
-  return extend(dfs, ~0ull);
+bool ElasticMapArray::covers_prefix_of(
+    const std::vector<dfs::BlockId>& blocks) const {
+  return blocks.size() >= block_ids_.size() &&
+         std::equal(block_ids_.begin(), block_ids_.end(), blocks.begin());
 }
 
-std::uint64_t ElasticMapArray::extend(const dfs::MiniDfs& dfs,
-                                      std::uint64_t max_blocks) {
+std::uint64_t ElasticMapArray::extend(const dfs::MiniDfs& dfs) {
   const auto& blocks = dfs.blocks_of(path_);
-  if (blocks.size() < metas_.size()) {
-    throw std::invalid_argument("extend: file shrank since the array was built");
-  }
-  for (std::size_t i = 0; i < metas_.size(); ++i) {
-    if (blocks[i] != block_ids_[i]) {
-      throw std::invalid_argument("extend: covered block prefix changed");
-    }
+  if (!covers_prefix_of(blocks)) {
+    throw std::invalid_argument("extend: covered block prefix changed");
   }
   const SeparatorOptions sep = resolve_separator(options_, dfs);
-  std::uint64_t added = 0;
-  for (std::size_t i = metas_.size(); i < blocks.size() && added < max_blocks;
-       ++i) {
+  const std::size_t covered = metas_.size();
+  for (std::size_t i = covered; i < blocks.size(); ++i) {
     std::uint64_t scanned = 0;
     metas_.push_back(scan_block(dfs, blocks[i], sep, options_, &scanned));
     block_ids_.push_back(blocks[i]);
     raw_bytes_ += scanned;
-    ++added;
   }
-  return added;
+  return blocks.size() - covered;
+}
+
+std::uint64_t ElasticMapArray::stale_bytes(const dfs::MiniDfs& dfs) const {
+  const auto& blocks = dfs.blocks_of(path_);
+  std::uint64_t stale = 0;
+  for (std::size_t i = covers_prefix_of(blocks) ? block_ids_.size() : 0;
+       i < blocks.size(); ++i) {
+    stale += dfs.block(blocks[i]).size_bytes;
+  }
+  return stale;
 }
 
 const BlockMeta& ElasticMapArray::block_meta(std::uint64_t block_index) const {

@@ -50,13 +50,19 @@ class ElasticMapArray {
   // Incremental maintenance for append-only logs (Flume-style ingestion):
   // scan only the blocks appended to `path` since this array was built.
   // Returns the number of new blocks incorporated. The dfs file must have
-  // the already-covered blocks as an unchanged prefix.
+  // the already-covered blocks as an unchanged prefix (std::invalid_argument
+  // otherwise).
   std::uint64_t extend(const dfs::MiniDfs& dfs);
 
-  // Rate-limited variant: incorporate at most `max_blocks` of the appended
-  // blocks (oldest first) — the LiveMapMaintainer's tick primitive. Same
-  // prefix validation; max_blocks == 0 incorporates nothing.
-  std::uint64_t extend(const dfs::MiniDfs& dfs, std::uint64_t max_blocks);
+  // The staleness of this array against the live namespace: the summed
+  // size_bytes of `path`'s blocks past the covered prefix, or of the whole
+  // file when the covered prefix no longer matches. Every per-block Eq. 6
+  // estimate is at most that block's bytes, so while the prefix matches,
+  // for every key
+  //   0 <= fresh build's estimate - this array's estimate <= stale_bytes,
+  // and the key's true bytes outside the covered blocks are <= stale_bytes
+  // (paper §V-B: the accuracy drift staleness alone can cause).
+  [[nodiscard]] std::uint64_t stale_bytes(const dfs::MiniDfs& dfs) const;
 
   [[nodiscard]] std::uint64_t num_blocks() const noexcept { return metas_.size(); }
   [[nodiscard]] const BlockMeta& block_meta(std::uint64_t block_index) const;
@@ -89,6 +95,10 @@ class ElasticMapArray {
   [[nodiscard]] const BuildOptions& options() const noexcept { return options_; }
 
  private:
+  // True when the covered blocks are still the first blocks of `blocks`.
+  [[nodiscard]] bool covers_prefix_of(
+      const std::vector<dfs::BlockId>& blocks) const;
+
   std::string path_;
   BuildOptions options_;
   std::vector<BlockMeta> metas_;

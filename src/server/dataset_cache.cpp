@@ -1,16 +1,8 @@
 #include "server/dataset_cache.hpp"
 
-#include <chrono>
 #include <stdexcept>
 
 namespace datanet::server {
-
-std::uint64_t DatasetCache::now_micros() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 std::shared_ptr<const core::DataNet> DatasetCache::get(
     const dfs::MiniDfs& dfs, const std::string& path) {
@@ -35,7 +27,6 @@ std::shared_ptr<const core::DataNet> DatasetCache::get_impl(
       entries_.erase(it);
     } else if (e.epoch == epoch) {
       ++stats_.hits;
-      e.validated_micros = now_micros();
       return e.net;
     } else if (dfs.blocks_of(path).size() == e.num_blocks) {
       // Epoch moved on the same instance: distinguish replica churn
@@ -43,7 +34,6 @@ std::shared_ptr<const core::DataNet> DatasetCache::get_impl(
       // ElasticMap still exact) from growth or recreation of the file.
       e.epoch = epoch;
       ++stats_.revalidations;
-      e.validated_micros = now_micros();
       return e.net;
     } else if (dfs.blocks_of(path).size() > e.num_blocks) {
       // Growth on the same instance (streaming ingestion sealed new blocks):
@@ -64,7 +54,6 @@ std::shared_ptr<const core::DataNet> DatasetCache::get_impl(
         e.net = net;
         e.epoch = epoch;
         e.num_blocks = static_cast<std::size_t>(net->meta().num_blocks());
-        e.validated_micros = now_micros();
         ++stats_.delta_applies;
         return net;
       } catch (const std::invalid_argument&) {
@@ -91,8 +80,7 @@ std::shared_ptr<const core::DataNet> DatasetCache::get_impl(
                                .src = &dfs,
                                .epoch = epoch,
                                .num_blocks = static_cast<std::size_t>(
-                                   net->meta().num_blocks()),
-                               .validated_micros = now_micros()});
+                                   net->meta().num_blocks())});
   ++stats_.rebuilds;
   return net;
 }
@@ -107,14 +95,11 @@ std::shared_ptr<const core::DataNet> DatasetCache::get(
   return get_impl(dfs, path, plane.dfs_snapshot(plane.shard_of(path)));
 }
 
-DatasetCache::StaleBundle DatasetCache::get_stale(
+std::shared_ptr<const core::DataNet> DatasetCache::get_stale(
     const std::string& path) const {
   std::lock_guard lock(mu_);
   const auto it = entries_.find(path);
-  if (it == entries_.end()) return {};
-  const std::uint64_t now = now_micros();
-  const std::uint64_t then = it->second.validated_micros;
-  return {it->second.net, now > then ? now - then : 0};
+  return it == entries_.end() ? nullptr : it->second.net;
 }
 
 void DatasetCache::invalidate(const std::string& path) {

@@ -10,10 +10,11 @@
 // by every namespace mutation:
 //   * epoch unchanged            -> pure hit, no locks beyond the cache map.
 //   * epoch moved, same per-path block count -> replica churn (healing,
-//     replica moves, decommission re-replication). Block BYTES and membership
-//     are unchanged, so the ElasticMap is still exact: revalidate the entry
-//     at the new epoch instead of rebuilding. This is what keeps a serving
-//     daemon's cache warm while a ReplicationMonitor heals underneath it.
+//     corrupt-copy drops, decommission re-replication). Block BYTES and
+//     membership are unchanged, so the ElasticMap is still exact:
+//     revalidate the entry at the new epoch instead of rebuilding. This is
+//     what keeps a serving daemon's cache warm while a ReplicationMonitor
+//     heals underneath it.
 //   * epoch moved, block count GREW on the same instance -> the file was
 //     appended to (streaming ingestion): DELTA-APPLY — copy the cached
 //     entry's ElasticMap and incrementally scan only the new blocks
@@ -69,18 +70,14 @@ class DatasetCache {
   [[nodiscard]] std::shared_ptr<const core::DataNet> get(
       const dfs::MetaPlane& plane, const std::string& path);
 
-  // Degraded-mode read (PR 9/10): the last successfully built bundle for
-  // `path`, WITHOUT epoch validation — the owning shard may be down, so
-  // there is nothing to validate against. net == nullptr when no bundle was
-  // ever built (a cold cache cannot serve degraded). age_micros says how
-  // long ago the entry was last known fresh (built, revalidated, delta-
-  // applied, or hit with an unchanged epoch), so degraded replies can carry
-  // their staleness instead of silently trusting the bundle.
-  struct StaleBundle {
-    std::shared_ptr<const core::DataNet> net;
-    std::uint64_t age_micros = 0;
-  };
-  [[nodiscard]] StaleBundle get_stale(const std::string& path) const;
+  // Degraded-mode read: the last successfully built bundle for `path`,
+  // WITHOUT epoch validation — the owning shard may be down, so there is
+  // nothing to validate against. nullptr when no bundle was ever built (a
+  // cold cache cannot serve degraded). How stale the bundle is, callers
+  // measure against whatever namespace they hold:
+  // bundle->meta().stale_bytes(dfs) bounds its estimate error per key.
+  [[nodiscard]] std::shared_ptr<const core::DataNet> get_stale(
+      const std::string& path) const;
 
   void invalidate(const std::string& path);
   [[nodiscard]] Stats stats() const;
@@ -98,12 +95,7 @@ class DatasetCache {
     const dfs::MiniDfs* src = nullptr;
     std::uint64_t epoch = 0;
     std::size_t num_blocks = 0;
-    // steady-clock stamp of the last moment the entry was known to match
-    // the live namespace; get_stale reports now - this as the bundle's age.
-    std::uint64_t validated_micros = 0;
   };
-
-  [[nodiscard]] static std::uint64_t now_micros();
 
   [[nodiscard]] std::shared_ptr<const core::DataNet> get_impl(
       const dfs::MiniDfs& dfs, const std::string& path,

@@ -103,7 +103,7 @@ std::string encode_query_ok(const QueryReply& r) {
   wire::put_u64(out, r.service_micros);
   wire::put_u64(out, r.queue_micros);
   out.push_back(r.degraded ? 1 : 0);
-  wire::put_u64(out, r.staleness_micros);
+  wire::put_u64(out, r.stale_bytes);
   return out;
 }
 
@@ -193,7 +193,7 @@ QueryReply decode_query_ok(std::string_view payload) {
     r.service_micros = c.u64();
     r.queue_micros = c.u64();
     r.degraded = c.u8() != 0;
-    r.staleness_micros = c.u64();
+    r.stale_bytes = c.u64();
     expect_drained(c);
     return r;
   } catch (const ProtocolError&) {

@@ -76,10 +76,13 @@ struct QueryReply {
   // metadata shard was down and the server answered from its epoch-cached
   // bundle (last validated DataNet + last-known block placement).
   bool degraded = false;
-  // How long ago the bundle that answered a DEGRADED reply was last
-  // known fresh (validated against the live namespace), in microseconds.
-  // Zero on non-degraded replies: those were validated on this query.
-  std::uint64_t staleness_micros = 0;
+  // The error bound of a DEGRADED reply: the bytes of the file's blocks
+  // the answering bundle does not cover (ElasticMapArray::stale_bytes
+  // against the shard snapshot). For every key, the bytes the reply missed
+  // and the amount its Eq. 6 estimates sit below a fresh build's are each
+  // at most this. Zero on non-degraded replies: those were validated on
+  // this query.
+  std::uint64_t stale_bytes = 0;
 };
 
 struct Rejection {

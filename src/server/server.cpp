@@ -428,11 +428,8 @@ QueryOutcome Server::run_job(const DispatchJob& job) {
   }
   try {
     std::shared_ptr<const core::DataNet> stale;
-    std::uint64_t staleness_micros = 0;
     if (job.request.use_datanet_meta) {
-      auto bundle = cache_.get_stale(dataset_.path);
-      stale = bundle.net;
-      staleness_micros = bundle.age_micros;
+      stale = cache_.get_stale(dataset_.path);
       if (stale == nullptr) {
         // Cold cache: nothing trustworthy to serve from. Typed, not an
         // error — the client may retry after recover_shard.
@@ -449,10 +446,11 @@ QueryOutcome Server::run_job(const DispatchJob& job) {
                             job.request, opts_.cfg);
     if (outcome.ok) {
       outcome.reply.degraded = true;
-      // How long since the bundle was last known fresh: the client can
-      // decide whether an aged answer is still acceptable (PR 9 leftover —
-      // degraded mode used to trust the cached bundle silently).
-      outcome.reply.staleness_micros = staleness_micros;
+      // The bundle's error bound against the blocks the snapshot holds:
+      // every key's missed bytes and estimate shortfall are at most this.
+      if (stale != nullptr) {
+        outcome.reply.stale_bytes = stale->meta().stale_bytes(*snapshot);
+      }
       degraded_served_.fetch_add(1, std::memory_order_relaxed);
     }
     return outcome;

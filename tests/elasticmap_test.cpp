@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "elasticmap/block_meta.hpp"
 #include "elasticmap/cost_model.hpp"
@@ -427,6 +429,37 @@ TEST(ElasticMapArray, RejectsBadArgs) {
   const auto em = de::ElasticMapArray::build(f.dfs, f.path, {});
   EXPECT_THROW((void)em.block_meta(em.num_blocks()), std::out_of_range);
   EXPECT_THROW((void)em.block_id(em.num_blocks()), std::out_of_range);
+}
+
+TEST(ElasticMapArray, EstimatesStayWithinTheirBlock) {
+  // The stale-byte bound rests on every per-block Eq. 6 estimate being at
+  // most that block's bytes. A small block holding one sub-dataset is the
+  // edge: its one entry sits below the top bucket, so below alpha = 1 it
+  // lands in the Bloom tail, and the tail delta (up to twice the average
+  // tail size) would exceed the block. Here: three full single-key blocks
+  // and a final block with one ~100-byte record.
+  datanet::dfs::MiniDfs dfs(datanet::dfs::ClusterTopology::flat(4),
+                            {.block_size = 1024, .replication = 2, .seed = 7});
+  std::vector<dw::Record> records;
+  for (std::uint64_t i = 0; i < 31; ++i) {
+    records.push_back({.timestamp = i,
+                       .key = "solo_" + std::to_string(i / 10),
+                       .payload = std::string(90, 'x')});
+  }
+  dw::ingest(dfs, "/solo", records);
+  const dw::GroundTruth truth(dfs, "/solo");
+  ASSERT_EQ(truth.num_blocks(), 4u);
+  for (const double alpha : {0.1, 0.3, 0.6, 1.0}) {
+    const auto em =
+        de::ElasticMapArray::build(dfs, "/solo", {.alpha = alpha});
+    for (std::uint64_t b = 0; b < em.num_blocks(); ++b) {
+      const std::uint64_t bytes = dfs.block(em.block_id(b)).size_bytes;
+      for (const auto id : truth.ids_by_size()) {
+        EXPECT_LE(em.block_meta(b).estimate_size(id), bytes)
+            << "alpha " << alpha << ", block " << b;
+      }
+    }
+  }
 }
 
 // Property sweep: core invariants hold across alpha and fpp configurations.

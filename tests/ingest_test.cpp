@@ -4,8 +4,9 @@
 // block boundaries, the open-block quarantine on the query surface, FsImage
 // checkpoints taken mid-ingestion, crash recovery with open-block adoption
 // (a continued run is content- and boundary-identical to one that never
-// crashed), the fsck open-block audit, and elasticmap::LiveMapMaintainer's
-// delta maintenance with its staleness/chi-drift ledger. The crash sweeps
+// crashed), the fsck open-block audit, and the serving cache's delta
+// maintenance of a growing file with its stale-byte bound
+// (ElasticMapArray::stale_bytes). The crash sweeps
 // mirror recovery_test.cpp: every group-commit boundary and every byte
 // offset of an ingestion journal must recover to a valid committed prefix.
 
@@ -28,7 +29,7 @@
 #include "dfs/ingest.hpp"
 #include "dfs/mini_dfs.hpp"
 #include "elasticmap/elastic_map.hpp"
-#include "elasticmap/live_map.hpp"
+#include "server/dataset_cache.hpp"
 #include "workload/dataset.hpp"
 #include "workload/movie_gen.hpp"
 #include "workload/record.hpp"
@@ -36,6 +37,7 @@
 namespace dd = datanet::dfs;
 namespace de = datanet::elasticmap;
 namespace dw = datanet::workload;
+namespace srv = datanet::server;
 namespace fs = std::filesystem;
 
 namespace {
@@ -246,7 +248,9 @@ void expect_checksums_match_bytes(const dd::MiniDfs& dfs,
     EXPECT_EQ(dfs.block(id).checksum,
               datanet::common::crc32(dfs.read_block(id)))
         << where << ", block " << id;
-    EXPECT_TRUE(dfs.verify_block(id)) << where << ", block " << id;
+    for (const dd::NodeId n : dfs.block(id).replicas) {
+      EXPECT_TRUE(dfs.replica_healthy(id, n)) << where << ", block " << id;
+    }
   }
 }
 }  // namespace
@@ -516,64 +520,66 @@ TEST(IngestRecovery, OpenBlockAuditCatchesLostGroupCommit) {
   ASSERT_FALSE(bad.violations.empty());
 }
 
-// ------------------------------------------------------- live maintenance --
+// ------------------------------------------------ cache staleness ledger --
 
-TEST(LiveMapMaintainer, DeltaApplyMatchesFullRebuildEstimates) {
+namespace {
+// Bytes of every sealed block of `path`: what a fresh ElasticMap would cover.
+std::uint64_t sealed_bytes(const dd::MiniDfs& dfs, const std::string& path) {
+  std::uint64_t bytes = 0;
+  for (const dd::BlockId b : dfs.blocks_of(path)) {
+    bytes += dfs.block(b).size_bytes;
+  }
+  return bytes;
+}
+}  // namespace
+
+TEST(CacheStaleness, DeltaApplyMatchesFullRebuildEstimates) {
   dd::MiniDfs mini(dd::ClusterTopology::flat(6), small_opts());
   const auto lines = movie_lines(240, 11);
   const std::string path = "/logs/stream";
   mini.create(path).close();
 
-  de::LiveMapOptions opt;
-  opt.max_blocks_per_tick = 2;
-  de::LiveMapMaintainer maint(mini, path, opt);
-  EXPECT_EQ(maint.ledger().covered_blocks, 0u);
+  srv::DatasetCache cache;
+  EXPECT_EQ(cache.get(mini, path)->meta().num_blocks(), 0u);
 
   dd::Ingestor ing(mini, path, {.group_records = 16});
   for (const auto& line : lines) ing.append(line);
   ing.close();
-  const auto sealed = mini.blocks_of(path).size();
-  ASSERT_GT(sealed, 4u);
+  ASSERT_GT(mini.blocks_of(path).size(), 4u);
 
-  // Everything sealed since construction is stale; the drift bound is the
-  // stale byte fraction — here 1.0, since nothing is covered yet.
-  EXPECT_EQ(maint.scan(), sealed);
-  EXPECT_EQ(maint.ledger().stale_blocks, sealed);
-  EXPECT_DOUBLE_EQ(maint.ledger().estimated_chi_drift, 1.0);
-  EXPECT_TRUE(maint.ledger().rebuild_recommended);
-
-  // Ticks incorporate at most max_blocks_per_tick deltas each.
-  const auto applied = maint.tick();
-  EXPECT_EQ(applied, 2u);
-  EXPECT_EQ(maint.ledger().stale_blocks, sealed - 2);
-  EXPECT_GT(maint.ledger().estimated_chi_drift, 0.0);
-  EXPECT_LT(maint.ledger().estimated_chi_drift, 1.0);
-
-  // Drain catches the map fully up; the drift bound collapses to zero.
-  maint.drain();
-  EXPECT_EQ(maint.ledger().stale_blocks, 0u);
-  EXPECT_EQ(maint.ledger().covered_blocks, sealed);
-  EXPECT_DOUBLE_EQ(maint.ledger().estimated_chi_drift, 0.0);
-  EXPECT_FALSE(maint.ledger().rebuild_recommended);
-  EXPECT_EQ(maint.ledger().deltas_applied, sealed);
-  EXPECT_EQ(maint.ledger().full_rebuilds, 0u);
-
-  // The delta-maintained map answers exactly like a from-scratch build.
+  // Everything sealed since the bundle was built is stale: the bound is
+  // the whole file, and it holds for every key against a fresh build.
+  const auto stale = cache.get_stale(path);
+  ASSERT_NE(stale, nullptr);
+  EXPECT_EQ(stale->meta().stale_bytes(mini), sealed_bytes(mini, path));
   const auto fresh = de::ElasticMapArray::build(mini, path, {});
   const dw::GroundTruth truth(mini, path);
   for (const auto id : truth.ids_by_size()) {
-    EXPECT_EQ(maint.map().estimate_total_size(id),
+    const std::uint64_t gap = fresh.estimate_total_size(id) -
+                              stale->meta().estimate_total_size(id);
+    EXPECT_LE(gap, stale->meta().stale_bytes(mini));
+  }
+
+  // One get delta-applies every sealed block; the bound collapses to zero
+  // and the map answers exactly like a from-scratch build.
+  const auto caught_up = cache.get(mini, path);
+  EXPECT_EQ(cache.stats().delta_applies, 1u);
+  EXPECT_EQ(cache.stats().rebuilds, 1u);
+  EXPECT_EQ(caught_up->meta().num_blocks(), mini.blocks_of(path).size());
+  EXPECT_EQ(caught_up->meta().stale_bytes(mini), 0u);
+  for (const auto id : truth.ids_by_size()) {
+    EXPECT_EQ(caught_up->meta().estimate_total_size(id),
               fresh.estimate_total_size(id));
   }
 }
 
-TEST(LiveMapMaintainer, PeakDriftBoundGrowsWithDrainInterval) {
-  // Warm the map over the first eighth of a stream (a cold map is 100%
-  // stale by definition), then stream the rest, draining every `interval`
-  // seals and recording the drift bound seen right after each seal. Rarer
-  // drains leave more stale bytes behind, so the peak bound can only grow
-  // with the interval; at every interval a final drain must still answer
-  // exactly like a fresh build.
+TEST(CacheStaleness, PeakStaleFractionGrowsWithGetInterval) {
+  // Warm the cache over the first eighth of a stream (a cold cache is 100%
+  // stale by definition), then stream the rest, calling get() every
+  // `interval` seals and recording the stale-byte fraction of the bundle
+  // get_stale returns right after each seal. Rarer gets leave more stale
+  // bytes behind, so the peak fraction can only grow with the interval; at
+  // every interval a final get must still answer exactly like a fresh build.
   dd::DfsOptions dopt;
   dopt.block_size = 16 * 1024;
   dopt.replication = 3;
@@ -588,14 +594,16 @@ TEST(LiveMapMaintainer, PeakDriftBoundGrowsWithDrainInterval) {
       dd::Ingestor warm(mini, path, {.group_records = 64});
       for (std::size_t i = 0; i < warmup; ++i) warm.append(lines[i]);
     }
-    de::LiveMapMaintainer maint(mini, path, {});
+    srv::DatasetCache cache;
+    (void)cache.get(mini, path);
     double peak = 0.0;
     std::uint64_t seals = 0;
     dd::Ingestor ing(mini, path, {.group_records = 64});
     ing.on_seal = [&](dd::BlockId) {
-      (void)maint.scan();
-      peak = std::max(peak, maint.ledger().estimated_chi_drift);
-      if (++seals % interval == 0) (void)maint.drain();
+      const auto stale = cache.get_stale(path)->meta().stale_bytes(mini);
+      peak = std::max(peak, static_cast<double>(stale) /
+                                static_cast<double>(sealed_bytes(mini, path)));
+      if (++seals % interval == 0) (void)cache.get(mini, path);
     };
     for (std::size_t i = warmup; i < lines.size(); ++i) ing.append(lines[i]);
     ing.close();
@@ -605,12 +613,13 @@ TEST(LiveMapMaintainer, PeakDriftBoundGrowsWithDrainInterval) {
     }
     peaks.push_back(peak);
 
-    maint.drain();
-    EXPECT_DOUBLE_EQ(maint.ledger().estimated_chi_drift, 0.0);
+    const auto net = cache.get(mini, path);
+    EXPECT_EQ(net->meta().stale_bytes(mini), 0u);
+    EXPECT_EQ(cache.stats().rebuilds, 1u) << "interval " << interval;
     const auto fresh = de::ElasticMapArray::build(mini, path, {});
     const dw::GroundTruth truth(mini, path);
     for (const auto id : truth.ids_by_size()) {
-      EXPECT_EQ(maint.map().estimate_total_size(id),
+      EXPECT_EQ(net->meta().estimate_total_size(id),
                 fresh.estimate_total_size(id))
           << "interval " << interval;
     }
@@ -618,36 +627,29 @@ TEST(LiveMapMaintainer, PeakDriftBoundGrowsWithDrainInterval) {
   EXPECT_GT(peaks.back(), peaks.front());
 }
 
-TEST(LiveMapMaintainer, WatermarkAndFullRebuildResetTheLedger) {
+TEST(CacheStaleness, InvalidateAndGetResetsStaleBytes) {
   dd::MiniDfs mini(dd::ClusterTopology::flat(6), small_opts());
   const std::string path = "/logs/stream";
   const auto lines = movie_lines(120, 13);
 
-  // Cover a small prefix, then grow past the watermark without draining.
+  // Cover a small prefix, then grow without a get.
   dd::Ingestor ing(mini, path, {.group_records = 16});
   for (std::size_t i = 0; i < 20; ++i) ing.append(lines[i]);
   ing.seal();
-  de::LiveMapOptions opt;
-  opt.rebuild_watermark = 0.25;
-  de::LiveMapMaintainer maint(mini, path, opt);
-  const auto covered = maint.ledger().covered_blocks;
+  srv::DatasetCache cache;
+  const auto covered = cache.get(mini, path)->meta().num_blocks();
   ASSERT_GT(covered, 0u);
-  EXPECT_FALSE(maint.ledger().rebuild_recommended);
+  EXPECT_EQ(cache.get_stale(path)->meta().stale_bytes(mini), 0u);
 
   for (std::size_t i = 20; i < lines.size(); ++i) ing.append(lines[i]);
   ing.close();
-  maint.scan();
-  EXPECT_GT(maint.ledger().stale_bytes, 0u);
-  EXPECT_GT(maint.ledger().estimated_chi_drift, opt.rebuild_watermark);
-  EXPECT_TRUE(maint.ledger().rebuild_recommended);
+  EXPECT_GT(cache.get_stale(path)->meta().stale_bytes(mini), 0u);
 
-  // A full rebuild resets staleness and is counted separately from deltas.
-  const auto rebuilt = maint.full_rebuild();
-  EXPECT_EQ(rebuilt, mini.blocks_of(path).size());
-  EXPECT_EQ(maint.ledger().covered_blocks, rebuilt);
-  EXPECT_EQ(maint.ledger().stale_blocks, 0u);
-  EXPECT_DOUBLE_EQ(maint.ledger().estimated_chi_drift, 0.0);
-  EXPECT_FALSE(maint.ledger().rebuild_recommended);
-  EXPECT_EQ(maint.ledger().full_rebuilds, 1u);
-  EXPECT_EQ(maint.ledger().deltas_applied, 0u);
+  // A full rebuild resets staleness and is counted apart from deltas.
+  cache.invalidate(path);
+  const auto rebuilt = cache.get(mini, path);
+  EXPECT_EQ(rebuilt->meta().num_blocks(), mini.blocks_of(path).size());
+  EXPECT_EQ(rebuilt->meta().stale_bytes(mini), 0u);
+  EXPECT_EQ(cache.stats().rebuilds, 2u);
+  EXPECT_EQ(cache.stats().delta_applies, 0u);
 }

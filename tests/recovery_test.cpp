@@ -119,7 +119,7 @@ struct DurableCluster {
     history.emplace_back(journal->bytes_written(), dfs->namespace_digest());
   }
 
-  // Ingest, decommission, corrupt-report, move: one of each mutation class.
+  // Ingest, decommission, corrupt-report: one of each mutation class.
   void run_history() {
     dw::ingest(*dfs, "/logs/a", small_records(40, 5));
     record();
@@ -132,15 +132,6 @@ struct DurableCluster {
     ASSERT_GE(reps.size(), 2u);
     dfs->corrupt_replica(0, reps[0]);
     ASSERT_TRUE(dfs->report_corrupt_replica(0, reps[0]));
-    record();
-    // A replica move.
-    const auto& reps1 = dfs->block(1).replicas;
-    for (dd::NodeId to = 0; to < 6; ++to) {
-      if (dfs->is_active(to) && !dfs->is_local(1, to)) {
-        dfs->move_replica(1, reps1[0], to);
-        break;
-      }
-    }
     record();
   }
 };
@@ -155,8 +146,6 @@ TEST(EditLog, EncodeDecodeRoundTripsEveryOp) {
   records.push_back({.op = dd::EditOp::kDecommission, .node = 4});
   records.push_back({.op = dd::EditOp::kRemoveReplica, .block = 9, .node = 1});
   records.push_back({.op = dd::EditOp::kAddReplica, .block = 9, .node = 3});
-  records.push_back(
-      {.op = dd::EditOp::kMoveReplica, .block = 2, .node = 0, .node2 = 5});
 
   for (const auto& r : records) {
     const auto back = dd::EditLog::decode(dd::EditLog::encode(r));
@@ -166,7 +155,6 @@ TEST(EditLog, EncodeDecodeRoundTripsEveryOp) {
     EXPECT_EQ(back.num_records, r.num_records);
     EXPECT_EQ(back.checksum, r.checksum);
     EXPECT_EQ(back.node, r.node);
-    EXPECT_EQ(back.node2, r.node2);
     EXPECT_EQ(back.replicas, r.replicas);
     EXPECT_EQ(back.data, r.data);
   }
@@ -186,6 +174,13 @@ TEST(EditLog, DecodeRejectsGarbage) {
   dd::wire::put_u32(retired, 0);
   dd::wire::put_bytes(retired, "line\n");
   EXPECT_THROW((void)dd::EditLog::decode(retired), std::runtime_error);
+  // Opcode 6 (the replica move) is retired too: its old well-formed body
+  // (block, source node, target node) no longer decodes.
+  std::string moved(1, '\x06');
+  dd::wire::put_u64(moved, 2);
+  dd::wire::put_u32(moved, 0);
+  dd::wire::put_u32(moved, 5);
+  EXPECT_THROW((void)dd::EditLog::decode(moved), std::runtime_error);
   // Trailing bytes after a valid payload are corruption, not slack.
   auto payload = dd::EditLog::encode({.op = dd::EditOp::kDecommission, .node = 1});
   payload += "x";

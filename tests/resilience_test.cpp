@@ -3,7 +3,8 @@
 // typed exhaustion, hostile-server reply hardening, seeded ChaosProxy fault
 // injection (reset / truncate / stall / split), and degraded-mode serving —
 // answering from the epoch-cached bundle while the owning metadata shard is
-// down, with the digest still golden. Run under ASan by
+// down, with the digest still golden and the reply's stale_bytes bounding
+// what the bundle misses. Run under ASan by
 // `tools/sanitize_tests.sh address`.
 
 #include <gtest/gtest.h>
@@ -19,7 +20,9 @@
 #include <vector>
 
 #include "datanet/experiment.hpp"
+#include "dfs/ingest.hpp"
 #include "dfs/meta_plane.hpp"
+#include "elasticmap/elastic_map.hpp"
 #include "server/chaos_proxy.hpp"
 #include "server/client.hpp"
 #include "server/dataset_cache.hpp"
@@ -28,10 +31,13 @@
 #include "server/resilient_client.hpp"
 #include "server/server.hpp"
 #include "server/socket_io.hpp"
+#include "workload/dataset.hpp"
+#include "workload/record.hpp"
 
 namespace dc = datanet::core;
 namespace dfs = datanet::dfs;
 namespace srv = datanet::server;
+namespace dw = datanet::workload;
 namespace fs = std::filesystem;
 
 namespace {
@@ -485,7 +491,7 @@ TEST(ServerResilience, ServesDegradedFromCachedBundleWhileShardDown) {
   const auto before = client.query(q);
   ASSERT_TRUE(before.ok());
   EXPECT_FALSE(before.reply.degraded);
-  EXPECT_EQ(before.reply.staleness_micros, 0u);
+  EXPECT_EQ(before.reply.stale_bytes, 0u);
 
   // NameNode down, DataNodes up: the owning shard refuses routed access but
   // the block bytes and the cached bundle survive.
@@ -494,11 +500,11 @@ TEST(ServerResilience, ServesDegradedFromCachedBundleWhileShardDown) {
   const auto during = client.query(q);
   ASSERT_TRUE(during.ok());
   EXPECT_TRUE(during.reply.degraded);
-  // Degraded is stale-tolerant, not wrong: nothing mutated, so the digest
-  // is still golden — and the reply says HOW stale the bundle is (time
-  // since it was last validated against the live namespace).
+  // Degraded is stale-tolerant, not wrong: nothing was appended, so the
+  // bundle covers every block, the digest is still golden and the reply's
+  // error bound is exactly zero.
   EXPECT_EQ(during.reply.digest, before.reply.digest);
-  EXPECT_GT(during.reply.staleness_micros, 0u);
+  EXPECT_EQ(during.reply.stale_bytes, 0u);
   EXPECT_EQ(server.degraded_served(), 1u);
 
   // Recovery restores normal (non-degraded) service.
@@ -507,6 +513,65 @@ TEST(ServerResilience, ServesDegradedFromCachedBundleWhileShardDown) {
   ASSERT_TRUE(after.ok());
   EXPECT_FALSE(after.reply.degraded);
   EXPECT_EQ(after.reply.digest, before.reply.digest);
+  server.stop();
+}
+
+TEST(ServerResilience, DegradedReplyBoundsWhatUnseenSealsAdd) {
+  // Warm the cache, then grow the served file by N >= 2 sealed blocks the
+  // cache never sees, then crash the owning shard. The degraded reply is
+  // computed from the stale bundle, so it misses the hot key's records in
+  // the new blocks; stale_bytes must be exactly the new blocks' bytes and
+  // must bound both that miss and every key's estimate shortfall.
+  TempDir tmp;
+  srv::ServerOptions opts = small_server();
+  srv::Server server(opts);
+  server.plane().attach_journals(tmp.path());
+  server.start();
+  const std::string& path = server.dataset().path;
+  const std::string key = server.dataset().hot_keys.front();
+  srv::Client client(server.port(), 5'000);
+  ASSERT_TRUE(client.query(query_for("alice", key)).ok());
+  const auto stale = server.cache().get_stale(path);
+  ASSERT_NE(stale, nullptr);
+
+  dfs::MiniDfs& mini = server.plane().dfs_for(path);
+  const std::size_t covered = mini.blocks_of(path).size();
+  ASSERT_EQ(stale->meta().num_blocks(), covered);
+  {
+    // Every third record is the hot key, so each new block holds some.
+    dfs::Ingestor ing(mini, path);
+    const std::string payload(200, 'p');
+    for (std::uint64_t i = 0; i < 3 * opts.cfg.block_size / 200; ++i) {
+      ing.append(dw::encode_record(
+          {.timestamp = i,
+           .key = i % 3 == 0 ? key : "appended_" + std::to_string(i % 7),
+           .payload = payload}));
+    }
+  }
+  const auto& blocks = mini.blocks_of(path);
+  ASSERT_GE(blocks.size(), covered + 2);
+  std::uint64_t sealed_bytes = 0;
+  for (std::size_t i = covered; i < blocks.size(); ++i) {
+    sealed_bytes += mini.block(blocks[i]).size_bytes;
+  }
+  const dw::GroundTruth truth(mini, path);
+  const auto fresh = datanet::elasticmap::ElasticMapArray::build(
+      mini, path, stale->meta().options());
+
+  server.plane().crash_shard(server.plane().shard_of(path));
+  const auto during = client.query(query_for("alice", key));
+  ASSERT_TRUE(during.ok());
+  EXPECT_TRUE(during.reply.degraded);
+  EXPECT_EQ(during.reply.stale_bytes, sealed_bytes);
+  const std::uint64_t want = truth.total_size(dw::subdataset_id(key));
+  ASSERT_GT(want, during.reply.matched_bytes);
+  EXPECT_LE(want - during.reply.matched_bytes, during.reply.stale_bytes);
+  for (const dw::SubDatasetId id : truth.ids_by_size()) {
+    const std::uint64_t now = fresh.estimate_total_size(id);
+    const std::uint64_t then = stale->meta().estimate_total_size(id);
+    ASSERT_GE(now, then) << id;
+    EXPECT_LE(now - then, during.reply.stale_bytes) << id;
+  }
   server.stop();
 }
 
@@ -540,7 +605,7 @@ TEST(DatasetCacheLifetime, RecoveredShardRebuildsWhileStaleBundleStaysAlive) {
 
   plane.crash_shard(0);
   // Degraded reads hand back the same bundle, un-revalidated.
-  EXPECT_EQ(cache.get_stale(path).net.get(), warm.get());
+  EXPECT_EQ(cache.get_stale(path).get(), warm.get());
   (void)plane.recover_shard(0);
 
   // Post-recovery get() must REBUILD, not revalidate: the recovered shard

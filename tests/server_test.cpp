@@ -81,7 +81,7 @@ TEST(ServerProtocol, ReplyAndRejectionRoundTrip) {
   r.service_micros = 999;
   r.queue_micros = 5;
   r.degraded = true;
-  r.staleness_micros = 123'456;
+  r.stale_bytes = 123'456;
   const srv::QueryReply back = srv::decode_query_ok(srv::encode_query_ok(r));
   EXPECT_EQ(back.digest, r.digest);
   EXPECT_EQ(back.matched_bytes, r.matched_bytes);
@@ -89,7 +89,7 @@ TEST(ServerProtocol, ReplyAndRejectionRoundTrip) {
   EXPECT_EQ(back.service_micros, r.service_micros);
   EXPECT_EQ(back.queue_micros, r.queue_micros);
   EXPECT_TRUE(back.degraded);
-  EXPECT_EQ(back.staleness_micros, 123'456u);
+  EXPECT_EQ(back.stale_bytes, 123'456u);
 
   const srv::Rejection rej = srv::decode_rejected(srv::encode_rejected(
       {srv::RejectReason::kQueueFull, "tenant queue is full"}));
@@ -309,15 +309,12 @@ TEST(DatasetCache, HitRevalidateAndRebuild) {
   EXPECT_EQ(cache.stats().rebuilds, 1u);
   EXPECT_EQ(cache.stats().hits, 1u);
 
-  // Replica churn (healing/balancing): epoch moves, block count does not —
+  // Replica churn (drop-and-reheal): epoch moves, block count does not —
   // the ElasticMap is still exact, so the entry is revalidated, not rebuilt.
   const dfs::BlockId b = ds.dfs->blocks_of(ds.path).front();
   const auto hosts = ds.dfs->replicas_snapshot(b);
-  dfs::NodeId target = 0;
-  while (std::find(hosts.begin(), hosts.end(), target) != hosts.end()) {
-    ++target;
-  }
-  ds.dfs->move_replica(b, hosts.front(), target);
+  ds.dfs->corrupt_replica(b, hosts.front());
+  ds.dfs->report_corrupt_replica(b, hosts.front());
   const auto after_churn = cache.get(*ds.dfs, ds.path);
   EXPECT_EQ(after_churn.get(), first.get());
   EXPECT_EQ(cache.stats().revalidations, 1u);
@@ -558,8 +555,8 @@ TEST(ServerEndToEnd, SkewedTenantsFlooderIsBoundedTricklerAlwaysServed) {
 
 TEST(ServerEndToEnd, QueriesStayCorrectWhileAMutatorChurnsReplicas) {
   // The zero-copy lifetime regression, end to end: workers serve pinned
-  // reads while the single external mutator relocates and drop-and-heals
-  // replicas under them. Every query must succeed with the
+  // reads while the single external mutator drop-and-heals replicas under
+  // them. Every query must succeed with the
   // placement-invariant totals (matched bytes, scanned blocks); under ASan
   // this is the use-after-free probe for the PR 6 string_view hazard.
   const srv::ServerOptions opts = small_server();
@@ -577,18 +574,10 @@ TEST(ServerEndToEnd, QueriesStayCorrectWhileAMutatorChurnsReplicas) {
     while (!done.load(std::memory_order_acquire)) {
       const dfs::BlockId b = blocks[step % blocks.size()];
       const auto hosts = mini.replicas_snapshot(b);
-      dfs::NodeId target = 0;
-      while (std::find(hosts.begin(), hosts.end(), target) != hosts.end()) {
-        ++target;
-      }
-      if (step % 3 == 0) {
-        // Drop-and-reheal churn: mark a copy corrupt, report it, NameNode
-        // re-replicates (inline_repair default) — replica set mutates.
-        mini.corrupt_replica(b, hosts.front());
-        mini.report_corrupt_replica(b, hosts.front());
-      } else {
-        mini.move_replica(b, hosts.front(), target);
-      }
+      // Drop-and-reheal churn: mark a copy corrupt, report it, NameNode
+      // re-replicates (inline_repair default) — replica set mutates.
+      mini.corrupt_replica(b, hosts.front());
+      mini.report_corrupt_replica(b, hosts.front());
       ++step;
     }
   });
@@ -758,7 +747,7 @@ TEST(ServerProtocol, EveryStrictPrefixIsRejected) {
   r.service_micros = 11;
   r.queue_micros = 5;
   r.degraded = true;
-  r.staleness_micros = 9'000;
+  r.stale_bytes = 9'000;
   srv::ServerStats s;
   s.queries_served = 3;
   s.cache_delta_applies = 2;
@@ -771,7 +760,7 @@ TEST(ServerProtocol, EveryStrictPrefixIsRejected) {
   const std::string reply = srv::encode_query_ok(r);
   const std::string stats = srv::encode_stats_ok(s);
   EXPECT_EQ(srv::decode_query(query).deadline_ms, 250u);
-  EXPECT_EQ(srv::decode_query_ok(reply).staleness_micros, 9'000u);
+  EXPECT_EQ(srv::decode_query_ok(reply).stale_bytes, 9'000u);
   EXPECT_EQ(srv::decode_stats_ok(stats).cache_delta_applies, 2u);
   for (std::size_t len = 0; len < query.size(); ++len) {
     EXPECT_THROW((void)srv::decode_query(query.substr(0, len)),

@@ -8,7 +8,9 @@
 //
 // The contract under test: EVERY query ends in exactly one of
 //   * a golden reply   — digest equal to the pre-chaos baseline,
-//   * a degraded reply — same golden digest, degraded flag set,
+//   * a degraded reply — same golden digest, degraded flag set, and
+//                        stale_bytes == 0 (nothing is ingested during the
+//                        drill, so the cached bundle covers every block),
 //   * a typed error    — kRejected/kError result or RetriesExhaustedError,
 // and the drill itself terminates. Never a wrong digest, never a hang,
 // never a crash (tools/chaos_smoke.sh runs this under `timeout` and ASan).
@@ -61,7 +63,8 @@ srv::QueryRequest drill_query(const std::string& key) {
 
 // One query through the proxy on a FRESH ResilientClient (so every attempt
 // is a new proxied connection and draws its own fault). Returns false on a
-// contract violation (wrong digest); everything else is a counted outcome.
+// contract violation (wrong digest, or a degraded reply whose stale-byte
+// bound is not 0); everything else is a counted outcome.
 bool run_one(std::uint16_t proxy_port, const srv::RetryPolicy& policy,
              const std::string& key, std::uint64_t golden_digest,
              bool expect_degraded_ok, Tally& tally, bool verbose) {
@@ -81,6 +84,14 @@ bool run_one(std::uint16_t proxy_port, const srv::RetryPolicy& policy,
                        static_cast<int>(r.reply.degraded));
           pass = false;
           outcome = "WRONG-DIGEST";
+        } else if (r.reply.degraded && r.reply.stale_bytes != 0) {
+          // No block is sealed during the drill, so the cached bundle
+          // covers the whole file: any other bound is a wrong bound.
+          std::fprintf(stderr, "FAIL key=%s degraded stale_bytes=%llu want 0\n",
+                       key.c_str(),
+                       static_cast<unsigned long long>(r.reply.stale_bytes));
+          pass = false;
+          outcome = "WRONG-BOUND";
         } else if (r.reply.degraded) {
           // Degraded replies are only acceptable while the drill has the
           // shard down; a degraded reply in a healthy phase would mean the

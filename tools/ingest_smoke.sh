@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Streaming-ingestion smoke: run the `datanet ingest` crash drill (see
 # src/cli/commands.cpp cmd_ingest) across several seeded kill points. Each
-# run streams a generated log through dfs::Ingestor with group commit and a
-# live ElasticMap maintainer, copies the journal at the kill instant, recovers
+# run streams a generated log through dfs::Ingestor with group commit while
+# the serving cache (server::DatasetCache) delta-applies every sealed block
+# into the ElasticMap, copies the journal at the kill instant, recovers
 # from checkpoint + journal, audits the open block against its journaled
 # length, continues the stream, and exits non-zero unless content, block
 # boundaries, and per-key estimates all match a never-crashed reference.
