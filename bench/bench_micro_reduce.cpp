@@ -5,19 +5,19 @@
 // threads while producing bit-identical reports at every thread count.
 //
 // Timing uses JobReport::wall_shuffle_reduce_seconds (manual time), so the
-// map stage is excluded from the measurement. BM_CombinerRun times the
-// whole run of a WordCount-shaped job (many emits per record, few distinct
-// keys, combiner on), where the map-side grouping dominates.
+// map stage is excluded from the measurement. BM_WordCountRun times the
+// whole run of apps::make_word_count_job() over a word workload (many words
+// per record, few distinct words), where the mapper's per-task folding
+// dominates.
 
 #include <benchmark/benchmark.h>
 
-#include <charconv>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "apps/word_count.hpp"
 #include "common/rng.hpp"
-#include "common/string_util.hpp"
 #include "mapred/engine.hpp"
 
 namespace {
@@ -42,8 +42,8 @@ class SumReducer final : public mapred::Reducer {
 };
 
 // A shuffle-heavy workload: many splits, many distinct long-prefix keys
-// (grouping must compare keys; the cached hash spares most compares), no
-// combiner so every map output pair crosses the shuffle.
+// (grouping must compare keys; the cached hash spares most compares), and a
+// mapper that does not fold, so every map output pair crosses the shuffle.
 struct Workload {
   std::vector<std::string> blocks;
   std::vector<mapred::InputSplit> splits;
@@ -129,33 +129,8 @@ void BM_EngineRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineRun)->Arg(1)->Arg(2)->Arg(8)->Unit(benchmark::kMillisecond);
 
-// WordCount shape: every payload word is emitted with "1". Words are split
-// on spaces (not common::tokenize_words) so only the engine is measured.
-class WordEmitMapper final : public mapred::Mapper {
- public:
-  void map(const workload::RecordView& r, mapred::Emitter& out) override {
-    common::for_each_split(r.payload, ' ', [&](std::string_view w) {
-      if (!w.empty()) out.emit(w, "1");
-    });
-  }
-};
-
-class CountSumReducer final : public mapred::Reducer {
- public:
-  void reduce(std::string_view key, std::span<const std::string_view> values,
-              mapred::Emitter& out) override {
-    std::uint64_t sum = 0;
-    for (const auto& v : values) {
-      std::uint64_t x = 0;
-      std::from_chars(v.data(), v.data() + v.size(), x);
-      sum += x;
-    }
-    out.emit(key, std::to_string(sum));
-  }
-};
-
 // 16 splits x 2500 records x 20 words over a 2000-word vocabulary: ~800k
-// map emits that the combiner folds to at most 2000 pairs per split.
+// words that each mapper folds to at most 2000 pairs per split.
 constexpr int kWordSplits = 16;
 constexpr int kWordRecords = 2500;
 constexpr int kWordsPerRecord = 20;
@@ -186,16 +161,11 @@ const Workload& word_workload() {
   return w;
 }
 
-// Full-run wall time of the combiner job (map-side grouping + combine is
+// Full-run wall time of WordCount (tokenizing and folding in the mapper is
 // most of it), arg0 = execution threads.
-void BM_CombinerRun(benchmark::State& state) {
+void BM_WordCountRun(benchmark::State& state) {
   const auto& w = word_workload();
-  mapred::Job job;
-  job.config.name = "MicroCombine";
-  job.config.num_reducers = 16;
-  job.mapper_factory = [] { return std::make_unique<WordEmitMapper>(); };
-  job.reducer_factory = [] { return std::make_unique<CountSumReducer>(); };
-  job.combiner_factory = [] { return std::make_unique<CountSumReducer>(); };
+  const mapred::Job job = apps::make_word_count_job();
   mapred::Engine engine(
       {.num_nodes = 4,
        .slots_per_node = 2,
@@ -207,7 +177,7 @@ void BM_CombinerRun(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           kWordSplits * kWordRecords * kWordsPerRecord);
 }
-BENCHMARK(BM_CombinerRun)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WordCountRun)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

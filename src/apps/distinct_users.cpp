@@ -58,24 +58,6 @@ class MergeReducer final : public mapred::Reducer {
   std::uint32_t precision_;
 };
 
-// Combiner: merge sketches within a task's output, re-emitting sketches.
-class MergeCombiner final : public mapred::Reducer {
- public:
-  explicit MergeCombiner(std::uint32_t precision) : precision_(precision) {}
-
-  void reduce(std::string_view key, std::span<const std::string_view> values,
-              mapred::Emitter& out) override {
-    bloom::HyperLogLog merged(precision_);
-    for (const auto& v : values) {
-      merged.merge(bloom::HyperLogLog::deserialize(v));
-    }
-    out.emit(key, merged.serialize());
-  }
-
- private:
-  std::uint32_t precision_;
-};
-
 }  // namespace
 
 mapred::Job make_distinct_users_job(std::string field_prefix,
@@ -93,9 +75,6 @@ mapred::Job make_distinct_users_job(std::string field_prefix,
   };
   job.reducer_factory = [precision] {
     return std::make_unique<MergeReducer>(precision);
-  };
-  job.combiner_factory = [precision] {
-    return std::make_unique<MergeCombiner>(precision);
   };
   return job;
 }

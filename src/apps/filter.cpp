@@ -1,8 +1,9 @@
 #include "apps/filter.hpp"
 
-#include <charconv>
 #include <cstdint>
 #include <memory>
+
+#include "mapred/sum_table.hpp"
 
 namespace datanet::apps {
 
@@ -13,12 +14,13 @@ class FilterStatsMapper final : public mapred::Mapper {
   explicit FilterStatsMapper(std::string target) : target_(std::move(target)) {}
 
   void map(const workload::RecordView& record, mapred::Emitter& out) override {
+    (void)out;
     if (!target_.empty() && record.key != target_) {
       ++filtered_out_;
       return;
     }
     ++matched_;
-    out.emit(record.key, std::to_string(record.encoded_size()));
+    bytes_.add(record.key, record.encoded_size());
   }
 
   // Counter totals are flushed once per task, not bumped per record — this
@@ -26,26 +28,14 @@ class FilterStatsMapper final : public mapred::Mapper {
   void finish(mapred::Emitter& out) override {
     if (filtered_out_ > 0) out.count("records_filtered_out", filtered_out_);
     if (matched_ > 0) out.count("records_matched", matched_);
+    bytes_.emit(out);
   }
 
  private:
   std::string target_;
   std::uint64_t filtered_out_ = 0;
   std::uint64_t matched_ = 0;
-};
-
-class SumReducer final : public mapred::Reducer {
- public:
-  void reduce(std::string_view key, std::span<const std::string_view> values,
-              mapred::Emitter& out) override {
-    std::uint64_t sum = 0;
-    for (const auto& v : values) {
-      std::uint64_t x = 0;
-      std::from_chars(v.data(), v.data() + v.size(), x);
-      sum += x;
-    }
-    out.emit(key, std::to_string(sum));
-  }
+  mapred::SumTable bytes_;  // matched bytes per key
 };
 
 }  // namespace
@@ -60,8 +50,7 @@ mapred::Job make_filter_stats_job(std::string target_key) {
   job.mapper_factory = [target_key] {
     return std::make_unique<FilterStatsMapper>(target_key);
   };
-  job.reducer_factory = [] { return std::make_unique<SumReducer>(); };
-  job.combiner_factory = [] { return std::make_unique<SumReducer>(); };
+  job.reducer_factory = [] { return std::make_unique<mapred::SumReducer>(); };
   return job;
 }
 

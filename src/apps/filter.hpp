@@ -17,8 +17,9 @@ namespace datanet::apps {
   return record.key == key;
 }
 
-// MapReduce job: emits (key, encoded_size) for records of `target_key`
-// (empty target = all keys); reducer sums to per-sub-dataset byte totals.
+// MapReduce job: each map task sums encoded_size() over the records of
+// `target_key` (empty target = all keys) and emits one (key, bytes) pair per
+// key; the reducer sums to per-sub-dataset byte totals.
 // Pure scan — the cheapest cost profile (I/O dominated).
 [[nodiscard]] mapred::Job make_filter_stats_job(std::string target_key);
 

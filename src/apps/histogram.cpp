@@ -1,6 +1,5 @@
 #include "apps/histogram.hpp"
 
-#include <charconv>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -9,6 +8,7 @@
 #include <vector>
 
 #include "common/string_util.hpp"
+#include "mapred/sum_table.hpp"
 
 namespace datanet::apps {
 
@@ -44,20 +44,6 @@ class HistogramMapper final : public mapred::Mapper {
   std::uint64_t total_ = 0;
 };
 
-class SumReducer final : public mapred::Reducer {
- public:
-  void reduce(std::string_view key, std::span<const std::string_view> values,
-              mapred::Emitter& out) override {
-    std::uint64_t sum = 0;
-    for (const auto& v : values) {
-      std::uint64_t x = 0;
-      std::from_chars(v.data(), v.data() + v.size(), x);
-      sum += x;
-    }
-    out.emit(key, std::to_string(sum));
-  }
-};
-
 }  // namespace
 
 mapred::Job make_word_histogram_job() {
@@ -68,8 +54,7 @@ mapred::Job make_word_histogram_job() {
   job.config.cost.cpu_us_per_record = 1.2;
   job.config.cost.task_overhead_s = 1.0;
   job.mapper_factory = [] { return std::make_unique<HistogramMapper>(); };
-  job.reducer_factory = [] { return std::make_unique<SumReducer>(); };
-  job.combiner_factory = [] { return std::make_unique<SumReducer>(); };
+  job.reducer_factory = [] { return std::make_unique<mapred::SumReducer>(); };
   return job;
 }
 

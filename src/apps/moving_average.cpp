@@ -77,22 +77,6 @@ class AverageReducer final : public mapred::Reducer {
   }
 };
 
-// Combiner keeps partials as "sum,count" without averaging.
-class PartialSumCombiner final : public mapred::Reducer {
- public:
-  void reduce(std::string_view key, std::span<const std::string_view> values,
-              mapred::Emitter& out) override {
-    std::uint64_t sum = 0, count = 0;
-    for (const auto& v : values) {
-      const auto comma = v.find(',');
-      if (comma == std::string_view::npos) continue;
-      sum += common::parse_u64(v.substr(0, comma)).value_or(0);
-      count += common::parse_u64(v.substr(comma + 1)).value_or(0);
-    }
-    out.emit(key, std::to_string(sum) + "," + std::to_string(count));
-  }
-};
-
 }  // namespace
 
 mapred::Job make_moving_average_job(std::uint64_t window_seconds) {
@@ -107,7 +91,6 @@ mapred::Job make_moving_average_job(std::uint64_t window_seconds) {
     return std::make_unique<MovingAverageMapper>(window_seconds);
   };
   job.reducer_factory = [] { return std::make_unique<AverageReducer>(); };
-  job.combiner_factory = [] { return std::make_unique<PartialSumCombiner>(); };
   return job;
 }
 

@@ -98,7 +98,8 @@ mapred::Job make_sessionize_job(std::string field_prefix,
   job.reducer_factory = [session_gap_seconds] {
     return std::make_unique<SessionizeReducer>(session_gap_seconds);
   };
-  // No combiner: session splitting needs the complete, sorted timestamp set.
+  // Nothing folds in the mapper: session splitting needs the complete,
+  // sorted timestamp set.
   return job;
 }
 

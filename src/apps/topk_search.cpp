@@ -151,7 +151,6 @@ mapred::Job make_topk_search_job(std::string query, std::uint32_t k) {
     return std::make_unique<TopKMapper>(profile, query_norm, k);
   };
   job.reducer_factory = [k] { return std::make_unique<TopKReducer>(k); };
-  // No combiner: each task already emits at most K pairs.
   return job;
 }
 

@@ -118,7 +118,8 @@ mapred::JobReport AnalyticBackend::report(
     report.skipped_lines += c.skipped;
     report.input_bytes += splits[t].data.size();
     if (c.matched > 0) {
-      // The combiner folds a task's matches into one (key, byte sum) pair.
+      // FilterStats' mapper folds a task's matches into one (key, byte sum)
+      // pair.
       ++report.map_output_pairs;
       key_partition += key.size() + std::to_string(c.matched_bytes).size() + 2;
     }

@@ -1,7 +1,6 @@
 #include "mapred/engine.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <memory>
 #include <span>
@@ -14,6 +13,7 @@
 #include "common/arena.hpp"
 #include "common/hash.hpp"
 #include "common/thread_pool.hpp"
+#include "mapred/sum_table.hpp"
 
 namespace datanet::mapred {
 
@@ -136,136 +136,59 @@ struct HashedPair {
   std::string_view value;
 };
 
-// The one grouping routine, shared by the combiner and the reducer. Pairs
-// arrive as (hash, key, value); a flat open-addressing table keyed by
-// (hash, key) gives each distinct key a dense group id, and values are kept
-// in arrival order. reduce() then calls the reducer once per distinct key in
-// (hash, key) order with that key's values in arrival order — the call
-// sequence a stable sort of the pairs by (hash, key) produces, without
-// sorting the pairs: only the distinct keys are sorted, and the values are
-// placed by a counting sort over their group ids.
-//
-// Two ways in. As the map task's Emitter in a combiner job, emit() copies
-// each new key into the task arena once and appends each value to one flat
-// buffer, counting into `counters`. At the reduce stage, add() borrows keys
-// and values that already live in the task arenas and copies nothing.
-class KeyGrouper final : public Emitter {
+// The reduce-side grouping routine. Pairs arrive as (hash, key, value),
+// borrowed from the task arenas; a KeyIndex gives each distinct key a dense
+// group id, and values are kept in arrival order. reduce() then calls the
+// reducer once per distinct key in (hash, key) order with that key's values
+// in arrival order — the call sequence a stable sort of the pairs by
+// (hash, key) produces, without sorting the pairs: only the distinct keys
+// are sorted, and the values are placed by a counting sort over their group
+// ids.
+class KeyGrouper {
  public:
-  KeyGrouper() = default;
-  KeyGrouper(common::Arena& arena, CounterList* counters) : arena_(&arena) {
-    counters_ = counters;
-  }
-
-  void emit(std::string_view key, std::string_view value) override {
-    ids_.push_back(group_of(partition_hash(key), key));
-    value_bytes_.append(value);
-    value_ends_.push_back(value_bytes_.size());
-  }
-
   void add(std::uint64_t hash, std::string_view key, std::string_view value) {
-    ids_.push_back(group_of(hash, key));
+    const std::uint32_t g = index_.id(hash, key);
+    if (g == counts_.size()) counts_.push_back(0);
+    ++counts_[g];
+    ids_.push_back(g);
     values_.push_back(value);
   }
 
   void reduce(Reducer& reducer, Emitter& out) {
     // Distinct keys in (hash, key) order, sorted as flat (hash, group)
     // pairs: keys are compared only inside a run of equal hashes.
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> order(groups_.size());
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> order(counts_.size());
     for (std::uint32_t g = 0; g < order.size(); ++g) {
-      order[g] = {groups_[g].hash, g};
+      order[g] = {index_[g].hash, g};
     }
     std::sort(order.begin(), order.end(), [this](const auto& a, const auto& b) {
       if (a.first != b.first) return a.first < b.first;
-      return groups_[a.second].key < groups_[b.second].key;
+      return index_[a.second].key < index_[b.second].key;
     });
     // Each group's values land contiguously, groups in visiting order.
-    std::vector<std::size_t> next(groups_.size());
+    std::vector<std::size_t> next(counts_.size());
     std::size_t offset = 0;
     for (const auto& [hash, g] : order) {
       next[g] = offset;
-      offset += groups_[g].count;
+      offset += counts_[g];
     }
     std::vector<std::string_view> grouped(ids_.size());
     for (std::size_t i = 0; i < ids_.size(); ++i) {
-      grouped[next[ids_[i]]++] = value(i);
+      grouped[next[ids_[i]]++] = values_[i];
     }
     const std::span<const std::string_view> all(grouped);
     offset = 0;
     for (const auto& [hash, g] : order) {
-      reducer.reduce(groups_[g].key, all.subspan(offset, groups_[g].count),
-                     out);
-      offset += groups_[g].count;
+      reducer.reduce(index_[g].key, all.subspan(offset, counts_[g]), out);
+      offset += counts_[g];
     }
   }
 
  private:
-  static constexpr std::uint32_t kEmpty = 0xffffffff;
-  struct Slot {
-    std::uint64_t hash = 0;
-    std::uint32_t group = kEmpty;
-  };
-  struct Group {
-    std::uint64_t hash;
-    std::string_view key;
-    std::uint32_t count;
-  };
-
-  // The group of (hash, key), opened on first sight; an emitted key is then
-  // copied into the arena, a borrowed one is kept as it is.
-  std::uint32_t group_of(std::uint64_t hash, std::string_view key) {
-    if (2 * (groups_.size() + 1) > slots_.size()) grow();
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = slot_of(hash);; i = (i + 1) & mask) {
-      Slot& s = slots_[i];
-      if (s.group == kEmpty) {
-        s = {hash, static_cast<std::uint32_t>(groups_.size())};
-        if (arena_ != nullptr) {
-          char* bytes = static_cast<char*>(arena_->allocate(key.size(), 1));
-          std::ranges::copy(key, bytes);
-          key = {bytes, key.size()};
-        }
-        groups_.push_back({hash, key, 1});
-        return s.group;
-      }
-      if (s.hash == hash && groups_[s.group].key == key) {
-        ++groups_[s.group].count;
-        return s.group;
-      }
-    }
-  }
-
-  // The i-th value in arrival order.
-  [[nodiscard]] std::string_view value(std::size_t i) const {
-    if (arena_ == nullptr) return values_[i];
-    const std::size_t begin = i == 0 ? 0 : value_ends_[i - 1];
-    return std::string_view(value_bytes_).substr(begin, value_ends_[i] - begin);
-  }
-
-  // Top bits: every key of one reduce partition shares hash % R, so the low
-  // bits would cluster.
-  [[nodiscard]] std::size_t slot_of(std::uint64_t hash) const {
-    return static_cast<std::size_t>(hash >> shift_);
-  }
-
-  void grow() {
-    const std::size_t capacity = slots_.empty() ? 64 : 2 * slots_.size();
-    shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
-    slots_.assign(capacity, Slot{});
-    for (std::uint32_t g = 0; g < groups_.size(); ++g) {
-      std::size_t i = slot_of(groups_[g].hash);
-      while (slots_[i].group != kEmpty) i = (i + 1) & (capacity - 1);
-      slots_[i] = {groups_[g].hash, g};
-    }
-  }
-
-  common::Arena* arena_ = nullptr;  // null: keys and values are borrowed
-  std::vector<Slot> slots_;  // power-of-two size, at most half full
-  unsigned shift_ = 64;
-  std::vector<Group> groups_;
-  std::vector<std::uint32_t> ids_;  // group of each value, arrival order
-  std::vector<std::string_view> values_;  // borrowed values, arrival order
-  std::string value_bytes_;               // emitted values, back to back
-  std::vector<std::size_t> value_ends_;   // end of each in value_bytes_
+  KeyIndex index_;                        // keys borrowed from task arenas
+  std::vector<std::uint32_t> counts_;     // values per group
+  std::vector<std::uint32_t> ids_;        // group of each value, arrival order
+  std::vector<std::string_view> values_;  // arrival order
 };
 
 struct TaskResult {
@@ -273,7 +196,7 @@ struct TaskResult {
   // byte they view; declared first so the vectors die before their memory
   // does.
   std::unique_ptr<common::Arena> arena;
-  // Post-combiner map output, already split into one vector per reducer
+  // Map output, already split into one vector per reducer
   // (index = hash % R) — the serial global partition loop is gone.
   std::vector<common::ArenaVector<HashedPair>> partitions;
   std::vector<std::uint64_t> partition_bytes;  // per reducer, this task only
@@ -285,14 +208,11 @@ struct TaskResult {
 
 // Hashes each emitted key once, copies the key and value bytes into the task
 // arena and appends the pair to its reducer's slice of the task result, in
-// emission order. Counts go to `counters`; null drops them (combiner counts
-// never reached the report).
+// emission order. Counts go to the task result's counters.
 class PartitionEmitter final : public Emitter {
  public:
-  PartitionEmitter(TaskResult& r, std::uint32_t num_reducers,
-                   CounterList* counters)
-      : r_(r) {
-    counters_ = counters;
+  PartitionEmitter(TaskResult& r, std::uint32_t num_reducers) : r_(r) {
+    counters_ = &r.counters;
     r.partitions.reserve(num_reducers);
     for (std::uint32_t p = 0; p < num_reducers; ++p) {
       r.partitions.emplace_back(common::ArenaAllocator<HashedPair>(*r.arena));
@@ -454,19 +374,15 @@ JobReport Engine::run(const Job& job, const std::vector<InputSplit>& splits) con
   // ---- Real map execution (parallel, order-independent results). ----
   // Each task emits R pre-partitioned vectors with the key hash computed
   // once and cached alongside the pair; nothing after the map barrier ever
-  // rehashes a key. With a combiner, map output is grouped by key as it is
-  // emitted, and the combiner's output is what gets partitioned.
+  // rehashes a key. A job that folds its output by key does so in its mapper.
   const auto wall_map_start = wall_now();
   std::vector<TaskResult> results(splits.size());
-  const bool combine = static_cast<bool>(job.combiner_factory);
   common::parallel_for(
       options_.execution_threads, splits.size(),
       [&](std::size_t t) {
         TaskResult& r = results[t];
         r.arena = std::make_unique<common::Arena>();
-        PartitionEmitter partitioned(r, R, combine ? nullptr : &r.counters);
-        KeyGrouper grouper(*r.arena, &r.counters);
-        Emitter& out = combine ? static_cast<Emitter&>(grouper) : partitioned;
+        PartitionEmitter out(r, R);
         auto mapper = job.mapper_factory();
         r.skipped = workload::for_each_record(
             splits[t].data, [&](const workload::RecordView& rv) {
@@ -474,7 +390,6 @@ JobReport Engine::run(const Job& job, const std::vector<InputSplit>& splits) con
               ++r.records;
             });
         mapper->finish(out);
-        if (combine) grouper.reduce(*job.combiner_factory(), partitioned);
       },
       /*grain=*/1);  // map tasks are coarse; chunking would serialize them
   const auto wall_map_end = wall_now();

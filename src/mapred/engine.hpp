@@ -22,24 +22,22 @@
 // is left inside a stage when it returns. All results and simulated timings
 // are bit-identical at any thread count.
 //
-// Grouping is by hash, with one routine for the combiner and the reducer: a
-// flat open-addressing table keyed by (partition_hash(key), key) collects
-// each key's values as they arrive — a combiner job's map output is grouped
-// while it is emitted — and only the distinct keys are sorted. Ordering
-// contract: a combiner or reducer sees its keys in ascending
-// (partition_hash(key), key) order, each with its values in arrival order.
-// For a combiner that is the mapper's emission order within the task; for a
-// reducer it is task order, then emission order (the mapper's, or the
-// combiner's) within a task. That is exactly the call sequence a stable sort
-// of the pairs by (hash, key) yields, so stateful reducers see the same
-// input whatever the grouping method.
+// A job that folds its map output by key (WordCount's per-word counts)
+// does so in its mapper, e.g. through a SumTable (sum_table.hpp); the
+// engine partitions what the mapper emits, pair by pair. Reduce-side
+// grouping is by hash: KeyIndex (sum_table.hpp), keyed by
+// (partition_hash(key), key), collects each key's values as they arrive,
+// and only the distinct keys are sorted. Ordering contract: a reducer sees
+// its keys in ascending (partition_hash(key), key) order, each with its
+// values in arrival order: task order, then the mapper's emission order
+// within a task. That is exactly the call sequence a stable sort of the
+// pairs by (hash, key) yields, so stateful reducers see the same input
+// whatever the grouping method.
 //
 // Ownership (job.hpp): keys and values are std::string_views, and a view
-// passed to emit lives only through that call. Each map task copies what it
-// keeps into its own arena, which lives until run() returns: in a combiner
-// job, each distinct key once per task and each value once (into one flat
-// buffer that dies with the task); then each partitioned pair's key and
-// value. The reduce stage groups views into those arenas and copies
+// passed to emit lives only through that call. Each map task copies each
+// pair it partitions, key and value, into its own arena, which lives until
+// run() returns. The reduce stage groups views into those arenas and copies
 // nothing. A reducer's views live until its reduce() returns; what it emits
 // is copied into JobReport::output's strings.
 
@@ -170,7 +168,7 @@ struct JobReport {
   // Counters.
   std::uint64_t input_records = 0;
   std::uint64_t input_bytes = 0;
-  std::uint64_t map_output_pairs = 0;   // after combiner
+  std::uint64_t map_output_pairs = 0;   // pairs the mappers emitted
   std::uint64_t shuffle_bytes = 0;
   std::uint64_t skipped_lines = 0;
   // User-defined named counters (Emitter::count), merged across all map and

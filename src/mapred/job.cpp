@@ -15,10 +15,11 @@ double CostModel::map_seconds(std::uint64_t bytes, std::uint64_t records) const 
                        cpu_us_per_record * static_cast<double>(records) * 1e-6);
 }
 
-// Shuffle/reduce operate on post-combiner aggregates (word counts, top-K
-// heaps, window partials), whose size is bounded by key cardinality rather
-// than input volume — so they are charged on actual bytes, NOT multiplied by
-// time_scale (a full-size block combines down to roughly the same output).
+// Shuffle/reduce operate on per-task aggregates the mappers fold (word
+// counts, top-K heaps, window partials), whose size is bounded by key
+// cardinality rather than input volume — so they are charged on actual
+// bytes, NOT multiplied by time_scale (a full-size block folds down to
+// roughly the same output).
 double CostModel::transfer_seconds(std::uint64_t bytes) const {
   return net_s_per_mib * static_cast<double>(bytes) / kMiB;
 }

@@ -2,15 +2,15 @@
 // Job model for the mini-MapReduce engine. Jobs execute for real (mappers
 // parse records, reducers aggregate), while a per-job cost model drives the
 // deterministic simulated clock used for all timing figures. Mappers are
-// created per task so they may keep state (combining, windows, top-K heaps).
+// created per task so they may keep state (folding output by key, windows,
+// top-K heaps); folding by key is the only way a job shrinks its shuffle.
 //
 // Ownership rule: keys and values travel as std::string_view. A view passed
 // to Emitter::emit needs to live only through that call, because the engine
-// copies what it keeps. Grouping a combiner job's map output, it copies each
-// distinct key once per task into the map task's arena and each value once
-// into a flat buffer; each pair it partitions for the reducers goes into the
-// arena too. The views a Reducer receives live until its reduce() returns;
-// a reducer that keeps a key or value past that must copy it.
+// copies what it keeps: each pair it partitions for the reducers goes into
+// the map task's arena. The views a Reducer receives live until its
+// reduce() returns; a reducer that keeps a key or value past that must copy
+// it.
 
 #include <cstdint>
 #include <functional>
@@ -74,9 +74,9 @@ class Mapper {
 class Reducer {
  public:
   virtual ~Reducer() = default;
-  // `values` are all values observed for `key` (combiner: within one task;
-  // reducer: across all tasks), in deterministic task-then-emit order. The
-  // key, the span and the views in it live until reduce returns.
+  // `values` are all values observed for `key` across all tasks, in
+  // deterministic task-then-emit order. The key, the span and the views in
+  // it live until reduce returns.
   virtual void reduce(std::string_view key,
                       std::span<const std::string_view> values,
                       Emitter& out) = 0;
@@ -113,9 +113,6 @@ struct Job {
   JobConfig config;
   std::function<std::unique_ptr<Mapper>()> mapper_factory;
   std::function<std::unique_ptr<Reducer>()> reducer_factory;
-  // Optional per-task combiner (usually the reducer itself); reduces shuffle
-  // volume exactly as in Hadoop.
-  std::function<std::unique_ptr<Reducer>()> combiner_factory;
 };
 
 }  // namespace datanet::mapred

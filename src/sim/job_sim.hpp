@@ -16,8 +16,9 @@ namespace datanet::sim {
 struct JobSimOptions {
   SimConfig cluster;
   double map_cpu_seconds_per_mib = 0.5;
-  // Post-combiner map output per input byte (key-cardinality-bound jobs
-  // combine heavily; 0.05 is a WordCount-like ratio).
+  // Map output per input byte after the mappers fold it by key
+  // (key-cardinality-bound jobs fold heavily; 0.05 is a WordCount-like
+  // ratio).
   double output_ratio = 0.05;
   std::uint32_t num_reducers = 8;
   double reduce_cpu_seconds_per_mib = 0.2;

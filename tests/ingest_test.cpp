@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -580,6 +581,8 @@ TEST(CacheStaleness, PeakStaleFractionGrowsWithGetInterval) {
   // get_stale returns right after each seal. Rarer gets leave more stale
   // bytes behind, so the peak fraction can only grow with the interval; at
   // every interval a final get must still answer exactly like a fresh build.
+  // Prints one "interval N peak F" line per interval (EXPERIMENTS.md's
+  // χ-drift table).
   dd::DfsOptions dopt;
   dopt.block_size = 16 * 1024;
   dopt.replication = 3;
@@ -608,6 +611,8 @@ TEST(CacheStaleness, PeakStaleFractionGrowsWithGetInterval) {
     for (std::size_t i = warmup; i < lines.size(); ++i) ing.append(lines[i]);
     ing.close();
     ASSERT_GT(seals, 16u) << "the stream must span the widest interval";
+    std::printf("interval %llu peak %.4f\n",
+                static_cast<unsigned long long>(interval), peak);
     if (!peaks.empty()) {
       EXPECT_GE(peak, peaks.back()) << "interval " << interval;
     }

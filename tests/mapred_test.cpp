@@ -1,6 +1,7 @@
 // Tests for the mini-MapReduce engine: real execution correctness (output
-// equals a serial computation), the deterministic simulated clock, combiner
-// semantics, and the paper's shuffle-phase timing model.
+// equals a serial computation), the deterministic simulated clock, folding
+// map output in the mapper (SumTable), and the paper's shuffle-phase timing
+// model.
 
 #include <gtest/gtest.h>
 
@@ -9,9 +10,9 @@
 #include <map>
 #include <mutex>
 
-#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "mapred/engine.hpp"
+#include "mapred/sum_table.hpp"
 #include "workload/record.hpp"
 
 namespace dm = datanet::mapred;
@@ -19,37 +20,31 @@ namespace dw = datanet::workload;
 
 namespace {
 
-// Toy job: count records per key.
+// Toy job: count records per key, folded per task in a SumTable (one pair
+// per distinct key) or emitted as one (key, "1") pair per record.
 class KeyCountMapper final : public dm::Mapper {
  public:
+  explicit KeyCountMapper(bool fold) : fold_(fold) {}
   void map(const dw::RecordView& r, dm::Emitter& out) override {
-    out.emit(std::string(r.key), "1");
-  }
-};
-
-class SumReducer final : public dm::Reducer {
- public:
-  void reduce(std::string_view key, std::span<const std::string_view> values,
-              dm::Emitter& out) override {
-    std::uint64_t sum = 0;
-    for (const auto& v : values) {
-      std::uint64_t x = 0;
-      std::from_chars(v.data(), v.data() + v.size(), x);
-      sum += x;
+    if (fold_) {
+      counts_.add(r.key, 1);
+    } else {
+      out.emit(r.key, "1");
     }
-    out.emit(key, std::to_string(sum));
   }
+  void finish(dm::Emitter& out) override { counts_.emit(out); }
+
+ private:
+  bool fold_;
+  dm::SumTable counts_;
 };
 
-dm::Job key_count_job(bool combiner = true) {
+dm::Job key_count_job(bool fold = true) {
   dm::Job job;
   job.config.name = "KeyCount";
   job.config.num_reducers = 4;
-  job.mapper_factory = [] { return std::make_unique<KeyCountMapper>(); };
-  job.reducer_factory = [] { return std::make_unique<SumReducer>(); };
-  if (combiner) {
-    job.combiner_factory = [] { return std::make_unique<SumReducer>(); };
-  }
+  job.mapper_factory = [fold] { return std::make_unique<KeyCountMapper>(fold); };
+  job.reducer_factory = [] { return std::make_unique<dm::SumReducer>(); };
   return job;
 }
 
@@ -86,8 +81,8 @@ TEST(CostModel, TimeScaleMultipliesDataCostsOnly) {
   c.task_overhead_s = 0.25;  // fixed startup is NOT scaled
   c.time_scale = 4.0;
   EXPECT_DOUBLE_EQ(c.map_seconds(1 << 20, 0), 4.25);
-  // Shuffle/reduce act on combiner output (key-cardinality bound), so they
-  // are charged on actual bytes without the scale factor.
+  // Shuffle/reduce act on the mappers' folded output (key-cardinality
+  // bound), so they are charged on actual bytes without the scale factor.
   EXPECT_DOUBLE_EQ(c.transfer_seconds(1 << 20), c.net_s_per_mib);
   EXPECT_DOUBLE_EQ(c.reduce_seconds(1 << 20), c.reduce_s_per_mib);
 }
@@ -116,18 +111,19 @@ TEST(Engine, CountsMatchSerialTruth) {
   EXPECT_EQ(report.input_records, 25u);
 }
 
-TEST(Engine, CombinerDoesNotChangeOutput) {
+TEST(Engine, FoldingMapperDoesNotChangeOutput) {
   const auto b1 = make_block({{"x", 20}, {"y", 4}});
   const auto b2 = make_block({{"x", 1}, {"z", 9}});
   dm::Engine engine({.num_nodes = 2});
   const std::vector<dm::InputSplit> splits{{.node = 0, .data = b1, .charged_bytes = 0},
                                            {.node = 1, .data = b2, .charged_bytes = 0}};
-  const auto with = engine.run(key_count_job(true), splits);
-  const auto without = engine.run(key_count_job(false), splits);
-  EXPECT_EQ(with.output, without.output);
-  // But the combiner shrinks the shuffle.
-  EXPECT_LT(with.shuffle_bytes, without.shuffle_bytes);
-  EXPECT_LT(with.map_output_pairs, without.map_output_pairs);
+  const auto folded = engine.run(key_count_job(true), splits);
+  const auto per_record = engine.run(key_count_job(false), splits);
+  EXPECT_EQ(folded.output, per_record.output);
+  // But folding shrinks the shuffle: one pair per distinct key per task.
+  EXPECT_LT(folded.shuffle_bytes, per_record.shuffle_bytes);
+  EXPECT_EQ(folded.map_output_pairs, 4u);
+  EXPECT_EQ(per_record.map_output_pairs, 34u);
 }
 
 TEST(Engine, EmptyInputProducesEmptyOutput) {
@@ -386,7 +382,7 @@ TEST(Counters, AbsentWhenUnused) {
 
 namespace {
 
-// Every (key, values) call one combiner or reducer instance received.
+// Every (key, values) call one reducer instance received.
 using CallLog = std::vector<std::pair<std::string, std::vector<std::string>>>;
 
 // Gathers the logs of every instance a factory made. Instances run on pool
@@ -400,12 +396,10 @@ struct LogSink {
   }
 };
 
-// Logs each call. As a combiner it emits 0, 1 or 2 pairs per key, the
-// second under a different key; as a reducer, one.
+// Logs each call and emits one pair per key.
 class RecordingReducer final : public dm::Reducer {
  public:
-  RecordingReducer(LogSink& sink, bool combiner)
-      : sink_(sink), combiner_(combiner) {}
+  explicit RecordingReducer(LogSink& sink) : sink_(sink) {}
   ~RecordingReducer() override {
     const std::lock_guard lock(sink_.mu);
     sink_.logs.push_back(std::move(log_));
@@ -415,25 +409,11 @@ class RecordingReducer final : public dm::Reducer {
     log_.emplace_back(key, std::vector<std::string>(values.begin(), values.end()));
     std::string joined;
     for (const auto& v : values) (joined += v) += ",";
-    if (!combiner_) {
-      out.emit(key, joined);
-      return;
-    }
-    switch (datanet::common::hash_bytes(key) % 3) {
-      case 0:
-        break;
-      case 1:
-        out.emit(key, joined);
-        break;
-      default:
-        out.emit(key, joined);
-        out.emit("derived_" + std::string(key.substr(key.size() / 2)), key);
-    }
+    out.emit(key, joined);
   }
 
  private:
   LogSink& sink_;
-  bool combiner_;
   CallLog log_;
 };
 
@@ -488,9 +468,8 @@ std::vector<std::pair<dm::Key, dm::Value>> sort_and_reduce(
   return std::move(out.pairs);
 }
 
-// Serial reference run: per task, map then sort-and-combine; partition by
-// hash; per partition, concatenate the tasks' slices in order and
-// sort-and-reduce.
+// Serial reference run: per task, map; partition by hash; per partition,
+// concatenate the tasks' slices in order and sort-and-reduce.
 void reference_run(const dm::Job& job, const std::vector<dm::InputSplit>& splits) {
   const std::uint32_t R = job.config.num_reducers;
   std::vector<std::vector<std::pair<dm::Key, dm::Value>>> partitions(R);
@@ -501,11 +480,7 @@ void reference_run(const dm::Job& job, const std::vector<dm::InputSplit>& splits
       mapper->map(rv, map_out);
     });
     mapper->finish(map_out);
-    auto pairs = std::move(map_out.pairs);
-    if (job.combiner_factory) {
-      pairs = sort_and_reduce(*job.combiner_factory(), std::move(pairs));
-    }
-    for (auto& kv : pairs) {
+    for (auto& kv : map_out.pairs) {
       partitions[dm::partition_hash(kv.first) % R].push_back(std::move(kv));
     }
   }
@@ -538,36 +513,26 @@ TEST(Engine, GroupingOrderMatchesStableSortReference) {
                         .data = blocks[s],
                         .charged_bytes = 0});
     }
-    for (const bool combiner : {false, true}) {
-      LogSink ref_combine, ref_reduce;
-      const auto make_job = [&](LogSink& combine_sink, LogSink& reduce_sink) {
-        dm::Job job;
-        job.config.num_reducers = reducer_counts[seed];
-        job.mapper_factory = [] { return std::make_unique<OrderMapper>(); };
-        job.reducer_factory = [&reduce_sink] {
-          return std::make_unique<RecordingReducer>(reduce_sink, false);
-        };
-        if (combiner) {
-          job.combiner_factory = [&combine_sink] {
-            return std::make_unique<RecordingReducer>(combine_sink, true);
-          };
-        }
-        return job;
+    const auto make_job = [&](LogSink& reduce_sink) {
+      dm::Job job;
+      job.config.num_reducers = reducer_counts[seed];
+      job.mapper_factory = [] { return std::make_unique<OrderMapper>(); };
+      job.reducer_factory = [&reduce_sink] {
+        return std::make_unique<RecordingReducer>(reduce_sink);
       };
-      reference_run(make_job(ref_combine, ref_reduce), splits);
-      for (const std::uint32_t threads : {1u, 8u}) {
-        LogSink combine_sink, reduce_sink;
-        dm::Engine engine(
-            {.num_nodes = 3, .slots_per_node = 2, .execution_threads = threads});
-        const auto report =
-            engine.run(make_job(combine_sink, reduce_sink), splits);
-        const std::string where = "seed=" + std::to_string(seed) +
-                                  " combiner=" + std::to_string(combiner) +
-                                  " threads=" + std::to_string(threads);
-        EXPECT_FALSE(report.output.empty()) << where;
-        EXPECT_EQ(combine_sink.sorted(), ref_combine.sorted()) << where;
-        EXPECT_EQ(reduce_sink.sorted(), ref_reduce.sorted()) << where;
-      }
+      return job;
+    };
+    LogSink ref_reduce;
+    reference_run(make_job(ref_reduce), splits);
+    for (const std::uint32_t threads : {1u, 8u}) {
+      LogSink reduce_sink;
+      dm::Engine engine(
+          {.num_nodes = 3, .slots_per_node = 2, .execution_threads = threads});
+      const auto report = engine.run(make_job(reduce_sink), splits);
+      const std::string where =
+          "seed=" + std::to_string(seed) + " threads=" + std::to_string(threads);
+      EXPECT_FALSE(report.output.empty()) << where;
+      EXPECT_EQ(reduce_sink.sorted(), ref_reduce.sorted()) << where;
     }
   }
 }
@@ -653,17 +618,15 @@ TEST(Engine, EmittedViewsNeedOnlyLiveThroughEmit) {
                       .charged_bytes = 0});
   }
 
-  // Reference in owned strings: the sum per key, the pairs each task emits,
-  // and the distinct keys per task (the pairs left after a combiner).
+  // Reference in owned strings: the sum per key and the pairs each task
+  // emits.
   std::map<std::string, std::uint64_t> sums;
   std::uint64_t records = 0;
   std::uint64_t emitted_pairs = 0;
-  std::uint64_t combined_pairs = 0;
   for (const auto& split : splits) {
-    std::map<std::string, std::uint64_t> task_sums;
     std::uint64_t task_records = 0;
     const auto add = [&](std::string_view key, std::uint64_t value) {
-      task_sums[std::string(kScratchPrefix) + std::string(key)] += value;
+      sums[std::string(kScratchPrefix) + std::string(key)] += value;
       ++emitted_pairs;
     };
     (void)dw::for_each_record(split.data, [&](const dw::RecordView& rv) {
@@ -673,35 +636,61 @@ TEST(Engine, EmittedViewsNeedOnlyLiveThroughEmit) {
     });
     add("finish_count", task_records);
     records += task_records;
-    combined_pairs += task_sums.size();
-    for (const auto& [key, sum] : task_sums) sums[key] += sum;
   }
   std::map<dm::Key, dm::Value> want_output;
   for (const auto& [key, sum] : sums) want_output[key] = std::to_string(sum);
   const std::map<std::string, std::uint64_t> want_counters = {
       {"keys_reduced", sums.size()}, {"records", records}};
 
-  for (const bool combiner : {false, true}) {
-    dm::Job job;
-    job.config.num_reducers = 5;
-    job.mapper_factory = [] { return std::make_unique<ScratchMapper>(); };
-    job.reducer_factory = [] { return std::make_unique<ScratchSumReducer>(); };
-    if (combiner) {
-      job.combiner_factory = [] { return std::make_unique<ScratchSumReducer>(); };
-    }
-    for (const std::uint32_t threads : {1u, 4u}) {
-      dm::Engine engine(
-          {.num_nodes = 3, .slots_per_node = 2, .execution_threads = threads});
-      const auto report = engine.run(job, splits);
-      const std::string where = "combiner=" + std::to_string(combiner) +
-                                " threads=" + std::to_string(threads);
-      EXPECT_EQ(report.output, want_output) << where;
-      EXPECT_EQ(report.counters, want_counters) << where;
-      EXPECT_EQ(report.map_output_pairs,
-                combiner ? combined_pairs : emitted_pairs)
-          << where;
-    }
+  dm::Job job;
+  job.config.num_reducers = 5;
+  job.mapper_factory = [] { return std::make_unique<ScratchMapper>(); };
+  job.reducer_factory = [] { return std::make_unique<ScratchSumReducer>(); };
+  for (const std::uint32_t threads : {1u, 4u}) {
+    dm::Engine engine(
+        {.num_nodes = 3, .slots_per_node = 2, .execution_threads = threads});
+    const auto report = engine.run(job, splits);
+    const std::string where = "threads=" + std::to_string(threads);
+    EXPECT_EQ(report.output, want_output) << where;
+    EXPECT_EQ(report.counters, want_counters) << where;
+    EXPECT_EQ(report.map_output_pairs, emitted_pairs) << where;
   }
+}
+
+TEST(SumTable, CopiesKeysAndEmitsExactSumsInFirstSeenOrder) {
+  // Every key is built in one heap buffer that is scribbled over and freed
+  // after each add, so a table that kept the caller's bytes would emit '#'
+  // keys (or read freed memory under ASan). 300 distinct keys overflow the
+  // index's first capacity several times over.
+  dm::SumTable table;
+  std::vector<std::string> first_seen;
+  std::map<std::string, std::uint64_t> want;
+  datanet::common::Rng rng(5);
+  std::string scratch;
+  for (int i = 0; i < 5000; ++i) {
+    scratch = std::string(kScratchPrefix) + std::to_string(rng.bounded(300));
+    const std::uint64_t delta = rng.bounded(1000);
+    if (!want.contains(scratch)) first_seen.push_back(scratch);
+    want[scratch] += delta;
+    table.add(scratch, delta);
+    std::fill(scratch.begin(), scratch.end(), '#');
+    std::string().swap(scratch);
+  }
+  // A sum as wide as a u64 prints in full.
+  first_seen.emplace_back("max");
+  want["max"] = ~std::uint64_t{0};
+  table.add("max", ~std::uint64_t{0} - 1);
+  table.add("max", 1);
+
+  PairCollector out;
+  table.emit(out);
+  ASSERT_GT(first_seen.size(), 250u);
+  ASSERT_EQ(out.pairs.size(), first_seen.size());
+  for (std::size_t i = 0; i < first_seen.size(); ++i) {
+    EXPECT_EQ(out.pairs[i].first, first_seen[i]) << i;
+    EXPECT_EQ(out.pairs[i].second, std::to_string(want[first_seen[i]])) << i;
+  }
+  EXPECT_EQ(out.pairs.back().second, "18446744073709551615");
 }
 
 // ---- JSON report serialization ----

@@ -330,7 +330,7 @@ TEST_P(EngineLaws, RecordAndByteConservation) {
   const auto report = engine.run(job, splits);
   EXPECT_EQ(report.input_records, total_records);
   EXPECT_EQ(report.input_bytes, total_bytes);
-  // Without a combiner, one intermediate pair per record.
+  // The mapper does not fold: one intermediate pair per record.
   EXPECT_EQ(report.map_output_pairs, total_records);
   // Output counts sum to the record count.
   std::uint64_t counted = 0;
