@@ -4,7 +4,9 @@
 //   1. kernel sweep    — filter_lines pinned to each available scan kernel
 //                        (scalar memchr reference, AVX2) plus the
 //                        decode-every-line reference, MB/s over the movie
-//                        corpus;
+//                        corpus; then scan_words, WordCount's tokenizer,
+//                        pinned to each kernel, MB/s over the corpus's
+//                        record payloads;
 //   2. copy vs zero-copy — the old per-task `std::string(block)` copy
 //                        before filtering vs filtering the DFS-owned bytes
 //                        in place;
@@ -22,6 +24,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -30,6 +33,7 @@
 #include "common/simd_scan.hpp"
 #include "scheduler/datanet_sched.hpp"
 #include "stats/zipf.hpp"
+#include "workload/record.hpp"
 
 namespace {
 
@@ -126,6 +130,43 @@ int main() {
     std::printf("  %-18s %8.1f MiB/s  (%.4fs, %llu bytes matched)\n",
                 "decode-all ref", corpus_mib / secs, secs,
                 static_cast<unsigned long long>(matched));
+  }
+
+  std::vector<std::string_view> payloads;
+  std::uint64_t payload_bytes = 0;
+  for (const dfs::BlockId b : blocks) {
+    workload::for_each_record(ds.dfs->read_block(b),
+                              [&](const workload::RecordView& r) {
+                                payloads.push_back(r.payload);
+                                payload_bytes += r.payload.size();
+                              });
+  }
+  const double payload_mib =
+      static_cast<double>(payload_bytes) / (1024.0 * 1024.0);
+  std::printf("\n[scan_words kernel sweep] %.1f MiB of record payloads\n",
+              payload_mib);
+  for (const auto kernel : kernels) {
+    if (!common::scan_kernel_available(kernel)) {
+      std::printf("  %-18s unavailable on this host/build\n",
+                  common::scan_kernel_name(kernel));
+      continue;
+    }
+    std::uint64_t words = 0;
+    std::vector<common::Word> out;
+    std::string lowered;
+    const double secs = best_of(5, [&] {
+      words = 0;
+      for (const std::string_view payload : payloads) {
+        out.clear();
+        common::scan_words(payload, out, lowered, kernel);
+        words += out.size();
+      }
+    });
+    std::printf("  %-18s %8.1f MiB/s  (%.4fs, %.1f ns/word, %llu words)%s\n",
+                common::scan_kernel_name(kernel), payload_mib / secs, secs,
+                secs * 1e9 / static_cast<double>(words),
+                static_cast<unsigned long long>(words),
+                kernel == common::active_scan_kernel() ? "  <- active" : "");
   }
 
   // ---- 2. copy vs zero-copy -------------------------------------------

@@ -8,7 +8,9 @@
 // map stage is excluded from the measurement. BM_WordCountRun times the
 // whole run of apps::make_word_count_job() over a word workload (many words
 // per record, few distinct words), where the mapper's per-task folding
-// dominates.
+// dominates; its bytes_per_second is input bytes over that wall time, the
+// single-thread WordCount MB/s at Arg(1). BM_HistogramRun times
+// apps::make_word_histogram_job() on the same workload.
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/histogram.hpp"
 #include "apps/word_count.hpp"
 #include "common/rng.hpp"
 #include "mapred/engine.hpp"
@@ -161,11 +164,10 @@ const Workload& word_workload() {
   return w;
 }
 
-// Full-run wall time of WordCount (tokenizing and folding in the mapper is
-// most of it), arg0 = execution threads.
-void BM_WordCountRun(benchmark::State& state) {
+// Full-run wall time of `job` over the word workload, arg0 = execution
+// threads.
+void run_word_job(benchmark::State& state, const mapred::Job& job) {
   const auto& w = word_workload();
-  const mapred::Job job = apps::make_word_count_job();
   mapred::Engine engine(
       {.num_nodes = 4,
        .slots_per_node = 2,
@@ -176,8 +178,33 @@ void BM_WordCountRun(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           kWordSplits * kWordRecords * kWordsPerRecord);
+  std::int64_t input_bytes = 0;
+  for (const auto& block : w.blocks) {
+    input_bytes += static_cast<std::int64_t>(block.size());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          input_bytes);
 }
-BENCHMARK(BM_WordCountRun)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+
+// WordCount: tokenizing and folding in the mapper is most of it.
+void BM_WordCountRun(benchmark::State& state) {
+  run_word_job(state, apps::make_word_count_job());
+}
+// Wall time, so the rates at Arg(4) are not over the main thread's CPU time.
+BENCHMARK(BM_WordCountRun)
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// The word-length histogram: the same tokenizer, counts by word length.
+void BM_HistogramRun(benchmark::State& state) {
+  run_word_job(state, apps::make_word_histogram_job());
+}
+BENCHMARK(BM_HistogramRun)
+    ->Arg(1)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -3,11 +3,10 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
-#include "common/string_util.hpp"
+#include "common/simd_scan.hpp"
 #include "mapred/sum_table.hpp"
 
 namespace datanet::apps {
@@ -19,9 +18,9 @@ class HistogramMapper final : public mapred::Mapper {
   void map(const workload::RecordView& record, mapred::Emitter& out) override {
     (void)out;
     words_.clear();
-    common::tokenize_words(record.payload, words_, lowered_);
-    for (const std::string_view w : words_) {
-      ++length_counts_[w.size()];
+    common::scan_words(record.payload, words_, lowered_);
+    for (const common::Word& w : words_) {
+      ++length_counts_[w.view.size()];
       ++total_;
     }
   }
@@ -38,7 +37,7 @@ class HistogramMapper final : public mapred::Mapper {
   }
 
  private:
-  std::vector<std::string_view> words_;
+  std::vector<common::Word> words_;
   std::string lowered_;
   std::unordered_map<std::size_t, std::uint64_t> length_counts_;
   std::uint64_t total_ = 0;

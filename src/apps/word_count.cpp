@@ -2,10 +2,9 @@
 
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "common/string_util.hpp"
+#include "common/simd_scan.hpp"
 #include "mapred/sum_table.hpp"
 
 namespace datanet::apps {
@@ -18,14 +17,14 @@ class WordCountMapper final : public mapred::Mapper {
   void map(const workload::RecordView& record, mapred::Emitter& out) override {
     (void)out;
     words_.clear();
-    common::tokenize_words(record.payload, words_, lowered_);
-    for (const std::string_view w : words_) counts_.add(w, 1);
+    common::scan_words(record.payload, words_, lowered_);
+    for (const common::Word& w : words_) counts_.add(w.hash, w.view, 1);
   }
 
   void finish(mapred::Emitter& out) override { counts_.emit(out); }
 
  private:
-  std::vector<std::string_view> words_;
+  std::vector<common::Word> words_;
   std::string lowered_;
   mapred::SumTable counts_;
 };

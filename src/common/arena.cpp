@@ -29,7 +29,8 @@ void* Arena::allocate(std::size_t bytes, std::size_t align) {
   if (bytes + align > next_chunk_bytes_ / 2) {
     // Dedicated block: chunk growth stays geometric and a rare huge request
     // never strands the tail of the active chunk.
-    Chunk c{std::make_unique<std::byte[]>(bytes + align), bytes + align};
+    Chunk c{std::make_unique_for_overwrite<std::byte[]>(bytes + align),
+            bytes + align};
     void* out = reinterpret_cast<void*>(
         align_up(reinterpret_cast<std::uintptr_t>(c.data.get()), align));
     large_.push_back(std::move(c));
@@ -55,8 +56,10 @@ void* Arena::allocate(std::size_t bytes, std::size_t align) {
     if (!chunks_.empty() && next_chunk_bytes_ < kMaxChunkBytes) {
       next_chunk_bytes_ *= 2;
     }
-    chunks_.push_back(Chunk{std::make_unique<std::byte[]>(next_chunk_bytes_),
-                            next_chunk_bytes_});
+    // Not zero-filled: every byte is written before it is read.
+    chunks_.push_back(
+        Chunk{std::make_unique_for_overwrite<std::byte[]>(next_chunk_bytes_),
+              next_chunk_bytes_});
   }
 }
 

@@ -1,7 +1,8 @@
 #pragma once
 // 64-bit hashing primitives used across DataNet: sub-dataset ids, Bloom filter
-// probes, and shuffle partitioning. All hashes are deterministic across runs
-// and platforms (no libstdc++ std::hash, whose value is unspecified).
+// probes, shuffle partitioning and word tables. All hashes are deterministic
+// across runs and platforms (no libstdc++ std::hash, whose value is
+// unspecified).
 
 #include <cstddef>
 #include <cstdint>
@@ -79,7 +80,59 @@ inline constexpr Crc32Tables kCrc32Tables = make_crc32_tables();
          static_cast<std::uint32_t>(static_cast<unsigned char>(p[2])) << 16 |
          static_cast<std::uint32_t>(static_cast<unsigned char>(p[3])) << 24;
 }
+
+[[nodiscard]] constexpr std::uint64_t load_le64(const char* p) noexcept {
+  return load_le32(p) | static_cast<std::uint64_t>(load_le32(p + 4)) << 32;
+}
+
+// The 128-bit product of a and b with its halves xor-folded: every input
+// bit reaches the top bits of the result.
+[[nodiscard]] constexpr std::uint64_t fold_mul(std::uint64_t a,
+                                               std::uint64_t b) noexcept {
+  const unsigned __int128 p = static_cast<unsigned __int128>(a) * b;
+  return static_cast<std::uint64_t>(p) ^ static_cast<std::uint64_t>(p >> 64);
+}
+
+inline constexpr std::uint64_t kWordSeed = 0x243f6a8885a308d3ULL;
+inline constexpr std::uint64_t kWordBlockKey = 0x13198a2e03707344ULL;
+inline constexpr std::uint64_t kWordFinishKey = 0xa4093822299f31d1ULL;
 }  // namespace detail
+
+// word_hash in three steps, so a vector kernel that already holds a word's
+// zero-padded 16-byte blocks in registers computes the same value: start
+// from the length, fold in each block (lo = bytes 0..7 and hi = bytes 8..15
+// as little-endian words), finish.
+[[nodiscard]] constexpr std::uint64_t word_hash_start(std::size_t len) noexcept {
+  return detail::kWordSeed ^ len;
+}
+[[nodiscard]] constexpr std::uint64_t word_hash_block(std::uint64_t h,
+                                                      std::uint64_t lo,
+                                                      std::uint64_t hi) noexcept {
+  return detail::fold_mul(lo ^ h, hi ^ detail::kWordBlockKey);
+}
+[[nodiscard]] constexpr std::uint64_t word_hash_finish(std::uint64_t h) noexcept {
+  return detail::fold_mul(h, detail::kWordFinishKey);
+}
+
+// The hash of a word-keyed table (mapred::SumTable): the bytes as 16-byte
+// blocks, the last one zero-padded, one multiply per block. It mixes into
+// the top bits, which pick a KeyIndex slot. common::scan_words hands it out
+// with every word it finds, computed on the lowered bytes.
+[[nodiscard]] constexpr std::uint64_t word_hash(std::string_view bytes) noexcept {
+  const char* p = bytes.data();
+  std::size_t n = bytes.size();
+  std::uint64_t h = word_hash_start(n);
+  for (; n >= 16; p += 16, n -= 16) {
+    h = word_hash_block(h, detail::load_le64(p), detail::load_le64(p + 8));
+  }
+  if (n > 0) {
+    char block[16] = {};
+    for (std::size_t i = 0; i < n; ++i) block[i] = p[i];
+    h = word_hash_block(h, detail::load_le64(block),
+                        detail::load_le64(block + 8));
+  }
+  return word_hash_finish(h);
+}
 
 // CRC-32 (IEEE 802.3, reflected 0xEDB88320), slicing-by-8 with a byte-wise
 // tail. Used for block checksums in MiniDfs; matches zlib's crc32 so stored

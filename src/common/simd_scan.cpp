@@ -1,9 +1,13 @@
 #include "common/simd_scan.hpp"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <charconv>
 #include <cstring>
 #include <stdexcept>
+
+#include "common/hash.hpp"
 
 #if (defined(__x86_64__) || defined(_M_X64)) && !defined(DATANET_FORCE_SCALAR)
 #define DATANET_SCAN_X86 1
@@ -83,7 +87,43 @@ void scan_lines_scalar(std::string_view data, void* ctx, LineSink sink) {
   }
 }
 
-// ---- masked kernel (x86-64 with AVX2) ----
+// Byte -> its lowercase form if it is a word character ([A-Za-z0-9'], the
+// C locale's isalnum plus the apostrophe), else 0.
+constexpr std::array<char, 256> kWordChar = [] {
+  std::array<char, 256> t{};
+  for (int c = '0'; c <= '9'; ++c) t[c] = static_cast<char>(c);
+  for (int c = 'a'; c <= 'z'; ++c) t[c] = static_cast<char>(c);
+  for (int c = 'A'; c <= 'Z'; ++c) t[c] = static_cast<char>(c - 'A' + 'a');
+  t['\''] = '\'';
+  return t;
+}();
+
+char word_char(char ch) { return kWordChar[static_cast<unsigned char>(ch)]; }
+
+void scan_words_scalar(std::string_view text, std::vector<Word>& out,
+                       std::string& lowered) {
+  // No early exit: the whole-text reduction vectorizes.
+  bool upper = false;
+  for (const char ch : text) upper |= static_cast<unsigned char>(ch - 'A') < 26;
+  if (upper) {
+    // Non-word bytes map to 0 in the copy, so it splits where `text` does.
+    lowered.resize(text.size());
+    std::ranges::transform(text, lowered.begin(), word_char);
+    text = lowered;
+  }
+  const std::size_t n = text.size();
+  std::size_t i = 0;
+  while (i < n) {
+    while (i < n && word_char(text[i]) == 0) ++i;
+    const std::size_t start = i;
+    while (i < n && word_char(text[i]) != 0) ++i;
+    if (i == start) break;
+    const std::string_view word = text.substr(start, i - start);
+    out.push_back({word_hash(word), word});
+  }
+}
+
+// ---- masked kernels (x86-64 with AVX2) ----
 
 #if defined(DATANET_SCAN_X86)
 
@@ -272,6 +312,131 @@ LineCensus walk_masked(std::string_view data, std::string_view key, void* ctx,
   return census;
 }
 
+// 0xff where a byte of x is in [lo, lo + k): adding 128 - lo lands exactly
+// those bytes below -128 + k as signed bytes.
+__attribute__((target("avx2"))) inline __m256i in_range(__m256i x, char lo,
+                                                        char k) {
+  return _mm256_cmpgt_epi8(
+      _mm256_set1_epi8(static_cast<char>(-128 + k)),
+      _mm256_add_epi8(x, _mm256_set1_epi8(static_cast<char>(128 - lo))));
+}
+
+// Lowers the uppercase bytes of v in place and returns its word-byte mask
+// (bit i: byte i is in [A-Za-z0-9']) and its uppercase mask.
+__attribute__((target("avx2"))) inline void classify_words(
+    __m256i& v, std::uint64_t& word, std::uint64_t& upper) {
+  const __m256i up = in_range(v, 'A', 26);
+  v = _mm256_or_si256(v, _mm256_and_si256(up, _mm256_set1_epi8(0x20)));
+  const __m256i is_word = _mm256_or_si256(
+      _mm256_or_si256(in_range(v, 'a', 26), in_range(v, '0', 10)),
+      _mm256_cmpeq_epi8(v, _mm256_set1_epi8('\'')));
+  word = static_cast<std::uint32_t>(_mm256_movemask_epi8(is_word));
+  upper = static_cast<std::uint32_t>(_mm256_movemask_epi8(up));
+}
+
+// Append the word [s, e) of the text: hashed from the lowered bytes at
+// lowered + s, viewed at text + s. A word of up to 16 bytes is one masked
+// 16-byte load; `lowered` holds 16 readable bytes past every word start.
+__attribute__((target("avx2"))) inline void emit_word(
+    const char* lowered, const char* text, std::size_t s, std::size_t e,
+    std::vector<Word>& out) {
+  const std::size_t len = e - s;
+  std::uint64_t h;
+  if (len <= 16) [[likely]] {
+    const __m128i iota =
+        _mm_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(lowered + s));
+    v = _mm_and_si128(
+        v, _mm_cmpgt_epi8(_mm_set1_epi8(static_cast<char>(len)), iota));
+    h = word_hash_finish(word_hash_block(
+        word_hash_start(len), static_cast<std::uint64_t>(_mm_cvtsi128_si64(v)),
+        static_cast<std::uint64_t>(_mm_extract_epi64(v, 1))));
+  } else {
+    h = word_hash(std::string_view(lowered + s, len));
+  }
+  out.push_back({h, std::string_view(text + s, len)});
+}
+
+// One pass per 64-byte stripe: load, lower into `lowered`, build the word
+// mask, and walk the words that start or end in the stripe with tzcnt.
+// Starts are word bytes after a non-word byte; ends (exclusive) are
+// non-word bytes after a word byte, so within a stripe they alternate,
+// after at most one end that closes a word opened in an earlier stripe.
+__attribute__((target("avx2"))) void scan_words_avx2(std::string_view text,
+                                                     std::vector<Word>& out,
+                                                     std::string& lowered) {
+  const std::size_t n = text.size();
+  // Whole stripes, then 16 bytes for the last word's hash load.
+  const std::size_t need = (n + 63) / 64 * 64 + 16;
+  if (lowered.size() < need) lowered.resize(need);
+  char* buf = lowered.data();
+  const char* src = text.data();
+  const std::size_t first = out.size();
+  std::uint64_t any_upper = 0;
+  std::uint64_t carry = 0;  // 1 when a word runs into the stripe
+  std::size_t open = 0;     // start of that word
+  for (std::size_t base = 0; base < n; base += 64) {
+    // The last stripe of a text of 64 bytes or more is the text's last 64
+    // bytes, its masks shifted down to start at `base` (the lowered bytes
+    // it stores again before `base` are the ones already there); a shorter
+    // text is copied into the buffer first. No load leaves the text.
+    const std::size_t left = n - base;
+    std::size_t back = 0;  // bytes the stripe starts before `base`
+    const char* in = src + base;
+    if (left < 64) {
+      if (n >= 64) {
+        back = 64 - left;
+        in -= back;
+      } else {
+        std::memcpy(buf, src, n);
+        in = buf;
+      }
+    }
+    __m256i lo = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in));
+    __m256i hi = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + 32));
+    std::uint64_t word_lo, word_hi, upper_lo, upper_hi;
+    classify_words(lo, word_lo, upper_lo);
+    classify_words(hi, word_hi, upper_hi);
+    char* dst = buf + base - back;
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), lo);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + 32), hi);
+    std::uint64_t word = (word_lo | word_hi << 32) >> back;
+    std::uint64_t upper = (upper_lo | upper_hi << 32) >> back;
+    if (n < 64) {
+      word &= below(left);
+      upper &= below(left);
+    }
+    any_upper |= upper;
+    const std::uint64_t after_word = word << 1 | carry;
+    std::uint64_t starts = word & ~after_word;
+    std::uint64_t ends = ~word & after_word;
+    const bool was_open = carry != 0;
+    carry = word >> 63;
+    if (was_open) {
+      if (ends == 0) continue;  // the open word spans the whole stripe
+      emit_word(buf, src, open, base + std::countr_zero(ends), out);
+      ends &= ends - 1;
+    }
+    while (starts != 0) {
+      const std::size_t s = base + std::countr_zero(starts);
+      starts &= starts - 1;
+      if (ends == 0) {  // runs into the next stripe
+        open = s;
+        break;
+      }
+      emit_word(buf, src, s, base + std::countr_zero(ends), out);
+      ends &= ends - 1;
+    }
+  }
+  if (carry != 0) emit_word(buf, src, open, n, out);
+  if (any_upper != 0) {  // the words are the lowered copy's
+    for (std::size_t i = first; i < out.size(); ++i) {
+      const std::string_view v = out[i].view;
+      out[i].view = std::string_view(buf + (v.data() - src), v.size());
+    }
+  }
+}
+
 #endif  // DATANET_SCAN_X86
 
 ScanKernel detect_kernel() noexcept {
@@ -351,6 +516,23 @@ void scan_lines(std::string_view data, void* ctx, LineSink sink,
   }
 #endif
   scan_lines_scalar(data, ctx, sink);
+}
+
+void scan_words(std::string_view text, std::vector<Word>& out,
+                std::string& lowered) {
+  scan_words(text, out, lowered, active_scan_kernel());
+}
+
+void scan_words(std::string_view text, std::vector<Word>& out,
+                std::string& lowered, ScanKernel kernel) {
+  require_available(kernel);
+#if defined(DATANET_SCAN_X86)
+  if (kernel != ScanKernel::kScalar) {
+    scan_words_avx2(text, out, lowered);
+    return;
+  }
+#endif
+  scan_words_scalar(text, out, lowered);
 }
 
 }  // namespace datanet::common

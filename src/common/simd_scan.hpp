@@ -1,20 +1,25 @@
 #pragma once
-// Vectorized record-line scanning for the selection hot loop. The scanner
-// walks newline-separated data in 64-byte stripes, building '\n' and '\t'
-// bitmasks with AVX2 compares and iterating set bits — so per-line work is
-// bit arithmetic, not two memchr calls per ~80-byte line. A portable scalar
-// kernel is the reference implementation and the fallback on CPUs without
-// AVX2: both kernels must produce byte-identical
-// callback sequences and censuses on any input (tests/hotpath_test.cpp
-// fuzzes every alignment offset and degenerate shape).
+// Vectorized scanning for the two hot loops: record lines for the selection
+// and words for the analysis jobs. The line scanner walks newline-separated
+// data in 64-byte stripes, building '\n' and '\t' bitmasks with AVX2
+// compares and iterating set bits — so per-line work is bit arithmetic, not
+// two memchr calls per ~80-byte line. The word scanner builds word-start and
+// word-end bitmasks the same way, lowering the text as it goes, and hashes
+// each word from registers. For each family a portable scalar kernel is the
+// reference implementation and the fallback on CPUs without AVX2: both
+// kernels must produce byte-identical callback sequences, censuses and
+// words on any input (tests/hotpath_test.cpp fuzzes every alignment offset
+// and degenerate shape).
 //
-// The kernel is chosen once per process (runtime CPU dispatch). Building
-// with -DDATANET_FORCE_SCALAR=ON pins the scalar kernel so CI can cover the
-// portable path on any machine.
+// One dispatcher serves both families: the kernel is chosen once per
+// process (runtime CPU dispatch). Building with -DDATANET_FORCE_SCALAR=ON
+// pins the scalar kernels so CI can cover the portable path on any machine.
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <string_view>
+#include <vector>
 
 namespace datanet::common {
 
@@ -78,5 +83,23 @@ LineCensus scan_key_lines(std::string_view data, std::string_view key,
 void scan_lines(std::string_view data, void* ctx, LineSink sink);
 void scan_lines(std::string_view data, void* ctx, LineSink sink,
                 ScanKernel kernel);
+
+// One word of a text: its bytes, lowered, and word_hash (common/hash.hpp)
+// of them.
+struct Word {
+  std::uint64_t hash = 0;
+  std::string_view view;
+};
+
+// Append one Word per maximal run of [A-Za-z0-9'] in `text` (the C locale's
+// isalnum plus the apostrophe), lowered as the C locale's tolower does; the
+// tokenizer of WordCount and the word histogram. `lowered` is the kernels'
+// scratch. When `text` holds no uppercase byte the views alias `text`;
+// otherwise they alias a lowered copy in `lowered`, valid until `lowered`
+// next changes (the next call with it).
+void scan_words(std::string_view text, std::vector<Word>& out,
+                std::string& lowered);
+void scan_words(std::string_view text, std::vector<Word>& out,
+                std::string& lowered, ScanKernel kernel);
 
 }  // namespace datanet::common

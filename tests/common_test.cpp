@@ -17,6 +17,7 @@
 
 #include "common/hash.hpp"
 #include "common/rng.hpp"
+#include "common/simd_scan.hpp"
 #include "common/string_util.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
@@ -63,6 +64,46 @@ TEST(Hash, DoubleHashProbesDistinct) {
     probes.insert(dc::double_hash(h1, h2, i) % 4096);
   }
   EXPECT_GT(probes.size(), 12u);  // few wraparound collisions tolerated
+}
+
+TEST(Hash, WordHashIsItsBlockSteps) {
+  const auto block = [](std::string_view sixteen) {
+    return std::pair{dc::detail::load_le64(sixteen.data()),
+                     dc::detail::load_le64(sixteen.data() + 8)};
+  };
+  EXPECT_EQ(dc::word_hash(""), dc::word_hash_finish(dc::word_hash_start(0)));
+  // Short words are one zero-padded block.
+  const std::string padded("abc\0\0\0\0\0\0\0\0\0\0\0\0\0", 16);
+  const auto [lo, hi] = block(padded);
+  EXPECT_EQ(dc::word_hash("abc"),
+            dc::word_hash_finish(dc::word_hash_block(dc::word_hash_start(3),
+                                                     lo, hi)));
+  // Longer ones fold one block per 16 bytes, the last one zero-padded.
+  const std::string w17 = "abcdefghijklmnopq";
+  const auto [lo1, hi1] = block(w17.substr(0, 16));
+  const std::string tail("q\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0", 16);
+  const auto [lo2, hi2] = block(tail);
+  EXPECT_EQ(dc::word_hash(w17),
+            dc::word_hash_finish(dc::word_hash_block(
+                dc::word_hash_block(dc::word_hash_start(17), lo1, hi1), lo2,
+                hi2)));
+  // The length takes part: a zero byte is not padding.
+  EXPECT_NE(dc::word_hash(std::string_view("a\0", 2)), dc::word_hash("a"));
+}
+
+TEST(Hash, WordHashSpreadsIntoTheTopBits) {
+  // KeyIndex picks a slot from the top bits: 2000 short words must reach
+  // nearly all 256 values of the top 8 (for a uniform hash a value stays
+  // empty with probability e^-7.8, about 1 in 2400).
+  std::set<std::uint64_t> top;
+  std::unordered_set<std::uint64_t> seen;
+  for (int i = 0; i < 2000; ++i) {
+    const std::uint64_t h = dc::word_hash(std::to_string(i) + "w");
+    top.insert(h >> 56);
+    seen.insert(h);
+  }
+  EXPECT_GE(top.size(), 250u);
+  EXPECT_EQ(seen.size(), 2000u);
 }
 
 // ---- crc32 ----
@@ -274,39 +315,34 @@ TEST(StringUtil, ParseDouble) {
   EXPECT_FALSE(dc::parse_double("abc"));
 }
 
-TEST(StringUtil, TokenizeWordsLowercases) {
-  std::vector<std::string_view> words;
-  std::string lowered;
-  dc::tokenize_words("Hello World", words, lowered);
-  ASSERT_EQ(words.size(), 2u);
-  EXPECT_EQ(words[0], "hello");
-  EXPECT_EQ(words[1], "world");
-}
-
-TEST(StringUtil, TokenizeWordsPunctuation) {
-  std::vector<std::string_view> words;
-  std::string lowered;
-  dc::tokenize_words("don't stop, now! 42x", words, lowered);
-  ASSERT_EQ(words.size(), 4u);
-  EXPECT_EQ(words[0], "don't");
-  EXPECT_EQ(words[3], "42x");
-}
-
-TEST(StringUtil, TokenizeWordsAppends) {
-  std::vector<std::string_view> words{"pre"};
-  std::string lowered;
-  dc::tokenize_words("a b", words, lowered);
-  EXPECT_EQ(words.size(), 3u);
-}
-
-TEST(StringUtil, TokenizeWordsEmpty) {
-  std::vector<std::string_view> words;
-  std::string lowered;
-  dc::tokenize_words("  ,,, ", words, lowered);
-  EXPECT_TRUE(words.empty());
-}
+// ---- word tokenizer (common::scan_words, on every kernel) ----
 
 namespace {
+
+std::vector<dc::ScanKernel> word_kernels() {
+  std::vector<dc::ScanKernel> v;
+  for (const auto k : {dc::ScanKernel::kScalar, dc::ScanKernel::kAvx2}) {
+    if (dc::scan_kernel_available(k)) v.push_back(k);
+  }
+  return v;
+}
+
+// The words' bytes, after checking each carries word_hash of them.
+std::vector<std::string> word_strings(const std::vector<dc::Word>& words) {
+  std::vector<std::string> out;
+  for (const dc::Word& w : words) {
+    EXPECT_EQ(w.hash, dc::word_hash(w.view)) << w.view;
+    out.emplace_back(w.view);
+  }
+  return out;
+}
+
+std::vector<std::string> tokenize(std::string_view text, dc::ScanKernel kernel) {
+  std::vector<dc::Word> words;
+  std::string lowered;
+  dc::scan_words(text, words, lowered, kernel);
+  return word_strings(words);
+}
 
 // The tokenizer before it became table-driven: per-char std::isalnum and
 // std::tolower in the C locale (nothing in the repo calls setlocale).
@@ -326,42 +362,90 @@ std::vector<std::string> reference_tokenize(std::string_view text) {
   return out;
 }
 
-std::vector<std::string> tokenize(std::string_view text) {
-  std::vector<std::string_view> words;
-  std::string lowered;
-  dc::tokenize_words(text, words, lowered);
-  return {words.begin(), words.end()};
-}
-
 }  // namespace
 
+TEST(StringUtil, TokenizeWordsLowercases) {
+  for (const auto kernel : word_kernels()) {
+    EXPECT_EQ(tokenize("Hello World", kernel),
+              (std::vector<std::string>{"hello", "world"}))
+        << dc::scan_kernel_name(kernel);
+  }
+}
+
+TEST(StringUtil, TokenizeWordsPunctuation) {
+  for (const auto kernel : word_kernels()) {
+    const auto words = tokenize("don't stop, now! 42x", kernel);
+    ASSERT_EQ(words.size(), 4u) << dc::scan_kernel_name(kernel);
+    EXPECT_EQ(words[0], "don't");
+    EXPECT_EQ(words[3], "42x");
+  }
+}
+
+TEST(StringUtil, TokenizeWordsAppends) {
+  const std::string_view pre = "pre";
+  for (const auto kernel : word_kernels()) {
+    // Lowercase text leaves the views on the text; mixed case moves this
+    // call's views to `lowered` and must leave the earlier entry alone.
+    for (const std::string_view text : {"a b", "A b"}) {
+      std::vector<dc::Word> words{{7, pre}};
+      std::string lowered;
+      dc::scan_words(text, words, lowered, kernel);
+      ASSERT_EQ(words.size(), 3u)
+          << dc::scan_kernel_name(kernel) << " " << text;
+      EXPECT_EQ(words[0].hash, 7u);
+      ASSERT_EQ(words[0].view.data(), pre.data()) << text;
+      ASSERT_EQ(words[0].view.size(), pre.size()) << text;
+      words.erase(words.begin());
+      EXPECT_EQ(word_strings(words), (std::vector<std::string>{"a", "b"}));
+    }
+  }
+}
+
+TEST(StringUtil, TokenizeWordsEmpty) {
+  for (const auto kernel : word_kernels()) {
+    EXPECT_TRUE(tokenize("  ,,, ", kernel).empty())
+        << dc::scan_kernel_name(kernel);
+    EXPECT_TRUE(tokenize("", kernel).empty()) << dc::scan_kernel_name(kernel);
+  }
+}
+
 TEST(StringUtil, TokenizeWordsMatchesCLocaleOnEveryByte) {
-  for (int b = 0; b < 256; ++b) {
-    const std::string c(1, static_cast<char>(b));
-    for (const std::string& text :
-         {c, c + c + c, "aB" + c + "9z", c + " Word " + c, "x'" + c}) {
-      EXPECT_EQ(tokenize(text), reference_tokenize(text)) << "byte " << b;
+  for (const auto kernel : word_kernels()) {
+    for (int b = 0; b < 256; ++b) {
+      const std::string c(1, static_cast<char>(b));
+      for (const std::string& text :
+           {c, c + c + c, "aB" + c + "9z", c + " Word " + c, "x'" + c}) {
+        EXPECT_EQ(tokenize(text, kernel), reference_tokenize(text))
+            << "byte " << b << " kernel " << dc::scan_kernel_name(kernel);
+      }
     }
   }
 }
 
 TEST(StringUtil, TokenizeWordsMatchesCLocaleOnRandomBytes) {
-  dc::Rng rng(1234);
-  std::string lowered;  // reused across cases, as the mappers reuse theirs
-  for (int i = 0; i < 3000; ++i) {
-    std::string text(rng.bounded(80), '\0');
-    const bool ascii_heavy = rng.bernoulli(0.5);
-    for (char& ch : text) {
-      ch = ascii_heavy && rng.bernoulli(0.7)
-               ? "aZ09' .,\t-Q"[rng.bounded(11)]
-               : static_cast<char>(rng.bounded(256));
+  const std::string_view pre = "pre";
+  for (const auto kernel : word_kernels()) {
+    dc::Rng rng(1234);
+    std::string lowered;  // reused across cases, as the mappers reuse theirs
+    for (int i = 0; i < 3000; ++i) {
+      // Up to 200 bytes: words cross the 32- and 64-byte stripe edges.
+      std::string text(rng.bounded(200), '\0');
+      const bool ascii_heavy = rng.bernoulli(0.5);
+      for (char& ch : text) {
+        ch = ascii_heavy && rng.bernoulli(0.7)
+                 ? "aZ09' .,\t-Q"[rng.bounded(11)]
+                 : static_cast<char>(rng.bounded(256));
+      }
+      std::vector<dc::Word> appended{{dc::word_hash(pre), pre}};
+      dc::scan_words(text, appended, lowered, kernel);
+      ASSERT_FALSE(appended.empty());
+      ASSERT_EQ(appended[0].view.data(), pre.data())
+          << "case " << i << " kernel " << dc::scan_kernel_name(kernel);
+      auto want = reference_tokenize(text);
+      want.insert(want.begin(), "pre");
+      ASSERT_EQ(word_strings(appended), want)
+          << "case " << i << " kernel " << dc::scan_kernel_name(kernel);
     }
-    std::vector<std::string_view> appended{"pre"};
-    dc::tokenize_words(text, appended, lowered);
-    auto want = reference_tokenize(text);
-    want.insert(want.begin(), "pre");
-    ASSERT_EQ(std::vector<std::string>(appended.begin(), appended.end()), want)
-        << "case " << i;
   }
 }
 
@@ -370,29 +454,31 @@ TEST(StringUtil, TokenizeWordViewsAliasInputUnlessUppercase) {
     return view.data() >= bytes.data() &&
            view.data() + view.size() <= bytes.data() + bytes.size();
   };
-  std::string lowered;
+  for (const auto kernel : word_kernels()) {
+    const std::string name = dc::scan_kernel_name(kernel);
+    std::string lowered;
 
-  const std::string lower = "rating=4 the quick fox's 42nd jump, again!";
-  std::vector<std::string_view> words;
-  dc::tokenize_words(lower, words, lowered);
-  EXPECT_EQ(std::vector<std::string>(words.begin(), words.end()),
-            reference_tokenize(lower));
-  for (const auto& w : words) EXPECT_TRUE(inside(w, lower)) << w;
+    const std::string lower = "rating=4 the quick fox's 42nd jump, again!";
+    std::vector<dc::Word> words;
+    dc::scan_words(lower, words, lowered, kernel);
+    EXPECT_EQ(word_strings(words), reference_tokenize(lower)) << name;
+    for (const auto& w : words) EXPECT_TRUE(inside(w.view, lower)) << w.view;
 
-  const std::string mixed = "The Quick FOX's 42nd Jump, again!";
-  words.clear();
-  dc::tokenize_words(mixed, words, lowered);
-  const std::vector<std::string> copied(words.begin(), words.end());
-  EXPECT_EQ(copied, reference_tokenize(mixed));
-  for (const auto& w : words) EXPECT_TRUE(inside(w, lowered)) << w;
+    const std::string mixed = "The Quick FOX's 42nd Jump, again!";
+    words.clear();
+    dc::scan_words(mixed, words, lowered, kernel);
+    const std::vector<std::string> copied = word_strings(words);
+    EXPECT_EQ(copied, reference_tokenize(mixed)) << name;
+    for (const auto& w : words) EXPECT_TRUE(inside(w.view, lowered)) << w.view;
 
-  // A second call rewrites `lowered`; what the caller copied stands.
-  const std::string longer = "Another MIXED-case line, Longer than the first one";
-  words.clear();
-  dc::tokenize_words(longer, words, lowered);
-  EXPECT_EQ(std::vector<std::string>(words.begin(), words.end()),
-            reference_tokenize(longer));
-  EXPECT_EQ(copied, reference_tokenize(mixed));
+    // A second call rewrites `lowered`; what the caller copied stands.
+    const std::string longer =
+        "Another MIXED-case line, Longer than the first one";
+    words.clear();
+    dc::scan_words(longer, words, lowered, kernel);
+    EXPECT_EQ(word_strings(words), reference_tokenize(longer)) << name;
+    EXPECT_EQ(copied, reference_tokenize(mixed)) << name;
+  }
 }
 
 // ---- units ----

@@ -1,15 +1,18 @@
 // PR 6 hot-path coverage: SIMD-vs-scalar scan equivalence fuzzing (every
 // alignment offset 0..63, empty lines, partial key prefixes, missing final
-// newline) of both the emitted lines and the record census, the filter
-// sink's counts against the FilterStats mapper, Arena/ArenaAllocator unit
-// tests, the O(1) under-replication counter against fsck after every
-// mutation kind, the ReplicationMonitor's epoch-gated scan skip, and
-// parallel_for's inline small-range fast path.
+// newline) of both the emitted lines and the record census, the same for
+// the word kernels' (hash, word) sequences, the filter sink's counts
+// against the FilterStats mapper, Arena/ArenaAllocator unit tests, the O(1)
+// under-replication counter against fsck after every mutation kind, the
+// ReplicationMonitor's epoch-gated scan skip, and parallel_for's inline
+// small-range fast path.
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <random>
 #include <string>
 #include <string_view>
@@ -18,6 +21,7 @@
 
 #include "apps/filter.hpp"
 #include "common/arena.hpp"
+#include "common/hash.hpp"
 #include "common/simd_scan.hpp"
 #include "common/thread_pool.hpp"
 #include "datanet/experiment.hpp"
@@ -344,6 +348,127 @@ TEST(SimdScan, DispatcherAndAvailability) {
     EXPECT_THROW(
         dco::scan_lines("x\n", &c, &Collect::sink, dco::ScanKernel::kAvx2),
         std::invalid_argument);
+    std::vector<dco::Word> words;
+    std::string lowered;
+    EXPECT_THROW(dco::scan_words("x", words, lowered, dco::ScanKernel::kAvx2),
+                 std::invalid_argument);
+  }
+}
+
+// ---- word kernels ----
+
+namespace {
+
+using HashedWords = std::vector<std::pair<std::uint64_t, std::string>>;
+
+HashedWords kernel_words(std::string_view text, dco::ScanKernel kernel) {
+  std::vector<dco::Word> words;
+  std::string lowered;
+  dco::scan_words(text, words, lowered, kernel);
+  HashedWords out;
+  for (const dco::Word& w : words) out.emplace_back(w.hash, w.view);
+  return out;
+}
+
+// Every kernel must give the scalar kernel's (hash, word) sequence on `text`
+// at every alignment offset 0..63, each hash word_hash of its word. The
+// text sits at the end of a heap buffer, so a kernel that reads past it
+// trips ASan.
+void expect_words_equivalent_at_all_alignments(const std::string& text,
+                                               const std::string& label) {
+  for (std::size_t off = 0; off < 64; ++off) {
+    const auto buf = std::make_unique<char[]>(off + text.size());
+    std::memcpy(buf.get() + off, text.data(), text.size());
+    const std::string_view view(buf.get() + off, text.size());
+    const HashedWords want = kernel_words(view, dco::ScanKernel::kScalar);
+    for (const auto& [hash, word] : want) {
+      ASSERT_EQ(hash, dco::word_hash(word)) << label << " word " << word;
+    }
+    for (const auto kernel : available_kernels()) {
+      ASSERT_EQ(kernel_words(view, kernel), want)
+          << label << " kernel=" << dco::scan_kernel_name(kernel)
+          << " offset=" << off;
+    }
+  }
+}
+
+}  // namespace
+
+TEST(WordScan, DegenerateShapesAllKernelsAllAlignments) {
+  std::string every_byte;
+  for (int b = 0; b < 256; ++b) {
+    every_byte += static_cast<char>(b);
+    every_byte += "a";
+    every_byte += static_cast<char>(b);
+    every_byte += " ";
+  }
+  std::string byte_runs;  // each byte value as a 3-byte run
+  for (int b = 0; b < 256; ++b) byte_runs.append(3, static_cast<char>(b));
+  const std::string shapes[] = {
+      "",
+      " ",
+      std::string(200, ' '),
+      " ,.;:!?-\t\n\r\"()[]{}<>/\\|@#$%^&*_+=~`" + std::string(70, '.'),
+      "a",
+      "'",
+      "'''",
+      "don't 'tis rock'n'roll' o'",
+      "Hello World",
+      "HELLO WORLD MiXeD cAsE 42ND",
+      "ABCDEFGHIJKLMNOPQRSTUVWXYZ abcdefghijklmnopqrstuvwxyz 0123456789",
+      std::string(15, 'a') + " " + std::string(16, 'B') + " " +
+          std::string(17, 'c') + " " + std::string(65, 'D') + " " +
+          std::string(130, 'e'),
+      std::string(64, 'x'),
+      std::string(64, 'x') + " ",
+      " " + std::string(64, 'x'),
+      std::string(63, 'y') + "," + std::string(64, 'Z') + "," +
+          std::string(1, 'w'),
+      every_byte,
+      byte_runs,
+  };
+  for (const auto& shape : shapes) {
+    expect_words_equivalent_at_all_alignments(shape, "shape");
+  }
+}
+
+TEST(WordScan, WordsStraddlingStripeEdgesAllKernelsAllAlignments) {
+  // A word of each interesting length starting at every position around
+  // the 32- and 64-byte edges, in lower and mixed case.
+  for (const std::size_t len : {1, 15, 16, 17, 31, 32, 33, 64, 65, 100}) {
+    for (std::size_t pos = 0; pos < 72; ++pos) {
+      std::string text(pos, ' ');
+      for (std::size_t i = 0; i < len; ++i) {
+        text += static_cast<char>((i % 3 == 0 ? 'A' : 'a') + i % 26);
+      }
+      text += " tail";
+      const std::string lower = [&] {
+        std::string t = text;
+        for (char& c : t) c = static_cast<char>(std::tolower(c));
+        return t;
+      }();
+      expect_words_equivalent_at_all_alignments(
+          text, "len=" + std::to_string(len) + " pos=" + std::to_string(pos));
+      expect_words_equivalent_at_all_alignments(
+          lower,
+          "lower len=" + std::to_string(len) + " pos=" + std::to_string(pos));
+    }
+  }
+}
+
+TEST(WordScan, FuzzRandomTextAllKernelsAllAlignments) {
+  std::mt19937_64 rng(4242);
+  const std::string alphabet = "abcXYZ09' ,.\t-";
+  for (int round = 0; round < 60; ++round) {
+    std::string text(rng() % 300, '\0');
+    const bool ascii_heavy = round % 2 == 0;
+    for (char& ch : text) {
+      ch = ascii_heavy && rng() % 10 < 8
+               ? alphabet[rng() % alphabet.size()]
+               : static_cast<char>(rng() % 256);
+    }
+    expect_words_equivalent_at_all_alignments(
+        text, "round=" + std::to_string(round));
   }
 }
 

@@ -8,8 +8,11 @@
 #include <algorithm>
 #include <charconv>
 #include <map>
+#include <memory>
 #include <mutex>
 
+#include "common/arena.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "mapred/engine.hpp"
 #include "mapred/sum_table.hpp"
@@ -691,6 +694,64 @@ TEST(SumTable, CopiesKeysAndEmitsExactSumsInFirstSeenOrder) {
     EXPECT_EQ(out.pairs[i].second, std::to_string(want[first_seen[i]])) << i;
   }
   EXPECT_EQ(out.pairs.back().second, "18446744073709551615");
+}
+
+TEST(KeyIndex, KeyCompareDecidesUnderOneHash) {
+  // Keys of 0..40 bytes: every prefix of one 40-byte string (those past 16
+  // bytes share their first 16) and each with its last byte flipped. Under
+  // one forced hash every probe is settled by length, the 16-byte head and
+  // the bytes past it; under word_hash by the hash first. Each probe key
+  // sits in a heap buffer of its exact size, so a read past it shows under
+  // ASan.
+  const std::string s = "abcdefghijklmnop0123456789ABCDEFGHIJKLMN";
+  std::vector<std::string> keys;
+  for (std::size_t len = 0; len <= s.size(); ++len) {
+    keys.push_back(s.substr(0, len));
+    if (len > 0) {
+      keys.push_back(keys.back());
+      keys.back().back() ^= 1;
+    }
+  }
+  keys.push_back(s.substr(0, 16) + "X" + s.substr(17));  // differs at byte 16
+  const auto probe = [](dm::KeyIndex& index, std::uint64_t hash,
+                        const std::string& key) {
+    const auto bytes = std::make_unique<char[]>(key.size());
+    std::copy(key.begin(), key.end(), bytes.get());
+    return index.id(hash, std::string_view(bytes.get(), key.size()));
+  };
+  for (const bool forced : {true, false}) {
+    const auto hash_of = [&](const std::string& key) {
+      return forced ? std::uint64_t{42} : datanet::common::word_hash(key);
+    };
+    datanet::common::Arena arena;
+    dm::KeyIndex index(&arena);
+    for (std::uint32_t i = 0; i < keys.size(); ++i) {
+      EXPECT_EQ(probe(index, hash_of(keys[i]), keys[i]), i)
+          << "forced=" << forced << " key '" << keys[i] << "'";
+    }
+    for (std::uint32_t i = 0; i < keys.size(); ++i) {
+      EXPECT_EQ(probe(index, hash_of(keys[i]), keys[i]), i)
+          << "forced=" << forced << " key '" << keys[i] << "'";
+      EXPECT_EQ(index[i].key, keys[i]);
+      EXPECT_EQ(index[i].hash, hash_of(keys[i]));
+    }
+  }
+
+  // Borrowed keys, as the reduce-side grouping holds them.
+  dm::KeyIndex borrowed;
+  EXPECT_EQ(borrowed.id(7, "alpha"), 0u);
+  EXPECT_EQ(borrowed.id(7, "bravo"), 1u);
+  EXPECT_EQ(borrowed.id(7, "alpha"), 0u);
+  EXPECT_EQ(borrowed.id(8, "alpha"), 2u);  // another hash is another key
+
+  // SumTable: a word's kernel hash and add(key) reach one entry.
+  dm::SumTable table;
+  table.add(datanet::common::word_hash("word"), "word", 2);
+  table.add("word", 3);
+  PairCollector out;
+  table.emit(out);
+  ASSERT_EQ(out.pairs.size(), 1u);
+  EXPECT_EQ(out.pairs[0].second, "5");
 }
 
 // ---- JSON report serialization ----
