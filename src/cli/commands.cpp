@@ -1061,6 +1061,8 @@ commands:
             [--max-inflight I] [--max-connections C] [--meta-shards M]
             [--nodes N] [--block-size BYTES] [--replication R] [--seed S]
             [--blocks B]
+            (--workers: queries executing at once across all tenants,
+             default 2; each runs on its connection's handler thread)
   query     --port P --key SUBDATASET [--tenant T] [--scheduler
             datanet|locality|lpt|maxflow] [--baseline] [--count N] [--json]
             [--stats] [--shutdown]

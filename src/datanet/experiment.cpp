@@ -76,10 +76,11 @@ dfs::DfsOptions make_dfs_options(const ExperimentConfig& cfg) {
   return dopt;
 }
 
-IngestedDataset ingest_movie_dataset(dfs::MiniDfs& dfs, const std::string& path,
-                                     const ExperimentConfig& cfg,
-                                     std::uint64_t num_blocks,
-                                     std::uint64_t num_movies) {
+std::vector<std::string> ingest_movie_dataset(dfs::MiniDfs& dfs,
+                                              const std::string& path,
+                                              const ExperimentConfig& cfg,
+                                              std::uint64_t num_blocks,
+                                              std::uint64_t num_movies) {
   cfg.validate();
   workload::MovieGenOptions gopt;
   gopt.num_movies = num_movies;
@@ -89,22 +90,20 @@ IngestedDataset ingest_movie_dataset(dfs::MiniDfs& dfs, const std::string& path,
   const auto records = gen.generate();
   workload::ingest(dfs, path, records);
 
-  IngestedDataset out;
-  out.truth = std::make_unique<workload::GroundTruth>(dfs, path);
+  std::vector<std::string> hot_keys;
   for (std::uint64_t r = 0; r < std::min<std::uint64_t>(num_movies, 16); ++r) {
-    out.hot_keys.push_back(gen.movie_key(r));
+    hot_keys.push_back(gen.movie_key(r));
   }
-  return out;
+  return hot_keys;
 }
 
 StoredDataset make_movie_dataset(const ExperimentConfig& cfg,
                                  std::uint64_t num_blocks,
                                  std::uint64_t num_movies) {
   StoredDataset ds = make_dataset_shell(cfg, "/data/movies.log");
-  IngestedDataset in =
+  ds.hot_keys =
       ingest_movie_dataset(*ds.dfs, ds.path, cfg, num_blocks, num_movies);
-  ds.truth = std::move(in.truth);
-  ds.hot_keys = std::move(in.hot_keys);
+  ds.truth = std::make_unique<workload::GroundTruth>(*ds.dfs, ds.path);
   return ds;
 }
 

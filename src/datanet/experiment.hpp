@@ -69,17 +69,15 @@ struct StoredDataset {
 [[nodiscard]] mapred::EngineOptions engine_options(const ExperimentConfig& cfg);
 
 // Generation + ingestion half of make_movie_dataset, against a DFS the
-// caller owns. Byte-identical records and hot keys to make_movie_dataset
-// with the same (cfg, num_blocks, num_movies): ingesting into a fresh
-// MiniDfs built from make_dfs_options(cfg) reproduces its placement exactly.
-struct IngestedDataset {
-  std::unique_ptr<workload::GroundTruth> truth;
-  std::vector<std::string> hot_keys;
-};
-IngestedDataset ingest_movie_dataset(dfs::MiniDfs& dfs, const std::string& path,
-                                     const ExperimentConfig& cfg,
-                                     std::uint64_t num_blocks = 256,
-                                     std::uint64_t num_movies = 2000);
+// caller owns; returns the hot keys, hottest first. Byte-identical records
+// and hot keys to make_movie_dataset with the same (cfg, num_blocks,
+// num_movies): ingesting into a fresh MiniDfs built from make_dfs_options(cfg)
+// reproduces its placement exactly. Builds no ground-truth oracle.
+std::vector<std::string> ingest_movie_dataset(dfs::MiniDfs& dfs,
+                                              const std::string& path,
+                                              const ExperimentConfig& cfg,
+                                              std::uint64_t num_blocks = 256,
+                                              std::uint64_t num_movies = 2000);
 
 // Build the paper's movie dataset: ~`num_blocks` blocks of chronologically
 // stored review logs (Section V-A's 256-block MovieLens-shaped data).

@@ -34,7 +34,6 @@ FairDispatcher::Tenant& FairDispatcher::tenant_locked(const std::string& name) {
 }
 
 SubmitStatus FairDispatcher::submit(const std::string& tenant,
-                                    QueryRequest request,
                                     std::uint64_t* ticket_out) {
   std::lock_guard lock(mu_);
   if (stopped_) return SubmitStatus::kStopped;
@@ -55,8 +54,8 @@ SubmitStatus FairDispatcher::submit(const std::string& tenant,
   }
   if (t.limits.max_queue == 0) {
     // Queueless tenant: admission IS dispatch eligibility. The job still
-    // passes through the queue (workers pull, they are not pushed to), but
-    // only when a slot is free this instant, so the queue depth stays <=
+    // passes through the queue (grants come from try_next), but only when
+    // a slot is free this instant, so the queue depth stays <=
     // max_inflight and rejections are typed as an in-flight overload.
     if (t.queue.size() + t.inflight >= t.limits.max_inflight) {
       ++t.stats.rejected_inflight;
@@ -68,13 +67,11 @@ SubmitStatus FairDispatcher::submit(const std::string& tenant,
   }
   DispatchJob job{.ticket = next_ticket_++,
                   .tenant = tenant,
-                  .request = std::move(request),
                   .submitted_micros = now_micros()};
   if (ticket_out != nullptr) *ticket_out = job.ticket;
   t.queue.push_back(std::move(job));
   ++t.stats.accepted;
   ++queued_total_;
-  cv_.notify_one();
   return SubmitStatus::kAccepted;
 }
 
@@ -83,7 +80,9 @@ bool FairDispatcher::eligible_locked(const Tenant& t) const {
 }
 
 std::optional<DispatchJob> FairDispatcher::pick_locked() {
-  if (order_.empty()) return std::nullopt;
+  // Every global slot busy: no tenant is visited, so none forfeits credit
+  // and the DRR order resumes unchanged after the next complete().
+  if (order_.empty() || inflight_total_ >= slots_) return std::nullopt;
   // One DRR rotation: visit each tenant at most once starting at rr_. An
   // eligible tenant earns its quantum (weight * kJobCost) on the visit and
   // spends kJobCost per dispatch; rr_ stays on a tenant while it has credit
@@ -124,15 +123,6 @@ std::optional<DispatchJob> FairDispatcher::try_next() {
   return pick_locked();
 }
 
-std::optional<DispatchJob> FairDispatcher::next() {
-  std::unique_lock lock(mu_);
-  for (;;) {
-    if (auto job = pick_locked()) return job;
-    if (stopped_ && queued_total_ == 0) return std::nullopt;
-    cv_.wait(lock);
-  }
-}
-
 void FairDispatcher::complete(const std::string& tenant) {
   std::lock_guard lock(mu_);
   const auto it = tenants_.find(tenant);
@@ -140,9 +130,6 @@ void FairDispatcher::complete(const std::string& tenant) {
   --it->second.inflight;
   ++it->second.stats.completed;
   --inflight_total_;
-  // A freed slot can unblock both queued work of this tenant and a worker
-  // parked in next(); stop() drains also wake on it.
-  cv_.notify_all();
 }
 
 void FairDispatcher::record_outcome(const std::string& tenant, bool success) {
@@ -173,12 +160,6 @@ bool FairDispatcher::breaker_open(const std::string& tenant) const {
 void FairDispatcher::stop() {
   std::lock_guard lock(mu_);
   stopped_ = true;
-  cv_.notify_all();
-}
-
-bool FairDispatcher::stopped() const {
-  std::lock_guard lock(mu_);
-  return stopped_;
 }
 
 std::size_t FairDispatcher::queued() const {

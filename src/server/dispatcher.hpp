@@ -9,22 +9,23 @@
 // one DRR rotation regardless of how deep the flooder's backlog is
 // (tests/server_test.cpp pins the exact bound).
 //
-// The dispatcher is deliberately free of any socket or runtime knowledge:
-// submit() is called from connection-handler threads, next()/try_next() from
-// selection workers, and the whole policy is testable single-threaded —
-// with one worker draining it, the dispatch order is a pure function of the
-// submission sequence (determinism test).
+// A global slot count caps the jobs in flight across all tenants: with
+// every slot busy, try_next() hands out nothing until a complete().
+//
+// The dispatcher is deliberately free of any socket, thread or runtime
+// knowledge and never blocks: datanetd's connection handlers submit, pull
+// grants with try_next() and report complete(), and the whole policy is
+// testable single-threaded — the dispatch order is a pure function of the
+// submit/try_next/complete sequence (determinism test).
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
-
-#include "server/protocol.hpp"
 
 namespace datanet::server {
 
@@ -40,9 +41,9 @@ struct TenantLimits {
 };
 
 // Per-tenant consecutive-failure circuit breaker (PR 9). A tenant whose
-// queries keep failing at execution (worker-side errors or shard-unavailable
+// queries keep failing at execution (execution errors or shard-unavailable
 // sheds, NOT admission rejections) is load-shed at the door with a typed
-// kCircuitOpen rejection instead of burning worker time on doomed work. The
+// kCircuitOpen rejection instead of burning execution slots on doomed work. The
 // breaker is count-based, not clock-based, so its behaviour is a pure
 // function of the outcome sequence (deterministic tests): it OPENS after
 // `failure_threshold` consecutive failures, admits every `probe_interval`-th
@@ -53,13 +54,12 @@ struct BreakerPolicy {
 };
 
 // One admitted unit of work. `ticket` is a process-unique admission sequence
-// number (also the FIFO order within a tenant); the opaque payload is
-// whatever the caller needs to complete the job (datanetd stores the parsed
-// request + reply rendezvous outside the dispatcher, keyed by ticket).
+// number (also the FIFO order within a tenant); whatever the caller needs to
+// run the job stays with the caller (a datanetd handler keeps its own
+// request and waits for its ticket to be granted).
 struct DispatchJob {
   std::uint64_t ticket = 0;
   std::string tenant;
-  QueryRequest request;
   // Host-clock stamp taken at admission; dispatch accumulates the delta
   // into the tenant's queue_wait_micros meter.
   std::uint64_t submitted_micros = 0;
@@ -90,44 +90,44 @@ struct TenantStats {
 class FairDispatcher {
  public:
   // Tenants not registered explicitly are created on first submit with
-  // `default_limits`. The breaker policy applies to every tenant.
-  explicit FairDispatcher(TenantLimits default_limits = {},
-                          BreakerPolicy breaker = {})
-      : default_limits_(default_limits), breaker_(breaker) {}
+  // `default_limits`. The breaker policy applies to every tenant. `slots`
+  // caps the jobs in flight across all tenants (datanetd passes
+  // ServerOptions::workers: the queries executing at once).
+  explicit FairDispatcher(
+      TenantLimits default_limits = {}, BreakerPolicy breaker = {},
+      std::size_t slots = std::numeric_limits<std::size_t>::max())
+      : default_limits_(default_limits), breaker_(breaker), slots_(slots) {}
 
   // Pre-register a tenant with its own limits; no-op if already known
   // (limits are fixed at first sight, matching a config-file model).
   void register_tenant(const std::string& tenant, TenantLimits limits);
 
   // Admission: bound check + enqueue. O(log tenants).
-  SubmitStatus submit(const std::string& tenant, QueryRequest request,
+  SubmitStatus submit(const std::string& tenant,
                       std::uint64_t* ticket_out = nullptr);
 
-  // Non-blocking DRR dispatch: the next job whose tenant has a free
-  // in-flight slot, or nullopt when nothing is eligible.
+  // The one dispatch primitive, non-blocking DRR: the next job whose tenant
+  // has a free in-flight slot, or nullopt when nothing is eligible or all
+  // `slots` are taken. The caller owns the job until complete().
   std::optional<DispatchJob> try_next();
 
-  // Blocking variant for worker threads: waits until a job is eligible or
-  // stop() is called (then returns nullopt once the queues are empty).
-  std::optional<DispatchJob> next();
-
-  // Worker callback when a dispatched job finishes; frees the in-flight
-  // slot, which may make the tenant's queued work eligible again.
+  // A dispatched job finished; frees its tenant's in-flight slot and its
+  // global slot, which may make queued work eligible again (call try_next).
   void complete(const std::string& tenant);
 
-  // Worker callback with the job's EXECUTION outcome, feeding the circuit
-  // breaker: `success` is any answered query (ok or degraded); failures are
-  // execution errors and shard-unavailable sheds. Call after complete();
-  // no-op for unknown tenants or when the breaker is disabled.
+  // The job's EXECUTION outcome, feeding the circuit breaker: `success` is
+  // any answered query (ok or degraded); failures are execution errors and
+  // shard-unavailable sheds. No-op for unknown tenants or when the breaker
+  // is disabled.
   void record_outcome(const std::string& tenant, bool success);
   [[nodiscard]] bool breaker_open(const std::string& tenant) const;
 
-  // Stop admitting; next() drains remaining queued jobs then returns
-  // nullopt. (Drain keeps the CI smoke deterministic: every accepted query
-  // is answered even when shutdown races the last submissions.)
+  // Stop admitting; try_next() still hands out the jobs already queued, so
+  // the caller can drain them. (Drain keeps the CI smoke deterministic:
+  // every accepted query is answered even when shutdown races the last
+  // submissions.)
   void stop();
 
-  [[nodiscard]] bool stopped() const;
   [[nodiscard]] std::size_t queued() const;       // across all tenants
   [[nodiscard]] std::size_t inflight() const;     // across all tenants
   [[nodiscard]] TenantStats tenant_stats(const std::string& tenant) const;
@@ -155,9 +155,9 @@ class FairDispatcher {
   [[nodiscard]] bool eligible_locked(const Tenant& t) const;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   TenantLimits default_limits_;
   BreakerPolicy breaker_;
+  std::size_t slots_;
   std::map<std::string, Tenant> tenants_;
   // DRR rotation order = registration order; rr_ points at the tenant the
   // next pick starts from.

@@ -61,8 +61,9 @@ struct QueryRequest {
   std::string scheduler = "datanet";  // datanet | locality | lpt | maxflow
   bool use_datanet_meta = true;  // false = content-blind baseline graph
   // Deadline budget in milliseconds, measured from admission (0 = no
-  // deadline). A worker picking the job up after the budget elapsed sheds it
-  // with a typed kDeadlineExceeded rejection instead of doing stale work.
+  // deadline). A job granted its execution slot after the budget elapsed is
+  // shed with a typed kDeadlineExceeded rejection instead of doing stale
+  // work.
   std::uint32_t deadline_ms = 0;
 };
 

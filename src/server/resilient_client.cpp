@@ -50,14 +50,15 @@ void ResilientClient::sleep_before_retry(std::uint32_t retry) {
   if (ms != 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
-ClientResult ResilientClient::query(const QueryRequest& request) {
+template <typename Call>
+std::invoke_result_t<Call, Client&> ResilientClient::with_retries(Call call) {
   std::string last_error = "no attempts made";
   const std::uint32_t attempts = std::max(1u, policy_.max_attempts);
   for (std::uint32_t attempt = 0; attempt < attempts; ++attempt) {
     if (attempt != 0) sleep_before_retry(attempt - 1);
     ++stats_.attempts;
     try {
-      return connected().query(request);
+      return call(connected());
     } catch (const SocketTimeoutError& e) {
       ++stats_.timeouts;
       last_error = e.what();
@@ -74,26 +75,12 @@ ClientResult ResilientClient::query(const QueryRequest& request) {
   throw RetriesExhaustedError(attempts, last_error);
 }
 
+ClientResult ResilientClient::query(const QueryRequest& request) {
+  return with_retries([&](Client& c) { return c.query(request); });
+}
+
 ServerStats ResilientClient::stats() {
-  std::string last_error = "no attempts made";
-  const std::uint32_t attempts = std::max(1u, policy_.max_attempts);
-  for (std::uint32_t attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt != 0) sleep_before_retry(attempt - 1);
-    ++stats_.attempts;
-    try {
-      return connected().stats();
-    } catch (const SocketTimeoutError& e) {
-      ++stats_.timeouts;
-      last_error = e.what();
-    } catch (const SocketError& e) {
-      last_error = e.what();
-    } catch (const ProtocolError& e) {
-      ++stats_.protocol_errors;
-      last_error = e.what();
-    }
-    client_.reset();
-  }
-  throw RetriesExhaustedError(attempts, last_error);
+  return with_retries([](Client& c) { return c.stats(); });
 }
 
 }  // namespace datanet::server

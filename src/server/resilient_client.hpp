@@ -24,6 +24,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "server/client.hpp"
 
@@ -89,6 +90,11 @@ class ResilientClient {
   // after the first).
   Client& connected();
   void sleep_before_retry(std::uint32_t retry);
+  // The one attempt/backoff/reconnect loop behind query() and stats():
+  // runs `call` on a live connection until it returns a typed result or the
+  // attempts run out (then throws RetriesExhaustedError).
+  template <typename Call>
+  std::invoke_result_t<Call, Client&> with_retries(Call call);
 
   std::uint16_t port_;
   RetryPolicy policy_;

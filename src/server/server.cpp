@@ -68,7 +68,8 @@ QueryOutcome execute_query(const dfs::MiniDfs& dfs, const std::string& path,
     core::CostOnlyBackend timing;
     const core::SelectionRuntime runtime(read, faults, timing);
     // Serving config: one engine thread per query — parallelism comes from
-    // the worker pool, not from each query fanning out.
+    // concurrent queries on their handler threads, not from each query
+    // fanning out.
     core::ExperimentConfig qcfg = cfg;
     qcfg.execution_threads = 1;
     const std::uint64_t t0 = now_micros();
@@ -100,15 +101,15 @@ QueryOutcome local_query(const ServerOptions& opts,
 Server::Server(ServerOptions opts)
     : opts_(opts),
       plane_(make_plane(opts_)),
-      dispatcher_(opts_.default_limits, opts_.breaker) {
+      dispatcher_(opts_.default_limits, opts_.breaker,
+                  std::max(1u, opts_.workers)) {
   dataset_.path = "/data/movies.log";
   // Same generation as make_movie_dataset and same per-shard DfsOptions, so
   // the served dataset's placement is byte-identical to a `--local` build
   // at any shard count (the digest contract).
-  auto ingested = core::ingest_movie_dataset(plane_.dfs_for(dataset_.path),
-                                             dataset_.path, opts_.cfg,
-                                             opts_.dataset_blocks);
-  dataset_.hot_keys = std::move(ingested.hot_keys);
+  dataset_.hot_keys = core::ingest_movie_dataset(
+      plane_.dfs_for(dataset_.path), dataset_.path, opts_.cfg,
+      opts_.dataset_blocks);
   auto [fd, port] = listen_loopback(opts_.port);
   listener_ = std::move(fd);
   port_ = port;
@@ -118,9 +119,6 @@ Server::~Server() { stop(); }
 
 void Server::start() {
   if (started_.exchange(true)) return;
-  for (std::uint32_t i = 0; i < std::max(1u, opts_.workers); ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
   accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
@@ -147,22 +145,17 @@ void Server::stop() {
   if (listener_.valid()) ::shutdown(listener_.get(), SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
 
-  // 2. No new admissions; workers drain every accepted job, publish its
-  //    outcome, then exit.
+  // 2. No new admissions. Every accepted query still runs: each completion
+  //    grants the next queued ticket, and its handler executes it and
+  //    answers on its still-open socket. Wait until every accepted query's
+  //    reply has been written — the drain guarantee.
   dispatcher_.stop();
-  for (auto& w : workers_) {
-    if (w.joinable()) w.join();
-  }
-  workers_.clear();
-
-  // 3. Wait until every accepted query's reply has been written (handlers
-  //    consume outcomes and answer on still-open sockets) — the drain
-  //    guarantee — then unblock handlers idling in recv() by shutting
-  //    their sockets, and join them all.
   {
     std::unique_lock lock(pending_mu_);
     pending_cv_.wait(lock, [this] { return awaiting_replies_ == 0; });
   }
+  // 3. Unblock handlers idling in recv() by shutting their sockets, and
+  //    join them all.
   std::vector<Handler> handlers;
   {
     std::lock_guard lock(handlers_mu_);
@@ -287,10 +280,13 @@ void Server::handle_connection(const std::shared_ptr<Fd>& socket) {
       {
         // Count the pending reply BEFORE submitting: once the dispatcher
         // has the job, stop() must not shut this socket until the reply is
-        // out (the drain guarantee in stop() step 3).
+        // out (the drain guarantee in stop() step 2).
         std::lock_guard lock(pending_mu_);
-        status = dispatcher_.submit(request.tenant, request, &ticket);
-        if (status == SubmitStatus::kAccepted) ++awaiting_replies_;
+        status = dispatcher_.submit(request.tenant, &ticket);
+        if (status == SubmitStatus::kAccepted) {
+          ++awaiting_replies_;
+          grant_locked();
+        }
       }
       switch (status) {
         case SubmitStatus::kQueueFull:
@@ -314,15 +310,31 @@ void Server::handle_connection(const std::shared_ptr<Fd>& socket) {
           break;
       }
 
-      // Wait for a worker to publish this ticket's outcome, answer, and
-      // only then release the drain count — even when the write fails.
-      QueryOutcome outcome;
+      // Wait for the dispatcher to grant this ticket an execution slot,
+      // then run the query on this thread.
       {
         std::unique_lock lock(pending_mu_);
-        pending_cv_.wait(lock, [&] { return finished_.contains(ticket); });
-        outcome = std::move(finished_.at(ticket));
-        finished_.erase(ticket);
+        pending_cv_.wait(lock, [&] { return granted_.contains(ticket); });
+        granted_.erase(ticket);
       }
+      QueryOutcome outcome = run_job(request, submitted_at);
+      // Breaker accounting: an answered query (ok, degraded included) is a
+      // success; an execution error or shard-unavailable shed is a failure.
+      // Deadline sheds are neutral — the CLIENT's budget expired, the server
+      // did not fail — so they neither trip nor heal the breaker.
+      const bool deadline =
+          outcome.rejected &&
+          outcome.rejection.reason == RejectReason::kDeadlineExceeded;
+      if (!deadline) dispatcher_.record_outcome(request.tenant, outcome.ok);
+      // Free the slot before answering, so the next ticket runs while this
+      // reply is on the wire.
+      dispatcher_.complete(request.tenant);
+      {
+        std::lock_guard lock(pending_mu_);
+        grant_locked();
+      }
+      // Answer, and only then release the drain count — even when the write
+      // fails.
       try {
         if (outcome.ok) {
           const std::uint64_t total = now_micros() - submitted_at;
@@ -335,23 +347,17 @@ void Server::handle_connection(const std::shared_ptr<Fd>& socket) {
           queries_served_.fetch_add(1, std::memory_order_relaxed);
           write_all(fd, frame(encode_query_ok(outcome.reply)), io_ms);
         } else if (outcome.rejected) {
-          // Worker-side shed (deadline exceeded / shard unavailable): typed,
+          // Execution-time shed (deadline exceeded / shard unavailable): typed,
           // so a retrying client can tell "don't bother" from "try again".
           write_all(fd, frame(encode_rejected(outcome.rejection)), io_ms);
         } else {
           write_all(fd, frame(encode_error(outcome.error)), io_ms);
         }
       } catch (...) {
-        std::lock_guard lock(pending_mu_);
-        --awaiting_replies_;
-        pending_cv_.notify_all();
+        release_reply();
         throw;
       }
-      {
-        std::lock_guard lock(pending_mu_);
-        --awaiting_replies_;
-      }
-      pending_cv_.notify_all();
+      release_reply();
     }
   } catch (const ProtocolError& e) {
     try {
@@ -390,20 +396,35 @@ ServerStats Server::snapshot_stats() const {
   return s;
 }
 
-QueryOutcome Server::run_job(const DispatchJob& job) {
+void Server::grant_locked() {
+  bool granted = false;
+  while (auto job = dispatcher_.try_next()) {
+    granted_.insert(job->ticket);
+    granted = true;
+  }
+  if (granted) pending_cv_.notify_all();
+}
+
+void Server::release_reply() {
+  std::lock_guard lock(pending_mu_);
+  if (--awaiting_replies_ == 0) pending_cv_.notify_all();
+}
+
+QueryOutcome Server::run_job(const QueryRequest& request,
+                             std::uint64_t submitted_micros) {
   QueryOutcome outcome;
   // Deadline budget is measured from ADMISSION, not dispatch: a job that sat
   // in the tenant queue past its budget is stale — the client gave up — so
   // doing the work now only starves live queries. Shed it typed instead.
-  if (job.request.deadline_ms != 0) {
+  if (request.deadline_ms != 0) {
     const std::uint64_t budget_micros =
-        static_cast<std::uint64_t>(job.request.deadline_ms) * 1000;
-    if (now_micros() - job.submitted_micros > budget_micros) {
+        static_cast<std::uint64_t>(request.deadline_ms) * 1000;
+    if (now_micros() - submitted_micros > budget_micros) {
       deadline_shed_.fetch_add(1, std::memory_order_relaxed);
       outcome.rejected = true;
       outcome.rejection = {RejectReason::kDeadlineExceeded,
                            "deadline of " +
-                               std::to_string(job.request.deadline_ms) +
+                               std::to_string(request.deadline_ms) +
                                "ms exceeded while queued"};
       return outcome;
     }
@@ -412,11 +433,11 @@ QueryOutcome Server::run_job(const DispatchJob& job) {
     const dfs::MiniDfs& shard = plane_.dfs_for(dataset_.path);
     const core::DataNet* net = nullptr;
     std::shared_ptr<const core::DataNet> cached;
-    if (job.request.use_datanet_meta) {
+    if (request.use_datanet_meta) {
       cached = cache_.get(plane_, dataset_.path);
       net = cached.get();
     }
-    return execute_query(shard, dataset_.path, net, job.request, opts_.cfg);
+    return execute_query(shard, dataset_.path, net, request, opts_.cfg);
   } catch (const dfs::ShardUnavailableError&) {
     // The owning metadata shard is down mid-lease ("NameNode down"). The
     // block BYTES survive a NameNode crash, so answer read-only from the
@@ -428,7 +449,7 @@ QueryOutcome Server::run_job(const DispatchJob& job) {
   }
   try {
     std::shared_ptr<const core::DataNet> stale;
-    if (job.request.use_datanet_meta) {
+    if (request.use_datanet_meta) {
       stale = cache_.get_stale(dataset_.path);
       if (stale == nullptr) {
         // Cold cache: nothing trustworthy to serve from. Typed, not an
@@ -442,8 +463,8 @@ QueryOutcome Server::run_job(const DispatchJob& job) {
     }
     const auto snapshot =
         plane_.dfs_snapshot(plane_.shard_of(dataset_.path));
-    outcome = execute_query(*snapshot, dataset_.path, stale.get(),
-                            job.request, opts_.cfg);
+    outcome = execute_query(*snapshot, dataset_.path, stale.get(), request,
+                            opts_.cfg);
     if (outcome.ok) {
       outcome.reply.degraded = true;
       // The bundle's error bound against the blocks the snapshot holds:
@@ -459,28 +480,6 @@ QueryOutcome Server::run_job(const DispatchJob& job) {
     outcome.rejected = false;
     outcome.error = e.what();
     return outcome;
-  }
-}
-
-void Server::worker_loop() {
-  for (;;) {
-    auto job = dispatcher_.next();
-    if (!job.has_value()) return;  // stopped and drained
-    QueryOutcome outcome = run_job(*job);
-    // Breaker accounting: an answered query (ok, degraded included) is a
-    // success; an execution error or shard-unavailable shed is a failure.
-    // Deadline sheds are neutral — the CLIENT's budget expired, the server
-    // did not fail — so they neither trip nor heal the breaker.
-    const bool deadline =
-        outcome.rejected &&
-        outcome.rejection.reason == RejectReason::kDeadlineExceeded;
-    if (!deadline) dispatcher_.record_outcome(job->tenant, outcome.ok);
-    dispatcher_.complete(job->tenant);
-    {
-      std::lock_guard lock(pending_mu_);
-      finished_.emplace(job->ticket, std::move(outcome));
-    }
-    pending_cv_.notify_all();
   }
 }
 

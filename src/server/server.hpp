@@ -8,10 +8,11 @@
 //
 //   accept thread -> connection handler pool (one thread per live
 //   connection, bounded) -> parse/validate -> FairDispatcher admission
-//   (typed rejection at the door) -> selection worker pool pulling in
-//   deficit-round-robin order -> shared SelectionRuntime seams
-//   (DirectReadPolicy + NoFaults + CostOnlyBackend) over the process-wide
-//   DatasetCache -> framed reply.
+//   (typed rejection at the door) -> the handler waits for a
+//   deficit-round-robin grant of one of ServerOptions::workers execution
+//   slots -> the SAME handler runs the query through the shared
+//   SelectionRuntime seams (DirectReadPolicy + NoFaults + CostOnlyBackend)
+//   over the process-wide DatasetCache -> framed reply.
 //
 // The dataset's namespace lives on a dfs::MetaPlane (ServerOptions::
 // meta_shards); queries route to the shard owning the hosted path and run
@@ -34,9 +35,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -52,7 +53,9 @@ namespace datanet::server {
 
 struct ServerOptions {
   std::uint16_t port = 0;        // 0 = ephemeral; see Server::port()
-  std::uint32_t workers = 2;     // selection worker threads
+  // Queries executing at once, across all tenants (the dispatcher's global
+  // slot count; each runs on its connection's handler thread). 0 acts as 1.
+  std::uint32_t workers = 2;
   std::uint32_t max_connections = 64;  // concurrent connection handlers
   TenantLimits default_limits;   // admission bounds for unregistered tenants
   // Hosted dataset shape. The dataset is rebuilt deterministically from
@@ -87,7 +90,7 @@ struct HostedDataset {
 
 // Outcome of executing one query (shared by the daemon path and the
 // in-process local_query golden path). Exactly one of three shapes: ok
-// (reply valid, possibly degraded), rejected (typed worker-side shed —
+// (reply valid, possibly degraded), rejected (typed execution-time shed —
 // deadline exceeded / shard unavailable), or error (!ok && !rejected).
 struct QueryOutcome {
   bool ok = false;
@@ -178,11 +181,18 @@ class Server {
 
   void accept_loop();
   void handle_connection(const std::shared_ptr<Fd>& socket);
-  void worker_loop();
-  // Execute one dispatched job: deadline shed -> typed rejection; owning
-  // shard down -> degraded serving from the epoch-cached bundle (or a typed
-  // shard-unavailable rejection on a cold cache); otherwise the normal path.
-  [[nodiscard]] QueryOutcome run_job(const DispatchJob& job);
+  // Grant pass (caller holds pending_mu_): every job try_next() hands out
+  // goes into granted_. Runs after each accepted submit and each completion,
+  // the only events that make queued work eligible.
+  void grant_locked();
+  // Drop one accepted query's drain count; wakes stop() at zero.
+  void release_reply();
+  // Execute one granted query, admitted at `submitted_micros`: deadline
+  // shed -> typed rejection; owning shard down -> degraded serving from the
+  // epoch-cached bundle (or a typed shard-unavailable rejection on a cold
+  // cache); otherwise the normal path.
+  [[nodiscard]] QueryOutcome run_job(const QueryRequest& request,
+                                     std::uint64_t submitted_micros);
   void reap_finished_handlers();
   // Mark shutdown requested (wakes wait()); does not tear down.
   void request_stop();
@@ -197,19 +207,19 @@ class Server {
   std::uint16_t port_ = 0;
 
   std::thread accept_thread_;
-  std::vector<std::thread> workers_;
   std::mutex handlers_mu_;
   std::vector<Handler> handlers_;
   std::atomic<std::size_t> live_handlers_{0};
 
-  // Rendezvous between connection handlers (awaiting a reply for a ticket)
-  // and workers (publishing outcomes). awaiting_replies_ counts accepted
-  // queries whose framed reply has not been written yet; stop() waits for
-  // it to reach zero before shutting client sockets, which is what makes
-  // the drain guarantee hold.
+  // Shared by the connection handlers; locked before the dispatcher's own
+  // mutex. granted_ holds dispatched tickets whose handler has not yet
+  // picked the grant up; awaiting_replies_ counts accepted queries whose
+  // framed reply has not been written yet. stop() waits for it to reach
+  // zero before shutting client sockets, which is what makes the drain
+  // guarantee hold.
   std::mutex pending_mu_;
   std::condition_variable pending_cv_;
-  std::map<std::uint64_t, QueryOutcome> finished_;
+  std::set<std::uint64_t> granted_;
   std::size_t awaiting_replies_ = 0;
 
   std::atomic<bool> started_{false};

@@ -84,8 +84,8 @@ TEST(CircuitBreaker, OpensAtThresholdAndProbesDeterministically) {
 
   auto pump_one = [&](bool success) {
     std::uint64_t ticket = 0;
-    ASSERT_EQ(d.submit("t", {}, &ticket), srv::SubmitStatus::kAccepted);
-    ASSERT_TRUE(d.next().has_value());
+    ASSERT_EQ(d.submit("t", &ticket), srv::SubmitStatus::kAccepted);
+    ASSERT_TRUE(d.try_next().has_value());
     d.record_outcome("t", success);
     d.complete("t");
   };
@@ -102,36 +102,36 @@ TEST(CircuitBreaker, OpensAtThresholdAndProbesDeterministically) {
   // While open: every probe_interval-th blocked submit is admitted as a
   // half-open probe; the rest shed typed. Deterministic — no clocks.
   std::uint64_t ticket = 0;
-  EXPECT_EQ(d.submit("t", {}, &ticket), srv::SubmitStatus::kCircuitOpen);
-  EXPECT_EQ(d.submit("t", {}, &ticket), srv::SubmitStatus::kCircuitOpen);
-  EXPECT_EQ(d.submit("t", {}, &ticket), srv::SubmitStatus::kCircuitOpen);
-  EXPECT_EQ(d.submit("t", {}, &ticket),
+  EXPECT_EQ(d.submit("t", &ticket), srv::SubmitStatus::kCircuitOpen);
+  EXPECT_EQ(d.submit("t", &ticket), srv::SubmitStatus::kCircuitOpen);
+  EXPECT_EQ(d.submit("t", &ticket), srv::SubmitStatus::kCircuitOpen);
+  EXPECT_EQ(d.submit("t", &ticket),
             srv::SubmitStatus::kAccepted);  // the probe
-  ASSERT_TRUE(d.next().has_value());
+  ASSERT_TRUE(d.try_next().has_value());
   d.record_outcome("t", true);  // probe succeeds -> breaker closes
   d.complete("t");
   EXPECT_FALSE(d.breaker_open("t"));
-  EXPECT_EQ(d.submit("t", {}, &ticket), srv::SubmitStatus::kAccepted);
+  EXPECT_EQ(d.submit("t", &ticket), srv::SubmitStatus::kAccepted);
 
   const srv::TenantStats ts = d.tenant_stats("t");
   EXPECT_EQ(ts.rejected_circuit, 3u);
 
   // A failed probe keeps it open.
-  (void)d.next();
+  ASSERT_TRUE(d.try_next().has_value());
   d.record_outcome("t", false);
   d.record_outcome("t", false);
   d.record_outcome("t", false);
   d.complete("t");
   EXPECT_TRUE(d.breaker_open("t"));
-  EXPECT_EQ(d.submit("t", {}, &ticket), srv::SubmitStatus::kCircuitOpen);
+  EXPECT_EQ(d.submit("t", &ticket), srv::SubmitStatus::kCircuitOpen);
 }
 
 TEST(CircuitBreaker, DisabledByDefaultNeverTrips) {
   srv::FairDispatcher d;  // failure_threshold 0 = off
   std::uint64_t ticket = 0;
   for (int i = 0; i < 10; ++i) {
-    ASSERT_EQ(d.submit("t", {}, &ticket), srv::SubmitStatus::kAccepted);
-    (void)d.next();
+    ASSERT_EQ(d.submit("t", &ticket), srv::SubmitStatus::kAccepted);
+    ASSERT_TRUE(d.try_next().has_value());
     d.record_outcome("t", false);
     d.complete("t");
   }
@@ -438,13 +438,13 @@ TEST(ChaosProxy, CorruptedRequestIsTypedBadRequestNeverAWrongAnswer) {
 
 TEST(ServerResilience, StaleQueuedWorkIsShedTyped) {
   srv::ServerOptions opts = small_server();
-  opts.workers = 1;  // serialize workers so queues actually build
+  opts.workers = 1;  // one execution slot, so queues actually build
   srv::Server server(opts);
   server.start();
   const std::string key = server.dataset().hot_keys.front();
 
   // 8 concurrent clients, every query with a 1 ms budget: behind a single
-  // worker whose service time is ~1 ms, most of the queue ages out. Every
+  // execution slot whose service time is ~1 ms, most of the queue ages out. Every
   // reply must be either ok or a typed deadline rejection — and the server's
   // shed counter must match exactly.
   constexpr int kClients = 8;
@@ -594,7 +594,7 @@ TEST(DatasetCacheLifetime, RecoveredShardRebuildsWhileStaleBundleStaysAlive) {
   popt.dfs = dc::make_dfs_options(cfg);
   dfs::MetaPlane plane(dfs::ClusterTopology::flat(cfg.num_nodes), popt);
   const std::string path = "/data/movies.log";
-  const auto ingested =
+  const auto hot_keys =
       dc::ingest_movie_dataset(plane.dfs_for(path), path, cfg, 16);
   plane.attach_journals(tmp.path());
 
@@ -618,7 +618,7 @@ TEST(DatasetCacheLifetime, RecoveredShardRebuildsWhileStaleBundleStaysAlive) {
 
   // The pre-crash bundle — entry long gone, shard swapped — still resolves
   // placements through its pinned source instance.
-  const auto graph = warm->scheduling_graph(ingested.hot_keys.front());
+  const auto graph = warm->scheduling_graph(hot_keys.front());
   EXPECT_GT(graph.num_blocks(), 0u);
 }
 
@@ -670,7 +670,7 @@ TEST(ServerResilience, BreakerShedsOverTheWireAfterRepeatedFailures) {
     ASSERT_EQ(r.status, srv::ClientResult::Status::kRejected);
     EXPECT_EQ(r.rejection.reason, srv::RejectReason::kShardUnavailable);
   }
-  // Breaker now open: sheds at the door without touching the worker pool.
+  // Breaker now open: sheds at the door without taking an execution slot.
   const auto shed = client.query(query_for("alice", key));
   ASSERT_EQ(shed.status, srv::ClientResult::Status::kRejected);
   EXPECT_EQ(shed.rejection.reason, srv::RejectReason::kCircuitOpen);

@@ -165,19 +165,19 @@ TEST(FairDispatcher, TypedRejectionsAtTheBounds) {
 
   // Bounded queue: 3 accepted, 4th typed kQueueFull.
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(d.submit("bounded", query_for("bounded", "k")),
+    EXPECT_EQ(d.submit("bounded"),
               srv::SubmitStatus::kAccepted);
   }
-  EXPECT_EQ(d.submit("bounded", query_for("bounded", "k")),
+  EXPECT_EQ(d.submit("bounded"),
             srv::SubmitStatus::kQueueFull);
 
   // Queueless tenant: admission is in-flight availability; rejections are
   // typed kTooManyInflight, never kQueueFull.
-  EXPECT_EQ(d.submit("queueless", query_for("queueless", "k")),
+  EXPECT_EQ(d.submit("queueless"),
             srv::SubmitStatus::kAccepted);
-  EXPECT_EQ(d.submit("queueless", query_for("queueless", "k")),
+  EXPECT_EQ(d.submit("queueless"),
             srv::SubmitStatus::kAccepted);
-  EXPECT_EQ(d.submit("queueless", query_for("queueless", "k")),
+  EXPECT_EQ(d.submit("queueless"),
             srv::SubmitStatus::kTooManyInflight);
 
   const srv::TenantStats bounded = d.tenant_stats("bounded");
@@ -198,7 +198,7 @@ TEST(FairDispatcher, TypedRejectionsAtTheBounds) {
     if (job->tenant != "queueless") d.complete(job->tenant);
   } while (job->tenant != "queueless");
   d.complete("queueless");
-  EXPECT_EQ(d.submit("queueless", query_for("queueless", "k")),
+  EXPECT_EQ(d.submit("queueless"),
             srv::SubmitStatus::kAccepted);
 }
 
@@ -207,14 +207,14 @@ TEST(FairDispatcher, TricklerIsServedWithinOneRotationOfAFlooder) {
   d.register_tenant("flooder", {.max_queue = 100, .max_inflight = 100});
   d.register_tenant("trickler", {.max_queue = 4, .max_inflight = 4});
   for (int i = 0; i < 50; ++i) {
-    ASSERT_EQ(d.submit("flooder", query_for("flooder", "k")),
+    ASSERT_EQ(d.submit("flooder"),
               srv::SubmitStatus::kAccepted);
   }
   // The trickler submits ONE job into a 50-deep backlog; DRR must dispatch
   // it within one rotation (<= #tenants dispatch ticks), not after the
   // backlog drains. This is the daemon's bounded-latency guarantee for
   // light tenants — the dispatch-tick analogue of the p99 bound.
-  ASSERT_EQ(d.submit("trickler", query_for("trickler", "k")),
+  ASSERT_EQ(d.submit("trickler"),
             srv::SubmitStatus::kAccepted);
   std::vector<std::string> order;
   for (int i = 0; i < 3; ++i) {
@@ -230,7 +230,7 @@ TEST(FairDispatcher, InflightCapGatesDispatchUntilCompletion) {
   srv::FairDispatcher d;
   d.register_tenant("t", {.max_queue = 10, .max_inflight = 2});
   for (int i = 0; i < 5; ++i) {
-    ASSERT_EQ(d.submit("t", query_for("t", "k")), srv::SubmitStatus::kAccepted);
+    ASSERT_EQ(d.submit("t"), srv::SubmitStatus::kAccepted);
   }
   EXPECT_TRUE(d.try_next().has_value());
   EXPECT_TRUE(d.try_next().has_value());
@@ -252,9 +252,9 @@ TEST(FairDispatcher, WeightedSharesAndDeterministicOrder) {
     d.register_tenant("light", {.max_queue = 50, .max_inflight = 50,
                                 .weight = 1});
     for (int i = 0; i < 12; ++i) {
-      EXPECT_EQ(d.submit("heavy", query_for("heavy", "k")),
+      EXPECT_EQ(d.submit("heavy"),
                 srv::SubmitStatus::kAccepted);
-      EXPECT_EQ(d.submit("light", query_for("light", "k")),
+      EXPECT_EQ(d.submit("light"),
                 srv::SubmitStatus::kAccepted);
     }
     std::vector<std::string> order;
@@ -282,16 +282,63 @@ TEST(FairDispatcher, WeightedSharesAndDeterministicOrder) {
   EXPECT_EQ(tickets, tickets2);
 }
 
-TEST(FairDispatcher, StopDrainsAcceptedWorkThenReleasesWorkers) {
+TEST(FairDispatcher, StopRejectsNewWorkButStillDispatchesQueuedJobs) {
   srv::FairDispatcher d;
-  ASSERT_EQ(d.submit("t", query_for("t", "k")), srv::SubmitStatus::kAccepted);
-  ASSERT_EQ(d.submit("t", query_for("t", "k")), srv::SubmitStatus::kAccepted);
+  ASSERT_EQ(d.submit("t"), srv::SubmitStatus::kAccepted);
+  ASSERT_EQ(d.submit("t"), srv::SubmitStatus::kAccepted);
   d.stop();
-  EXPECT_EQ(d.submit("t", query_for("t", "k")), srv::SubmitStatus::kStopped);
-  // next() hands out the remaining accepted jobs before returning nullopt.
-  EXPECT_TRUE(d.next().has_value());
-  EXPECT_TRUE(d.next().has_value());
-  EXPECT_FALSE(d.next().has_value());
+  EXPECT_EQ(d.submit("t"), srv::SubmitStatus::kStopped);
+  // try_next() hands out the remaining accepted jobs, then nothing: the
+  // caller drains what was admitted before stop().
+  EXPECT_TRUE(d.try_next().has_value());
+  EXPECT_TRUE(d.try_next().has_value());
+  EXPECT_FALSE(d.try_next().has_value());
+}
+
+TEST(FairDispatcher, GlobalSlotsGateDispatchUntilCompletion) {
+  // Two global slots over two tenants whose own caps never bind: the third
+  // try_next() finds nothing until a complete(), and the gate forfeits no
+  // DRR credit — it closes while heavy is mid-quantum, yet the dispatch
+  // order equals an ungated drain's, ticket for ticket.
+  auto submit_all = [](srv::FairDispatcher& d) {
+    d.register_tenant("heavy", {.max_queue = 10, .max_inflight = 10,
+                                .weight = 3});
+    d.register_tenant("light", {.max_queue = 10, .max_inflight = 10});
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_EQ(d.submit("heavy"), srv::SubmitStatus::kAccepted);
+      ASSERT_EQ(d.submit("light"), srv::SubmitStatus::kAccepted);
+    }
+  };
+  srv::FairDispatcher ungated;
+  submit_all(ungated);
+  std::vector<std::uint64_t> want;
+  while (auto job = ungated.try_next()) want.push_back(job->ticket);
+  ASSERT_EQ(want.size(), 8u);
+
+  srv::FairDispatcher d({}, {}, /*slots=*/2);
+  submit_all(d);
+  std::vector<srv::DispatchJob> running;
+  std::vector<std::uint64_t> got;
+  auto take = [&] {
+    auto job = d.try_next();
+    ASSERT_TRUE(job.has_value());
+    got.push_back(job->ticket);
+    running.push_back(*job);
+  };
+  take();
+  take();
+  EXPECT_FALSE(d.try_next().has_value());  // both slots busy
+  EXPECT_EQ(d.inflight(), 2u);
+  EXPECT_EQ(d.queued(), 6u);
+  while (!running.empty()) {
+    d.complete(running.front().tenant);
+    running.erase(running.begin());
+    if (d.queued() == 0) continue;
+    take();
+    EXPECT_FALSE(d.try_next().has_value());  // gated again
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(d.inflight(), 0u);
 }
 
 // ---- dataset cache ----
@@ -554,7 +601,7 @@ TEST(ServerEndToEnd, SkewedTenantsFlooderIsBoundedTricklerAlwaysServed) {
 }
 
 TEST(ServerEndToEnd, QueriesStayCorrectWhileAMutatorChurnsReplicas) {
-  // The zero-copy lifetime regression, end to end: workers serve pinned
+  // The zero-copy lifetime regression, end to end: handlers serve pinned
   // reads while the single external mutator drop-and-heals replicas under
   // them. Every query must succeed with the
   // placement-invariant totals (matched bytes, scanned blocks); under ASan
@@ -620,6 +667,64 @@ TEST(ServerEndToEnd, ShutdownMessageDrainsAndStops) {
   EXPECT_GE(server.queries_served(), 1u);
   // The listener is gone: new connections fail.
   EXPECT_THROW((void)srv::connect_loopback(server.port()), srv::SocketError);
+}
+
+TEST(ServerEndToEnd, StopAnswersQueriesStillWaitingForASlot) {
+  // One execution slot, six clients looping queries: stop() lands while
+  // handlers wait for the slot. Each waiting handler must still be granted,
+  // execute and answer — only arrivals after stop() may see a typed
+  // kShuttingDown or a closed connection.
+  srv::ServerOptions opts = small_server();
+  opts.workers = 1;
+  srv::Server server(opts);
+  server.start();
+  const std::string key = server.dataset().hot_keys[0];
+
+  std::atomic<std::uint64_t> ok{0};
+  std::atomic<std::uint64_t> wrong{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < 6; ++t) {
+    clients.emplace_back([&] {
+      try {
+        // A lost reply times out instead of hanging, and then shows up as
+        // ok < accepted below.
+        srv::Client c(server.port(), 10'000);
+        for (;;) {
+          const auto r = c.query(query_for("t", key));
+          if (r.ok()) {
+            ++ok;
+            continue;
+          }
+          if (r.status != srv::ClientResult::Status::kRejected ||
+              r.rejection.reason != srv::RejectReason::kShuttingDown) {
+            ++wrong;
+          }
+          return;
+        }
+      } catch (const srv::SocketError&) {
+        // Connected or sent after stop() closed the listener or the socket.
+      }
+    });
+  }
+  bool saw_queue = false;
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!saw_queue && std::chrono::steady_clock::now() < give_up) {
+    saw_queue = server.dispatcher().queued() >= 2;
+    if (!saw_queue) std::this_thread::yield();
+  }
+  std::thread stopper([&] { server.stop(); });
+  stopper.join();
+  for (auto& c : clients) c.join();
+
+  EXPECT_TRUE(saw_queue) << "no query ever waited for the slot";
+  EXPECT_EQ(wrong.load(), 0u);
+  const srv::TenantStats ts = server.dispatcher().tenant_stats("t");
+  EXPECT_GT(ok.load(), 0u);
+  EXPECT_EQ(ok.load(), ts.accepted) << "an accepted query lost its reply";
+  EXPECT_EQ(ts.completed, ts.accepted);
+  EXPECT_EQ(server.queries_served(), ok.load());
+  EXPECT_EQ(server.dispatcher().queued(), 0u);
+  EXPECT_EQ(server.dispatcher().inflight(), 0u);
 }
 
 // ---- stats / metering ----

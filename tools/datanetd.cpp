@@ -19,6 +19,9 @@ int main(int argc, char** argv) {
               << "                [--max-connections C] [--nodes N]\n"
               << "                [--block-size BYTES] [--replication R]\n"
               << "                [--seed S] [--blocks B]\n"
+              << "--workers W: queries executing at once across all tenants\n"
+              << "             (default 2); each runs on its connection's\n"
+              << "             handler thread\n"
               << "Stop it with: datanet query --port P --shutdown\n";
     return 0;
   }
