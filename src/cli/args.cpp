@@ -78,4 +78,15 @@ std::vector<std::string> Args::unused_flags() const {
   return unused;
 }
 
+int fail(std::ostream& out, const std::string& message) {
+  out << "error: " << message << "\n";
+  return 1;
+}
+
+void warn_unused(const Args& args, std::ostream& out) {
+  for (const auto& flag : args.unused_flags()) {
+    out << "warning: unknown flag --" << flag << " ignored\n";
+  }
+}
+
 }  // namespace datanet::cli

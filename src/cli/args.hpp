@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -42,5 +43,10 @@ class Args {
   std::vector<std::string> positional_;
   mutable std::map<std::string, bool> touched_;
 };
+
+// Shared by the command implementations: print "error: <message>" and
+// return exit code 1; warn about each flag no getter consumed.
+int fail(std::ostream& out, const std::string& message);
+void warn_unused(const Args& args, std::ostream& out);
 
 }  // namespace datanet::cli

@@ -45,18 +45,6 @@ namespace datanet::cli {
 
 namespace {
 
-int fail(std::ostream& out, const std::string& message) {
-  out << "error: " << message << "\n";
-  return 1;
-}
-
-int warn_unused(const Args& args, std::ostream& out) {
-  for (const auto& flag : args.unused_flags()) {
-    out << "warning: unknown flag --" << flag << " ignored\n";
-  }
-  return 0;
-}
-
 std::vector<workload::Record> generate_records(const std::string& type,
                                                std::uint64_t records,
                                                std::uint64_t seed) {
@@ -423,14 +411,9 @@ int cmd_faults(const Args& args, std::ostream& out) {
   return 0;
 }
 
-namespace {
-
-// fsck --meta-shards M (M > 1): exercise the sharded metadata plane end to
-// end — spread the input across part files so every shard owns namespace,
-// journal per shard, kill one shard, show the others keep serving, recover
-// the victim from its own checkpoint + journal suffix, then plane-wide fsck.
-int fsck_plane(const Args& args, std::ostream& out) {
+int cmd_fsck(const Args& args, std::ostream& out) {
   const auto file = args.get("in");
+  if (!file) return fail(out, "fsck requires --in FILE");
   int rc = 0;
   try {
     const auto nodes = static_cast<std::uint32_t>(args.get_u64_or("nodes", 16));
@@ -441,181 +424,72 @@ int fsck_plane(const Args& args, std::ostream& out) {
     popt.dfs.replication =
         static_cast<std::uint32_t>(args.get_u64_or("replication", 3));
     popt.dfs.seed = args.get_u64_or("seed", 42);
+    popt.dfs.inline_repair = false;  // healing flows through the monitor below
     dfs::MetaPlane plane(dfs::ClusterTopology::flat(nodes), popt);
+    const std::uint32_t shards = plane.num_shards();
 
     const std::string workdir = args.get_or(
         "workdir",
-        (std::filesystem::temp_directory_path() / "datanet_fsck_plane")
-            .string());
+        (std::filesystem::temp_directory_path() / "datanet_fsck").string());
     std::filesystem::create_directories(workdir);
 
     workload::LoadStats stats;
     const auto records = workload::load_records(*file, &stats);
     if (records.empty()) return fail(out, "no valid records in " + *file);
 
-    // Next "<stem><n>" owned by `shard`, counting n up from `next`.
-    const auto path_on_shard = [&plane](const std::string& stem,
-                                        std::uint32_t shard,
-                                        std::uint64_t& next) {
-      for (;;) {
-        std::string cand = stem + std::to_string(next++);
-        if (plane.shard_of(cand) == shard) return cand;
-      }
-    };
-
     // A file lives wholly on its owning shard, so split the input into at
     // least one part file per shard, part p named to land on shard p % S.
     const std::uint64_t parts = std::min<std::uint64_t>(
-        std::max<std::uint64_t>(
-            args.get_u64_or("files", 2ull * popt.num_shards), popt.num_shards),
+        std::max<std::uint64_t>(args.get_u64_or("files", shards), shards),
         records.size());
     const std::span<const workload::Record> all(records);
     const std::uint64_t base = records.size() / parts;
     const std::uint64_t extra = records.size() % parts;
+    std::vector<std::string> paths;
     std::uint64_t off = 0;
-    std::uint64_t part_no = 0;
+    std::uint64_t name_no = 0;
     for (std::uint64_t p = 0; p < parts; ++p) {
+      const auto shard = static_cast<std::uint32_t>(p % shards);
+      std::string path;
+      do {
+        path = "/data/part-" + std::to_string(name_no++);
+      } while (plane.shard_of(path) != shard);
       const std::uint64_t len = base + (p < extra ? 1 : 0);
-      const std::string path = path_on_shard(
-          "/data/part-", static_cast<std::uint32_t>(p % plane.num_shards()),
-          part_no);
       workload::ingest(plane.dfs_for(path), path, all.subspan(off, len));
       off += len;
+      paths.push_back(std::move(path));
     }
-    out << "ingested " << records.size() << " records as " << parts
-        << " part file(s) across " << plane.num_shards()
-        << " metadata shards (" << stats.skipped << " malformed skipped)\n";
-    for (std::uint32_t s = 0; s < plane.num_shards(); ++s) {
-      if (plane.dfs(s).list_files().empty()) {
+    std::uint64_t blocks = 0;
+    for (std::uint32_t s = 0; s < shards; ++s) {
+      if (plane.dfs(s).list_files().empty()) {  // fewer records than shards
         return fail(out, "shard " + std::to_string(s) + " owns no file");
       }
+      blocks += plane.dfs(s).num_blocks();
     }
+    out << "ingested " << records.size() << " records into " << blocks
+        << " blocks as " << parts << " part file(s) across " << shards
+        << (shards == 1 ? " metadata shard" : " metadata shards")
+        << " (replication " << popt.dfs.replication << ", " << nodes
+        << " nodes, " << stats.skipped << " malformed skipped)\n";
 
-    // Checkpoint everything, then land one late file on the victim shard so
-    // its recovery has a journal suffix to replay past the checkpoint.
+    // Checkpoint every shard beside an empty journal, then report the pairs.
     plane.attach_journals(workdir);
-    const auto victim = static_cast<std::uint32_t>(
-        args.get_u64_or("crash-shard", 0) % plane.num_shards());
-    std::uint64_t late_no = 0;
-    const std::string late_path = path_on_shard("/data/late-", victim, late_no);
-    const auto tail =
-        all.subspan(records.size() - std::min<std::size_t>(records.size(), 64));
-    workload::ingest(plane.dfs_for(late_path), late_path, tail);
-
-    // Also leave an open (unsealed) block with a committed extent in flight
-    // on the victim — a crash mid-ingestion — so recovery replays the
-    // streaming journal ops, not just whole-file writes.
-    const auto open_id = plane.dfs_for(late_path).open_block(late_path);
-    plane.dfs_for(late_path).append_extent(open_id, "in-flight extent\n", 1);
-
     common::TextTable table({"shard", "files", "blocks", "epoch", "journal"});
-    for (std::uint32_t s = 0; s < plane.num_shards(); ++s) {
+    for (std::uint32_t s = 0; s < shards; ++s) {
       table.add_row({std::to_string(s),
                      std::to_string(plane.dfs(s).list_files().size()),
                      std::to_string(plane.dfs(s).num_blocks()),
                      std::to_string(plane.dfs(s).mutation_epoch()),
                      plane.journal_path(s)});
     }
-    out << table.to_string();
+    out << "checkpoint + empty journal per shard:\n" << table.to_string();
 
-    // Kill the victim; every other shard must keep serving while it is down,
-    // and touching the victim must fail with the typed shard error.
-    const auto want = plane.dfs(victim).namespace_digest();
-    plane.crash_shard(victim);
-    for (std::uint32_t s = 0; s < plane.num_shards(); ++s) {
-      if (s == victim) continue;
-      (void)plane.dfs(s).namespace_digest();  // throws if not serving
-    }
-    bool typed_unavailable = false;
-    try {
-      (void)plane.dfs(victim);
-    } catch (const dfs::ShardUnavailableError&) {
-      typed_unavailable = true;
-    }
-    out << "\ncrashed shard " << victim << " (an open block in flight); "
-        << (plane.num_shards() - 1) << " other shard(s) still serving\n";
-    if (!typed_unavailable) {
-      out << "error: crashed shard did not raise ShardUnavailableError\n";
-      rc = 1;
-    }
-
-    const auto info = plane.recover_shard(victim);
-    out << "recovered shard " << victim << ": replayed "
-        << info.replayed_frames << " journal frame(s) past its checkpoint ("
-        << info.skipped_frames << " covered by it)";
-    if (info.torn) out << ", torn tail of " << info.dropped_bytes << " B dropped";
-    out << "\n";
-    if (plane.dfs(victim).namespace_digest() != want) {
-      return fail(out, "recovered shard digest mismatch");
-    }
-    out << "recovered shard digest matches its pre-crash namespace\n";
-
-    const auto report = dfs::fsck(plane);
-    out << "plane fsck: " << report.combined.total_blocks << " blocks, "
-        << report.combined.missing_blocks << " missing, "
-        << report.combined.under_replicated << " under-replicated, "
-        << report.combined.open_blocks << " open across "
-        << plane.num_shards() << " shard(s)\n";
-    if (!report.healthy()) {
-      return fail(out, "plane fsck reports an unhealthy namespace");
-    }
-  } catch (const std::exception& e) {
-    return fail(out, e.what());
-  }
-  warn_unused(args, out);
-  return rc;
-}
-
-}  // namespace
-
-int cmd_fsck(const Args& args, std::ostream& out) {
-  const auto file = args.get("in");
-  if (!file) return fail(out, "fsck requires --in FILE");
-  if (args.get_u64_or("meta-shards", 1) > 1) return fsck_plane(args, out);
-  int rc = 0;
-  try {
-    const auto nodes = static_cast<std::uint32_t>(args.get_u64_or("nodes", 16));
-    dfs::DfsOptions dopt;
-    dopt.block_size = args.get_u64_or("block-size", 128 * 1024);
-    dopt.replication =
-        static_cast<std::uint32_t>(args.get_u64_or("replication", 3));
-    dopt.seed = args.get_u64_or("seed", 42);
-    dopt.inline_repair = false;  // healing flows through the monitor below
-
-    const std::string workdir = args.get_or(
-        "workdir",
-        (std::filesystem::temp_directory_path() / "datanet_fsck").string());
-    std::filesystem::create_directories(workdir);
-    const std::string journal_path = workdir + "/namenode.edits";
-    const std::string image_path = workdir + "/namenode.fsimage";
-
-    dfs::MiniDfs fs(dfs::ClusterTopology::flat(nodes), dopt);
-    dfs::EditLog journal(journal_path);
-    fs.attach_edit_log(&journal);
-    workload::LoadStats stats;
-    workload::ingest_file(fs, "/data", *file, &stats);
-    out << "ingested " << stats.loaded << " records into " << fs.num_blocks()
-        << " blocks (replication " << dopt.replication << ", " << nodes
-        << " nodes)\n\n";
-
-    // Checkpoint the clean namespace, then report what is on disk.
-    dfs::FsImage::save(fs, image_path);
-    const auto img = dfs::FsImage::inspect(image_path);
-    out << "checkpoint " << image_path << ": "
-        << common::format_bytes(img.file_bytes) << ", " << img.num_files
-        << " file(s), " << img.num_blocks << " blocks, " << img.active_nodes
-        << "/" << img.num_nodes << " nodes active, covers journal to offset "
-        << img.journal_covered << "\n";
-    const auto jr0 = dfs::EditLog::replay(journal_path);
-    out << "journal " << journal_path << ": " << jr0.records.size()
-        << " frames, " << common::format_bytes(jr0.valid_bytes) << " valid"
-        << (jr0.torn ? " (torn tail dropped)" : "") << "\n\n";
-    if (jr0.torn) {
-      out << "error: journal has a torn tail before any fault was injected\n";
-      rc = 1;
-    }
-
-    // Damage the cluster, journaling every mutation but repairing nothing.
+    // Damage the victim shard, journaling every mutation but repairing
+    // nothing, then heal it through the ReplicationMonitor.
+    const auto victim = static_cast<std::uint32_t>(
+        args.get_u64_or("crash-shard", 0) % shards);
+    dfs::MiniDfs& fs = plane.dfs(victim);
+    out << "\nshard " << victim << " under faults:\n";
     auto injector = dfs::FaultInjector::random_plan(
         fs, args.get_u64_or("fault-seed", 7), /*horizon_tasks=*/1,
         static_cast<std::uint32_t>(args.get_u64_or("kill-nodes", 2)),
@@ -635,16 +509,16 @@ int cmd_fsck(const Args& args, std::ostream& out) {
         << before.under_replicated << " under-replicated\n";
     const auto queue = monitor.queue();
     if (!queue.empty()) {
-      common::TextTable table({"block", "surviving", "target"});
+      common::TextTable heal({"block", "surviving", "target"});
       const std::uint64_t top = args.get_u64_or("top", 10);
       for (std::size_t i = 0; i < std::min<std::size_t>(top, queue.size());
            ++i) {
-        table.add_row({std::to_string(queue[i].block),
-                       std::to_string(queue[i].surviving),
-                       std::to_string(queue[i].target)});
+        heal.add_row({std::to_string(queue[i].block),
+                      std::to_string(queue[i].surviving),
+                      std::to_string(queue[i].target)});
       }
       out << "healing queue (" << queue.size() << " pending, worst first):\n"
-          << table.to_string();
+          << heal.to_string();
     }
 
     const auto ticks = monitor.drain();
@@ -672,31 +546,48 @@ int cmd_fsck(const Args& args, std::ostream& out) {
     // Leave one block open (unsealed) with a committed extent in flight —
     // the state a crashed ingestor leaves behind — so the crash/recover
     // round-trip below also covers the streaming-ingestion journal ops.
-    const auto open_id = fs.open_block("/data");
+    const auto open_id = fs.open_block(paths[victim]);
     fs.append_extent(open_id, "in-flight extent\n", 1);
     out << "left block " << open_id
         << " open with one group-committed extent in flight\n";
 
-    // Crash the NameNode and prove recover() rebuilds the same namespace
-    // from checkpoint + journal suffix.
-    const auto live_digest = fs.namespace_digest();
-    fs.crash_namenode();
-    dfs::RecoveryInfo info;
-    const auto recovered = dfs::MiniDfs::recover(image_path, journal_path, &info);
-    out << "\ncrash + recover: replayed " << info.replayed_frames
-        << " journal frame(s) past the checkpoint (" << info.skipped_frames
-        << " covered by it)";
+    // Kill the victim; every other shard must keep serving while it is down,
+    // and touching the victim must fail with the typed shard error.
+    const auto want = fs.namespace_digest();
+    const auto pre_crash = plane.dfs_snapshot(victim);
+    plane.crash_shard(victim);
+    for (std::uint32_t s = 0; s < shards; ++s) {
+      if (s != victim) (void)plane.dfs(s).namespace_digest();
+    }
+    bool typed_unavailable = false;
+    try {
+      (void)plane.dfs(victim);
+    } catch (const dfs::ShardUnavailableError&) {
+      typed_unavailable = true;
+    }
+    out << "\ncrashed shard " << victim << "; " << (shards - 1)
+        << " other shard(s) still serving\n";
+    if (!typed_unavailable) {
+      out << "error: crashed shard did not raise ShardUnavailableError\n";
+      rc = 1;
+    }
+
+    // Rebuild the victim from its own checkpoint + journal suffix.
+    const auto info = plane.recover_shard(victim);
+    out << "recovered shard " << victim << ": replayed "
+        << info.replayed_frames << " journal frame(s) past its checkpoint ("
+        << info.skipped_frames << " covered by it)";
     if (info.torn) out << ", torn tail of " << info.dropped_bytes << " B dropped";
     out << "\n";
-    if (recovered.namespace_digest() != live_digest) {
-      return fail(out, "recovered namespace digest mismatch");
+    if (plane.dfs(victim).namespace_digest() != want) {
+      return fail(out, "recovered shard digest mismatch");
     }
-    out << "recovered namespace digest matches the pre-crash NameNode\n";
+    out << "recovered shard digest matches its pre-crash namespace\n";
 
-    // Open-block audit: the recovered instance's open blocks (count, extent
-    // sequence, journaled length, content CRC) must agree with the live
+    // Open-block audit: the recovered shard's open blocks (count, extent
+    // sequence, journaled length, content CRC) must agree with the pre-crash
     // NameNode's committed state.
-    const auto audit = dfs::audit_open_blocks(fs, recovered);
+    const auto audit = dfs::audit_open_blocks(*pre_crash, plane.dfs(victim));
     out << "open-block audit: " << audit.open_blocks << " open block(s), "
         << common::format_bytes(audit.open_bytes) << " in flight";
     if (audit.ok()) {
@@ -705,6 +596,16 @@ int cmd_fsck(const Args& args, std::ostream& out) {
       out << "\n";
       for (const auto& v : audit.violations) out << "error: " << v << "\n";
       rc = 1;
+    }
+
+    const auto report = dfs::fsck(plane);
+    out << "plane fsck: " << report.combined.total_blocks << " blocks, "
+        << report.combined.missing_blocks << " missing, "
+        << report.combined.under_replicated << " under-replicated, "
+        << report.combined.open_blocks << " open across " << shards
+        << " shard(s)\n";
+    if (!report.healthy()) {
+      return fail(out, "plane fsck reports an unhealthy namespace");
     }
   } catch (const std::exception& e) {
     return fail(out, e.what());
@@ -1045,11 +946,11 @@ commands:
             [--max-attempts A] [--no-speculation] [--json]
   fsck      --in FILE [--nodes N] [--replication R] [--block-size BYTES]
             [--kill-nodes K] [--corrupt-replicas C] [--fault-seed S]
-            [--repair-rate R] [--top K] [--workdir DIR]
-            [--meta-shards M [--files F] [--crash-shard K]]
-            (exits non-zero on unrepairable blocks, journal corruption,
-             checkpoint errors, or digest mismatch; --meta-shards M > 1 runs
-             the sharded-plane kill-one-shard drill instead)
+            [--repair-rate R] [--top K] [--workdir DIR] [--meta-shards M]
+            [--files F] [--crash-shard K]
+            (spreads the input over M metadata shards, default 1, then heals,
+             crashes and recovers shard K; exits non-zero on unrepairable
+             blocks, checkpoint errors, digest or open-block mismatch)
   ingest    [--in FILE | --type movie|github|worldcup --records N] [--seed S]
             [--group RECORDS] [--kill-at R | --kill-seed S] [--checkpoint-at R]
             [--nodes N] [--block-size BYTES] [--replication R] [--workdir DIR]
@@ -1058,7 +959,7 @@ commands:
              boundaries, and ElasticMap estimates match a never-crashed run)
   forecast  --in FILE --key SUBDATASET [--block-size BYTES]
   serve     [--port P] [--port-file FILE] [--workers W] [--max-queue Q]
-            [--max-inflight I] [--max-connections C] [--meta-shards M]
+            [--max-inflight I] [--max-connections C]
             [--nodes N] [--block-size BYTES] [--replication R] [--seed S]
             [--blocks B]
             (--workers: queries executing at once across all tenants,

@@ -10,11 +10,13 @@
 //   simulate  — event-driven selection timing on configurable hardware
 //   faults    — selection under an injected fault plan (kills, stalls,
 //               transient read errors) with the attempt/timeout report
-//   fsck      — NameNode durability walkthrough: checkpoint + journal status,
-//               a fault plan, the under-replication table and healing queue
+//   fsck      — metadata durability drill over --meta-shards S shards
+//               (default 1): a checkpoint + journal per shard, a fault plan
+//               on one shard, its under-replication table and healing queue
 //               before/after a ReplicationMonitor drain, and a crash/recover
-//               round-trip verified by namespace digest (including an open
-//               block left in flight, audited against the journal)
+//               round-trip of that shard verified by namespace digest while
+//               the others serve (including an open block left in flight,
+//               audited against the journal), then a plane-wide fsck
 //   ingest    — streaming-ingestion drill: group-committed appends through
 //               dfs::Ingestor with live ElasticMap maintenance, a seeded
 //               mid-stream crash, recovery from checkpoint + journal, and a

@@ -15,18 +15,6 @@ namespace datanet::cli {
 
 namespace {
 
-int fail(std::ostream& out, const std::string& message) {
-  out << "error: " << message << "\n";
-  return 1;
-}
-
-int warn_unused(const Args& args, std::ostream& out) {
-  for (const auto& flag : args.unused_flags()) {
-    out << "warning: unknown flag --" << flag << " ignored\n";
-  }
-  return 0;
-}
-
 // Dataset-shape flags shared by serve and query --local; both sides must
 // agree on these for the digest contract to hold.
 server::ServerOptions shape_options(const Args& args) {
@@ -65,7 +53,6 @@ void print_reply(std::ostream& out, const server::QueryReply& r, bool json) {
 void print_stats(std::ostream& out, const server::ServerStats& s, bool json) {
   if (json) {
     out << "{\"queries_served\": " << s.queries_served
-        << ", \"meta_shards\": " << s.meta_shards
         << ", \"degraded_served\": " << s.degraded_served
         << ", \"deadline_shed\": " << s.deadline_shed
         << ", \"circuit_rejected\": " << s.circuit_rejected
@@ -88,7 +75,6 @@ void print_stats(std::ostream& out, const server::ServerStats& s, bool json) {
     out << "]}\n";
   } else {
     out << "queries_served=" << s.queries_served
-        << " meta_shards=" << s.meta_shards
         << " degraded_served=" << s.degraded_served
         << " deadline_shed=" << s.deadline_shed
         << " circuit_rejected=" << s.circuit_rejected
@@ -117,10 +103,6 @@ int cmd_serve(const Args& args, std::ostream& out) {
       static_cast<std::uint32_t>(args.get_u64_or("max-connections", 64));
   opts.default_limits.max_queue = args.get_u64_or("max-queue", 64);
   opts.default_limits.max_inflight = args.get_u64_or("max-inflight", 4);
-  // Shard count is serve-side only: it never changes placement (see
-  // ServerOptions::meta_shards), so query --local needs no matching flag.
-  opts.meta_shards =
-      static_cast<std::uint32_t>(args.get_u64_or("meta-shards", 1));
   opts.io_timeout_ms =
       static_cast<std::uint32_t>(args.get_u64_or("io-timeout-ms", 10'000));
   opts.breaker.failure_threshold = static_cast<std::uint32_t>(

@@ -1,31 +1,9 @@
 #include "common/string_util.hpp"
 
-#include <cctype>
-
 namespace datanet::common {
-
-std::vector<std::string_view> split(std::string_view s, char sep) {
-  std::vector<std::string_view> out;
-  for_each_split(s, sep, [&](std::string_view f) { out.push_back(f); });
-  return out;
-}
-
-std::string_view trim(std::string_view s) {
-  std::size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
 
 std::optional<std::uint64_t> parse_u64(std::string_view s) {
   std::uint64_t v = 0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
-  return v;
-}
-
-std::optional<std::int64_t> parse_i64(std::string_view s) {
-  std::int64_t v = 0;
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
   if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
   return v;

@@ -26,12 +26,6 @@ void AttemptOptions::validate() const {
   if (max_attempts == 0) {
     throw std::invalid_argument("AttemptOptions: max_attempts must be > 0");
   }
-  if (backoff_base_ticks == 0) {
-    throw std::invalid_argument("AttemptOptions: backoff_base must be > 0");
-  }
-  if (backoff_cap_ticks < backoff_base_ticks) {
-    throw std::invalid_argument("AttemptOptions: backoff cap < base");
-  }
 }
 
 AttemptTracker::AttemptTracker(std::size_t num_tasks, AttemptOptions options)
@@ -203,14 +197,10 @@ std::vector<std::size_t> AttemptTracker::running_attempts() const {
 
 std::uint64_t AttemptTracker::backoff_delay(std::uint32_t redispatch_no) const {
   if (redispatch_no == 0) return 0;
-  const std::uint32_t shift =
-      std::min<std::uint32_t>(redispatch_no - 1, 63);
-  const std::uint64_t base = options_.backoff_base_ticks;
   // Saturate instead of shifting into overflow.
-  if (shift >= 64 || base > (options_.backoff_cap_ticks >> shift)) {
-    return options_.backoff_cap_ticks;
-  }
-  return std::min(base << shift, options_.backoff_cap_ticks);
+  const std::uint32_t shift = std::min<std::uint32_t>(redispatch_no - 1, 63);
+  if (kBackoffBaseTicks > (kBackoffCapTicks >> shift)) return kBackoffCapTicks;
+  return kBackoffBaseTicks << shift;
 }
 
 void AttemptTracker::close_task(std::size_t task) {

@@ -31,6 +31,14 @@
 
 namespace datanet::core {
 
+// Re-dispatch n waits min(kBackoffBaseTicks << (n-1), kBackoffCapTicks)
+// ticks before it becomes ready: 1, 2, 4, 8, 8, ...
+inline constexpr std::uint64_t kBackoffBaseTicks = 1;
+inline constexpr std::uint64_t kBackoffCapTicks = 8;
+// A node is blacklisted for re-dispatch/speculation targeting after this
+// many of its attempts timed out.
+inline constexpr std::uint32_t kBlacklistAfterTimeouts = 2;
+
 struct AttemptOptions {
   // Ticks (executed read attempts) a Running attempt may sit on an
   // unresponsive node before it is declared timed out.
@@ -39,19 +47,11 @@ struct AttemptOptions {
   // task degrades when exhausted. Kill re-executions and speculative
   // duplicates are exempt.
   std::uint32_t max_attempts = 5;
-  // Re-dispatch n waits min(backoff_base_ticks << (n-1), backoff_cap_ticks)
-  // ticks before it becomes ready.
-  std::uint64_t backoff_base_ticks = 1;
-  std::uint64_t backoff_cap_ticks = 8;
-  // A node is blacklisted for re-dispatch/speculation targeting after this
-  // many of its attempts timed out.
-  std::uint32_t blacklist_after_timeouts = 2;
   // Launch speculative duplicates of Running attempts when the run is
-  // near-drained (open tasks <= threshold; 0 = one per cluster node).
+  // near-drained (open tasks <= the cluster's node count).
   bool speculative = true;
-  std::uint64_t speculation_drain_threshold = 0;
 
-  // Throws std::invalid_argument on zero timeout/max_attempts/backoff base.
+  // Throws std::invalid_argument on zero timeout/max_attempts.
   void validate() const;
 };
 

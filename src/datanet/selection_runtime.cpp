@@ -217,7 +217,7 @@ SelectionResult SelectionRuntime::run_graph(const dfs::MiniDfs& dfs,
     AttemptTracker tracker(num_tasks, attempts_);
     std::vector<std::uint32_t> node_timeouts(cfg.num_nodes, 0);
     const auto blacklisted = [&](dfs::NodeId n) {
-      return node_timeouts[n] >= attempts_.blacklist_after_timeouts;
+      return node_timeouts[n] >= kBlacklistAfterTimeouts;
     };
 
     // Failover target for one task: prefer alive, non-blacklisted nodes;
@@ -275,10 +275,7 @@ SelectionResult SelectionRuntime::run_graph(const dfs::MiniDfs& dfs,
     // supersedes the rival. Returns whether anything launched.
     const auto maybe_speculate = [&]() -> bool {
       if (!attempts_.speculative) return false;
-      const std::uint64_t threshold = attempts_.speculation_drain_threshold
-                                          ? attempts_.speculation_drain_threshold
-                                          : cfg.num_nodes;
-      if (tracker.open_tasks() > threshold) return false;
+      if (tracker.open_tasks() > cfg.num_nodes) return false;
       const auto running = tracker.running_attempts();
       if (running.empty()) return false;
       // Nodes currently holding a parked attempt are busy, not idle.

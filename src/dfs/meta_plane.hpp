@@ -1,8 +1,9 @@
 #pragma once
 // dfs::MetaPlane — the sharded metadata plane. The namespace is partitioned
 // across S metadata shards by path: shard_of(path) = hash_bytes(path) % S.
-// A plane's shard count is fixed for its lifetime (a different --meta-shards
-// builds a new plane), so there is no rebalancing to minimise and a plain
+// A plane's shard count is fixed for its lifetime (`datanet fsck
+// --meta-shards S` builds a new plane; datanetd hosts its one file on a
+// one-shard plane), so there is no rebalancing to minimise and a plain
 // modulo is the whole rule. A file's blocks all live on its owning shard, so
 // per-file operations touch exactly one shard and BlockIds stay shard-local.
 // Every shard is a full NameNode (a MiniDfs) with its OWN EditLog/FsImage

@@ -102,7 +102,7 @@ std::uint64_t ReplicationMonitor::tick() {
 
 std::uint64_t ReplicationMonitor::drain() {
   std::uint64_t spent = 0;
-  while (spent < options_.max_drain_ticks) {
+  while (spent < kMaxDrainTicks) {
     if (scan() == 0) break;
     ++spent;
     if (tick() == 0) break;  // everything queued is unrepairable

@@ -31,8 +31,10 @@ namespace datanet::dfs {
 
 struct ReplicationMonitorOptions {
   std::uint32_t max_repairs_per_tick = 4;  // healing rate limit
-  std::uint64_t max_drain_ticks = 100000;  // drain() safety valve
 };
+
+// drain()'s safety valve: it stops after this many ticks.
+inline constexpr std::uint64_t kMaxDrainTicks = 100000;
 
 struct ReplicationMonitorStats {
   std::uint64_t healed_blocks = 0;      // blocks brought back to target

@@ -6,22 +6,18 @@
 #include <stdexcept>
 
 #include "common/thread_pool.hpp"
+#include "elasticmap/separator.hpp"
 
 namespace datanet::elasticmap {
 
 ElasticMapArray::ElasticMapArray(std::string path, BuildOptions options)
-    : path_(std::move(path)), options_(options) {}
+    : path_(std::move(path)), options_(options) {
+  if (options_.alpha < 0.0 || options_.alpha > 1.0) {
+    throw std::invalid_argument("ElasticMapArray: alpha in [0,1]");
+  }
+}
 
 namespace {
-
-SeparatorOptions resolve_separator(const BuildOptions& options,
-                                   const dfs::MiniDfs& dfs) {
-  SeparatorOptions sep = options.separator;
-  if (sep.bucket_unit == 0) {
-    sep = SeparatorOptions::for_block_size(dfs.options().block_size);
-  }
-  return sep;
-}
 
 // Single scan of one block: accumulate S_j and bucket counts, separate
 // dominant from tail, and build the BlockMeta. `scanned_bytes` (out)
@@ -74,27 +70,8 @@ BlockMeta scan_block(const dfs::MiniDfs& dfs, dfs::BlockId bid,
 ElasticMapArray ElasticMapArray::build(const dfs::MiniDfs& dfs,
                                        const std::string& path,
                                        const BuildOptions& options) {
-  if (options.alpha < 0.0 || options.alpha > 1.0) {
-    throw std::invalid_argument("ElasticMapArray: alpha in [0,1]");
-  }
   ElasticMapArray out(path, options);
-  const SeparatorOptions sep = resolve_separator(options, dfs);
-  const auto& blocks = dfs.blocks_of(path);
-  out.block_ids_ = blocks;
-
-  // Blocks are independent, so each scan lands in its own preallocated slot
-  // and the outcome is identical at any thread count.
-  std::vector<std::optional<BlockMeta>> slots(blocks.size());
-  std::vector<std::uint64_t> scanned(blocks.size(), 0);
-  common::parallel_for(options.build_threads, blocks.size(),
-                       [&](std::size_t i) {
-    slots[i] = scan_block(dfs, blocks[i], sep, options, &scanned[i]);
-  });
-  out.metas_.reserve(blocks.size());
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    out.metas_.push_back(std::move(*slots[i]));
-    out.raw_bytes_ += scanned[i];
-  }
+  out.extend(dfs);
   return out;
 }
 
@@ -109,15 +86,24 @@ std::uint64_t ElasticMapArray::extend(const dfs::MiniDfs& dfs) {
   if (!covers_prefix_of(blocks)) {
     throw std::invalid_argument("extend: covered block prefix changed");
   }
-  const SeparatorOptions sep = resolve_separator(options_, dfs);
+  const SeparatorOptions sep =
+      SeparatorOptions::for_block_size(dfs.options().block_size);
   const std::size_t covered = metas_.size();
-  for (std::size_t i = covered; i < blocks.size(); ++i) {
-    std::uint64_t scanned = 0;
-    metas_.push_back(scan_block(dfs, blocks[i], sep, options_, &scanned));
-    block_ids_.push_back(blocks[i]);
-    raw_bytes_ += scanned;
+  const std::size_t fresh = blocks.size() - covered;
+
+  // Blocks are independent, so each scan lands in its own preallocated slot
+  // and the outcome is identical at any thread count.
+  std::vector<std::optional<BlockMeta>> slots(fresh);
+  std::vector<std::uint64_t> scanned(fresh, 0);
+  common::parallel_for(options_.build_threads, fresh, [&](std::size_t i) {
+    slots[i] = scan_block(dfs, blocks[covered + i], sep, options_, &scanned[i]);
+  });
+  for (std::size_t i = 0; i < fresh; ++i) {
+    metas_.push_back(std::move(*slots[i]));
+    block_ids_.push_back(blocks[covered + i]);
+    raw_bytes_ += scanned[i];
   }
-  return blocks.size() - covered;
+  return fresh;
 }
 
 std::uint64_t ElasticMapArray::stale_bytes(const dfs::MiniDfs& dfs) const {

@@ -10,7 +10,6 @@
 
 #include "dfs/mini_dfs.hpp"
 #include "elasticmap/block_meta.hpp"
-#include "elasticmap/separator.hpp"
 #include "workload/record.hpp"
 
 namespace datanet::elasticmap {
@@ -20,12 +19,10 @@ struct BuildOptions {
   // (the paper's alpha; evaluation default 0.3).
   double alpha = 0.3;
   double bloom_fpp = 0.01;
-  // Bucket geometry; zero unit means "derive from the DFS block size with
-  // the paper's 64 MiB ratios" (SeparatorOptions::for_block_size).
-  SeparatorOptions separator{.bucket_unit = 0, .bucket_max = 0};
-  // Threads for the build scan (common::parallel_for). Blocks are
-  // independent, so the result is bit-identical at any thread count.
-  // 1 = serial on the caller (default), 0 = hardware concurrency.
+  // Threads for the block scan of build() and extend()
+  // (common::parallel_for). Blocks are independent, so the result is
+  // bit-identical at any thread count. 1 = serial on the caller (default),
+  // 0 = hardware concurrency.
   std::uint32_t build_threads = 1;
 };
 
@@ -41,17 +38,20 @@ struct BlockShare {
 class ElasticMapArray {
  public:
   // An empty array over `path` (no blocks covered yet); extend() fills it.
+  // Throws std::invalid_argument unless options.alpha is in [0, 1].
   ElasticMapArray(std::string path, BuildOptions options);
 
-  // Single scan over every block of `path` in `dfs` (O(total records)).
+  // An empty array extended over every block of `path` in `dfs`: a single
+  // scan, O(total records).
   static ElasticMapArray build(const dfs::MiniDfs& dfs, const std::string& path,
                                const BuildOptions& options);
 
-  // Incremental maintenance for append-only logs (Flume-style ingestion):
-  // scan only the blocks appended to `path` since this array was built.
-  // Returns the number of new blocks incorporated. The dfs file must have
-  // the already-covered blocks as an unchanged prefix (std::invalid_argument
-  // otherwise).
+  // Scan the blocks of `path` this array does not cover yet — all of them
+  // on an empty array, only the appended ones afterwards (Flume-style
+  // ingestion) — with the bucket geometry derived from the DFS block size
+  // (SeparatorOptions::for_block_size). Returns the number of new blocks
+  // incorporated. The dfs file must have the already-covered blocks as an
+  // unchanged prefix (std::invalid_argument otherwise).
   std::uint64_t extend(const dfs::MiniDfs& dfs);
 
   // The staleness of this array against the live namespace: the summed

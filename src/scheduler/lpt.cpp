@@ -24,13 +24,10 @@ void LptScheduler::reset(const graph::BipartiteGraph& graph) {
     for (const dfs::NodeId n : hosts) {
       if (planned_[n] < planned_[target]) target = n;
     }
-    // Optional relocation when every holder is already past the bar.
-    if (!hosts.empty() && options_.relocation_threshold >= 0.0) {
-      const double bar = average * (1.0 + options_.relocation_threshold);
-      if (static_cast<double>(planned_[target]) > bar) {
-        for (dfs::NodeId n = 0; n < graph.num_nodes(); ++n) {
-          if (planned_[n] < planned_[target]) target = n;
-        }
+    // Relocate when every holder is already past the average.
+    if (!hosts.empty() && static_cast<double>(planned_[target]) > average) {
+      for (dfs::NodeId n = 0; n < graph.num_nodes(); ++n) {
+        if (planned_[n] < planned_[target]) target = n;
       }
     }
     planned_[target] += graph.block(j).weight;

@@ -135,7 +135,6 @@ std::string encode_stats_ok(const ServerStats& s) {
   wire::put_u64(out, s.degraded_served);
   wire::put_u64(out, s.deadline_shed);
   wire::put_u64(out, s.circuit_rejected);
-  wire::put_u32(out, s.meta_shards);
   wire::put_u32(out, static_cast<std::uint32_t>(s.tenants.size()));
   for (const TenantMeter& t : s.tenants) {
     wire::put_bytes(out, t.tenant);
@@ -234,7 +233,6 @@ ServerStats decode_stats_ok(std::string_view payload) {
     s.degraded_served = c.u64();
     s.deadline_shed = c.u64();
     s.circuit_rejected = c.u64();
-    s.meta_shards = c.u32();
     const std::uint32_t n = c.u32();
     // Each row is at least 64 bytes (an 8-byte name length + 7 u64
     // counters); an n that cannot fit in the remaining payload is a corrupt

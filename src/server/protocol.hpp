@@ -117,7 +117,6 @@ struct ServerStats {
   std::uint64_t degraded_served = 0;
   std::uint64_t deadline_shed = 0;
   std::uint64_t circuit_rejected = 0;
-  std::uint32_t meta_shards = 1;  // metadata plane shard count
   std::vector<TenantMeter> tenants;  // dispatcher registration order
   // Dataset-cache growth absorbed by delta-apply (incremental ElasticMap
   // extension) instead of a full rebuild.

@@ -6,21 +6,6 @@
 
 namespace datanet::server {
 
-namespace {
-
-// splitmix64 step: one multiply-xorshift round per draw. Tiny, seedable,
-// and stateless beyond the counter — the whole jitter stream is a pure
-// function of the policy seed.
-std::uint64_t next_jitter(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
 std::uint32_t backoff_ms(const RetryPolicy& policy, std::uint32_t retry,
                          std::uint64_t jitter_bits) {
   // Shift with saturation: past 32 doublings everything is the cap.
@@ -33,7 +18,7 @@ std::uint32_t backoff_ms(const RetryPolicy& policy, std::uint32_t retry,
 }
 
 ResilientClient::ResilientClient(std::uint16_t port, RetryPolicy policy)
-    : port_(port), policy_(policy), jitter_state_(policy.seed) {}
+    : port_(port), policy_(policy), jitter_(policy.seed) {}
 
 Client& ResilientClient::connected() {
   if (client_ == nullptr) {
@@ -45,8 +30,7 @@ Client& ResilientClient::connected() {
 }
 
 void ResilientClient::sleep_before_retry(std::uint32_t retry) {
-  const std::uint32_t ms =
-      backoff_ms(policy_, retry, next_jitter(jitter_state_));
+  const std::uint32_t ms = backoff_ms(policy_, retry, jitter_.next());
   if (ms != 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 

@@ -16,9 +16,9 @@
 // attempt count and the last transport error — the "never hang, never lie"
 // end state the chaos drill asserts on.
 //
-// Determinism: jitter comes from an mt19937_64 seeded from the policy, so a
-// given (policy, failure sequence) produces one backoff schedule — chaos
-// tests replay exactly.
+// Determinism: jitter comes from a common::SplitMix64 seeded from the
+// policy, so a given (policy, failure sequence) produces one backoff
+// schedule — chaos tests replay exactly.
 
 #include <cstdint>
 #include <memory>
@@ -26,6 +26,7 @@
 #include <string>
 #include <type_traits>
 
+#include "common/rng.hpp"
 #include "server/client.hpp"
 
 namespace datanet::server {
@@ -100,7 +101,7 @@ class ResilientClient {
   RetryPolicy policy_;
   std::unique_ptr<Client> client_;
   bool ever_connected_ = false;
-  std::uint64_t jitter_state_;
+  common::SplitMix64 jitter_;
   Stats stats_;
 };
 

@@ -24,7 +24,6 @@ std::uint64_t now_micros() {
 dfs::MetaPlane make_plane(const ServerOptions& opts) {
   opts.cfg.validate();
   dfs::MetaPlaneOptions popt;
-  popt.num_shards = std::max(1u, opts.meta_shards);
   popt.dfs = core::make_dfs_options(opts.cfg);
   return {dfs::ClusterTopology::flat(opts.cfg.num_nodes), popt};
 }
@@ -378,7 +377,6 @@ ServerStats Server::snapshot_stats() const {
   s.cache_revalidations = cs.revalidations;
   s.cache_rebuilds = cs.rebuilds;
   s.cache_delta_applies = cs.delta_applies;
-  s.meta_shards = plane_.num_shards();
   s.degraded_served = degraded_served_.load(std::memory_order_relaxed);
   s.deadline_shed = deadline_shed_.load(std::memory_order_relaxed);
   for (const std::string& name : dispatcher_.tenants()) {

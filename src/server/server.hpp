@@ -14,14 +14,14 @@
 //   SelectionRuntime seams (DirectReadPolicy + NoFaults + CostOnlyBackend)
 //   over the process-wide DatasetCache -> framed reply.
 //
-// The dataset's namespace lives on a dfs::MetaPlane (ServerOptions::
-// meta_shards); queries route to the shard owning the hosted path and run
-// as READERS of that shard's MiniDfs (pinned zero-copy block reads,
-// snapshot replica sets), so one external mutator — a healing
-// ReplicationMonitor, a replica mover, a fault hook in tests — may run
-// concurrently under the MiniDfs single-mutator contract, and the owning
-// shard's epoch check in DatasetCache keeps the served metadata honest
-// across that churn without caring about churn on other shards.
+// The daemon hosts one file, so its namespace lives on a one-shard
+// dfs::MetaPlane: the plane supplies the crash/recover/snapshot seams the
+// degraded path needs. Queries run as READERS of that shard's MiniDfs
+// (pinned zero-copy block reads, snapshot replica sets), so one external
+// mutator — a healing ReplicationMonitor, a replica mover, a fault hook in
+// tests — may run concurrently under the MiniDfs single-mutator contract,
+// and the shard's epoch check in DatasetCache keeps the served metadata
+// honest across that churn.
 //
 // Shutdown contract: a kShutdown frame (or any thread calling stop())
 // stops admission, DRAINS every already-accepted query — each gets its
@@ -63,12 +63,6 @@ struct ServerOptions {
   // config locally gets byte-identical data — the digest contract.
   core::ExperimentConfig cfg;
   std::uint64_t dataset_blocks = 64;
-  // Metadata plane shard count. Every shard shares cfg's placement seed, so
-  // the hosted dataset's placement — and therefore every served digest — is
-  // byte-identical at ANY shard count (dfs/meta_plane.hpp's determinism
-  // note); sharding changes which shard's epoch invalidates the cache, not
-  // what is served.
-  std::uint32_t meta_shards = 1;
   // Wire idle timeout (PR 9): the longest a handler waits for the REST of a
   // frame once its first byte arrived, and for reply writes to drain. A
   // peer that stalls mid-frame (slowloris) is dropped after this instead of
@@ -147,7 +141,7 @@ class Server {
   [[nodiscard]] const HostedDataset& dataset() const noexcept {
     return dataset_;
   }
-  // The sharded metadata plane hosting the dataset's namespace.
+  // The one-shard metadata plane hosting the dataset's namespace.
   [[nodiscard]] dfs::MetaPlane& plane() noexcept { return plane_; }
   [[nodiscard]] const dfs::MetaPlane& plane() const noexcept { return plane_; }
   // Mutator-side access to the shard owning the hosted dataset, for the

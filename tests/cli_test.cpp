@@ -285,7 +285,7 @@ TEST(Cli, FsckCommandHealsAndRecovers) {
   EXPECT_NE(out.find("fsck before healing"), std::string::npos);
   EXPECT_NE(out.find("fsck after healing: 0 missing, 0 under-replicated"),
             std::string::npos);
-  EXPECT_NE(out.find("recovered namespace digest matches"), std::string::npos);
+  EXPECT_NE(out.find("recovered shard digest matches"), std::string::npos);
 }
 
 TEST(Cli, FsckRequiresIn) {
@@ -360,15 +360,20 @@ TEST(Cli, FsckExitsNonZeroWhenDataIsLost) {
                 &out),
             0);
   // Replication 1: killing nodes loses blocks outright, and the healer has
-  // no surviving source — the run must exit non-zero, not report success.
-  EXPECT_EQ(run({"fsck", "--in", log.c_str(), "--workdir",
-                 tmp.file("loss-nn").c_str(), "--nodes", "8", "--replication",
-                 "1", "--kill-nodes", "2", "--corrupt-replicas", "0",
-                 "--repair-rate", "4"},
-                &out),
-            1)
-      << out;
-  EXPECT_NE(out.find("not healthy after healing"), std::string::npos);
+  // no surviving source — the run must exit non-zero, not report success,
+  // whether the victim is the only shard or one of several.
+  for (const char* shards : {"1", "2"}) {
+    EXPECT_EQ(run({"fsck", "--in", log.c_str(), "--workdir",
+                   tmp.file(std::string("loss-nn") + shards).c_str(),
+                   "--meta-shards", shards, "--nodes", "8", "--replication",
+                   "1", "--kill-nodes", "2", "--corrupt-replicas", "0",
+                   "--repair-rate", "4"},
+                  &out),
+              1)
+        << shards << " shard(s):\n" << out;
+    EXPECT_NE(out.find("not healthy after healing"), std::string::npos)
+        << shards << " shard(s)";
+  }
 }
 
 TEST(Cli, FsckShardedPlaneKillsAndRecoversOneShard) {
@@ -385,6 +390,8 @@ TEST(Cli, FsckShardedPlaneKillsAndRecoversOneShard) {
             0)
       << out;
   EXPECT_NE(out.find("4 metadata shards"), std::string::npos);
+  EXPECT_NE(out.find("fsck after healing: 0 missing, 0 under-replicated"),
+            std::string::npos);
   EXPECT_NE(out.find("other shard(s) still serving"), std::string::npos);
   EXPECT_NE(out.find("recovered shard digest matches"), std::string::npos);
   EXPECT_NE(out.find("plane fsck:"), std::string::npos);

@@ -252,61 +252,12 @@ TEST(Rng, ForkIndependent) {
 
 // ---- string_util ----
 
-TEST(StringUtil, SplitBasic) {
-  const auto parts = dc::split("a,b,c", ',');
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[2], "c");
-}
-
-TEST(StringUtil, SplitPreservesEmptyFields) {
-  const auto parts = dc::split("a,,c,", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[1], "");
-  EXPECT_EQ(parts[3], "");
-}
-
-TEST(StringUtil, SplitSingleField) {
-  const auto parts = dc::split("abc", ',');
-  ASSERT_EQ(parts.size(), 1u);
-  EXPECT_EQ(parts[0], "abc");
-}
-
-TEST(StringUtil, SplitEmptyString) {
-  const auto parts = dc::split("", ',');
-  ASSERT_EQ(parts.size(), 1u);
-  EXPECT_EQ(parts[0], "");
-}
-
-TEST(StringUtil, ForEachSplitEarlyStop) {
-  int count = 0;
-  dc::for_each_split("a,b,c,d", ',', [&](std::string_view) -> bool {
-    ++count;
-    return count < 2;
-  });
-  EXPECT_EQ(count, 2);
-}
-
-TEST(StringUtil, Trim) {
-  EXPECT_EQ(dc::trim("  hi  "), "hi");
-  EXPECT_EQ(dc::trim("hi"), "hi");
-  EXPECT_EQ(dc::trim("   "), "");
-  EXPECT_EQ(dc::trim(""), "");
-  EXPECT_EQ(dc::trim("\t x \n"), "x");
-}
-
 TEST(StringUtil, ParseU64) {
   EXPECT_EQ(dc::parse_u64("123"), 123u);
   EXPECT_EQ(dc::parse_u64("0"), 0u);
   EXPECT_FALSE(dc::parse_u64("12x"));
   EXPECT_FALSE(dc::parse_u64(""));
   EXPECT_FALSE(dc::parse_u64("-3"));
-}
-
-TEST(StringUtil, ParseI64) {
-  EXPECT_EQ(dc::parse_i64("-42"), -42);
-  EXPECT_EQ(dc::parse_i64("7"), 7);
-  EXPECT_FALSE(dc::parse_i64("7.5"));
 }
 
 TEST(StringUtil, ParseDouble) {

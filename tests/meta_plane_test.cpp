@@ -163,7 +163,8 @@ TEST(MetaPlane, SingleShardMatchesPlainMiniDfsByteForByte) {
 
 // Every shard shares the same DfsOptions (seed included), so a file ingested
 // into a fresh plane gets the same placement no matter how many shards the
-// plane has — the digest contract behind serve --meta-shards.
+// plane has — the contract that keeps selection digests, and fsck's healing
+// of a shard's files, independent of the shard count.
 TEST(MetaPlane, PlacementIsIdenticalAtAnyShardCount) {
   dd::MetaPlane one(dd::ClusterTopology::flat(8), plane_options(1));
   dd::MetaPlane four(dd::ClusterTopology::flat(8), plane_options(4));

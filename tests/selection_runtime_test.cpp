@@ -412,15 +412,14 @@ TEST(SelectionRuntime, EventBackendIsDeterministicAndFillsTiming) {
 // ---- AttemptTracker state machine ----
 
 TEST(AttemptTracker, BackoffIsExponentialAndCapped) {
-  dc::AttemptOptions opt;
-  opt.backoff_base_ticks = 2;
-  opt.backoff_cap_ticks = 12;
-  dc::AttemptTracker tracker(1, opt);
-  EXPECT_EQ(tracker.backoff_delay(1), 2u);
-  EXPECT_EQ(tracker.backoff_delay(2), 4u);
-  EXPECT_EQ(tracker.backoff_delay(3), 8u);
-  EXPECT_EQ(tracker.backoff_delay(4), 12u);   // capped
-  EXPECT_EQ(tracker.backoff_delay(400), 12u); // saturating shift, no overflow
+  dc::AttemptTracker tracker(1, dc::AttemptOptions{});
+  EXPECT_EQ(tracker.backoff_delay(0), 0u);
+  EXPECT_EQ(tracker.backoff_delay(1), 1u);
+  EXPECT_EQ(tracker.backoff_delay(2), 2u);
+  EXPECT_EQ(tracker.backoff_delay(3), 4u);
+  EXPECT_EQ(tracker.backoff_delay(4), 8u);
+  EXPECT_EQ(tracker.backoff_delay(5), 8u);    // capped
+  EXPECT_EQ(tracker.backoff_delay(400), 8u);  // saturating shift, no overflow
 }
 
 TEST(AttemptTracker, TimeoutExpiryAndRedispatchLifecycle) {
@@ -512,9 +511,6 @@ TEST(AttemptTracker, ValidateRejectsBadOptions) {
   EXPECT_THROW(opt.validate(), std::invalid_argument);
   opt = {};
   opt.max_attempts = 0;
-  EXPECT_THROW(opt.validate(), std::invalid_argument);
-  opt = {};
-  opt.backoff_cap_ticks = 0;
   EXPECT_THROW(opt.validate(), std::invalid_argument);
 }
 

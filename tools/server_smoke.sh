@@ -3,8 +3,8 @@
 # start the daemon, query a handful of keys through datanet_cli, check every
 # served digest against the in-process golden run (`--local` rebuilds the
 # same deterministic dataset, so digests must match byte-for-byte), exercise
-# a typed rejection, then shut the daemon down over the wire and verify it
-# exits cleanly.
+# a typed rejection, read the per-tenant metering snapshot, then shut the
+# daemon down over the wire and verify it exits cleanly.
 #
 # Usage: tools/server_smoke.sh [build-dir] (default: build)
 set -euo pipefail
@@ -66,6 +66,16 @@ if [[ "${rc}" -ne 2 ]]; then
   cat "${workdir}/reject.out"; exit 1
 fi
 echo "OK  typed rejection for unknown scheduler"
+
+# query --stats --json round-trips the per-tenant metering snapshot.
+stats="$(timeout 60 "${cli}" query --port "${port}" --stats --json)"
+echo "${stats}"
+for want in '"tenant": "smoke"' '"queue_wait_micros"'; do
+  if ! grep -qF "${want}" <<< "${stats}"; then
+    echo "FAIL: stats missing ${want}"; exit 1
+  fi
+done
+echo "OK  stats report tenant metering"
 
 timeout 60 "${cli}" query --port "${port}" --shutdown
 for _ in $(seq 1 100); do
