@@ -7,6 +7,13 @@
 //                        corpus; then scan_words, WordCount's tokenizer,
 //                        pinned to each kernel, MB/s over the corpus's
 //                        record payloads;
+//   1b. stripe skip    — per kernel, the full-scan filter vs the
+//                        stripe-skipping one over each key's candidate
+//                        blocks (the fig5 dataset, its 16 hot keys and 4
+//                        cold ones): MiB/s of candidate bytes, and the
+//                        share of those bytes the skip still walks; then the
+//                        stripe tables' bytes per block beside the
+//                        ElasticMap's (Eq. 5);
 //   2. copy vs zero-copy — the old per-task `std::string(block)` copy
 //                        before filtering vs filtering the DFS-owned bytes
 //                        in place;
@@ -31,6 +38,7 @@
 #include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/simd_scan.hpp"
+#include "elasticmap/stripe_table.hpp"
 #include "scheduler/datanet_sched.hpp"
 #include "stats/zipf.hpp"
 #include "workload/record.hpp"
@@ -130,6 +138,90 @@ int main() {
     std::printf("  %-18s %8.1f MiB/s  (%.4fs, %llu bytes matched)\n",
                 "decode-all ref", corpus_mib / secs, secs,
                 static_cast<unsigned long long>(matched));
+  }
+
+  // ---- 1b. stripe skip -----------------------------------------------
+  {
+    std::vector<std::string> mix = ds.hot_keys;
+    for (const char* cold :
+         {"movie_00500", "movie_00900", "movie_01300", "movie_01700"}) {
+      mix.emplace_back(cold);
+    }
+    struct Candidate {
+      std::string_view data;
+      const elasticmap::StripeTable* stripes;
+    };
+    std::vector<std::vector<Candidate>> candidates;
+    std::uint64_t candidate_bytes = 0;
+    for (const std::string& k : mix) {
+      auto& list = candidates.emplace_back();
+      const auto graph = net.scheduling_graph(k);
+      for (const auto& v : graph.blocks()) {
+        list.push_back({ds.dfs->read_block(v.block_id), v.stripes.get()});
+        candidate_bytes += list.back().data.size();
+      }
+    }
+    const double candidate_mib =
+        static_cast<double>(candidate_bytes) / (1024.0 * 1024.0);
+    std::printf(
+        "\n[stripe skip] %zu keys (%zu hot, %zu cold), %.1f MiB of candidate "
+        "blocks\n",
+        mix.size(), ds.hot_keys.size(), mix.size() - ds.hot_keys.size(),
+        candidate_mib);
+    for (const auto kernel : kernels) {
+      if (!common::scan_kernel_available(kernel)) {
+        std::printf("  %-18s unavailable on this host/build\n",
+                    common::scan_kernel_name(kernel));
+        continue;
+      }
+      std::uint64_t full_out = 0, skip_out = 0, scanned = 0;
+      const double full_secs = best_of(5, [&] {
+        full_out = 0;
+        std::string out;
+        for (std::size_t i = 0; i < mix.size(); ++i) {
+          for (const Candidate& c : candidates[i]) {
+            out.clear();
+            (void)core::filter_lines(c.data, mix[i], out, kernel);
+            full_out += out.size();
+          }
+        }
+      });
+      const double skip_secs = best_of(5, [&] {
+        skip_out = 0;
+        scanned = 0;
+        std::string out;
+        for (std::size_t i = 0; i < mix.size(); ++i) {
+          const std::uint64_t bits =
+              elasticmap::stripe_bits(workload::subdataset_id(mix[i]));
+          for (const Candidate& c : candidates[i]) {
+            out.clear();
+            (void)core::filter_lines(c.data, mix[i], out, c.stripes, bits,
+                                     scanned, kernel);
+            skip_out += out.size();
+          }
+        }
+      });
+      std::printf(
+          "  %-18s full %8.1f MiB/s  skip %8.1f MiB/s  (%.2fx, scanned/"
+          "candidate %.3f, output %s)%s\n",
+          common::scan_kernel_name(kernel), candidate_mib / full_secs,
+          candidate_mib / skip_secs, full_secs / skip_secs,
+          static_cast<double>(scanned) / static_cast<double>(candidate_bytes),
+          full_out == skip_out ? "equal" : "DIFFERS",
+          kernel == common::active_scan_kernel() ? "  <- active" : "");
+    }
+    std::uint64_t table_bytes = 0;
+    for (std::uint64_t b = 0; b < net.meta().num_blocks(); ++b) {
+      table_bytes += net.meta().stripe_table(b)->memory_bytes();
+    }
+    const double blocks_n = static_cast<double>(net.meta().num_blocks());
+    std::printf(
+        "  stripe tables %.0f B/block (%.2f%% of the data), ElasticMap (Eq. 5) "
+        "%.0f B/block\n",
+        static_cast<double>(table_bytes) / blocks_n,
+        100.0 * static_cast<double>(table_bytes) /
+            static_cast<double>(corpus_bytes),
+        static_cast<double>(net.meta().memory_bytes()) / blocks_n);
   }
 
   std::vector<std::string_view> payloads;

@@ -6,7 +6,7 @@
 // Shape to match: accuracy falls and the representation ratio rises
 // monotonically as alpha shrinks; the binary exits non-zero if either step
 // of the sweep breaks that. (Absolute ratios differ: our scaled blocks are
-// 128 KiB, not 64 MiB, so each block holds fewer sub-datasets.)
+// 512 KiB, not 64 MiB, so each block holds fewer sub-datasets.)
 
 #include <cstdio>
 #include <limits>

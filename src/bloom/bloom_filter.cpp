@@ -1,7 +1,6 @@
 #include "bloom/bloom_filter.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -13,9 +12,6 @@ namespace {
 constexpr double kLn2 = 0.6931471805599453;
 constexpr std::uint32_t kSerialMagic = 0x424c4f4du;  // "BLOM"
 constexpr std::uint32_t kSerialVersion = 1;
-// Far above any useful hash count (the ctor clamps to 30); rejecting larger
-// values bounds the per-query work an explicit geometry can demand.
-constexpr std::uint32_t kMaxHashes = 1024;
 
 std::uint64_t round_up_words(std::uint64_t bits) { return (bits + 63) / 64; }
 }  // namespace
@@ -34,17 +30,6 @@ BloomFilter::BloomFilter(std::uint64_t expected_keys, double target_fpp) {
   const double k = (bits / static_cast<double>(expected_keys)) * kLn2;
   num_hashes_ = std::clamp<std::uint32_t>(static_cast<std::uint32_t>(std::lround(k)),
                                           1, 30);
-}
-
-BloomFilter BloomFilter::with_geometry(std::uint64_t num_bits,
-                                       std::uint32_t num_hashes) {
-  if (num_bits == 0 || num_hashes == 0 || num_hashes > kMaxHashes) {
-    throw std::invalid_argument("BloomFilter geometry out of range");
-  }
-  BloomFilter f;
-  f.words_.assign(round_up_words(num_bits), 0);
-  f.num_hashes_ = num_hashes;
-  return f;
 }
 
 void BloomFilter::insert(std::uint64_t key) {
@@ -75,23 +60,6 @@ void BloomFilter::merge(const BloomFilter& other) {
   }
   for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
   inserts_ += other.inserts_;
-}
-
-double BloomFilter::fill_ratio() const {
-  std::uint64_t set = 0;
-  for (std::uint64_t w : words_) set += static_cast<std::uint64_t>(std::popcount(w));
-  return static_cast<double>(set) / static_cast<double>(num_bits());
-}
-
-double BloomFilter::estimated_fpp() const {
-  return std::pow(fill_ratio(), static_cast<double>(num_hashes_));
-}
-
-double BloomFilter::estimated_cardinality() const {
-  const double x = fill_ratio();
-  if (x >= 1.0) return static_cast<double>(num_bits());  // saturated
-  const double m = static_cast<double>(num_bits());
-  return -m / static_cast<double>(num_hashes_) * std::log(1.0 - x);
 }
 
 std::string BloomFilter::serialize() const {

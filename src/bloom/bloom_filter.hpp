@@ -16,9 +16,6 @@ class BloomFilter {
   // `target_fpp` (clamped to [1e-9, 0.5]).
   BloomFilter(std::uint64_t expected_keys, double target_fpp);
 
-  // Explicit geometry (bits rounded up to a word multiple).
-  static BloomFilter with_geometry(std::uint64_t num_bits, std::uint32_t num_hashes);
-
   void insert(std::uint64_t key);
   [[nodiscard]] bool maybe_contains(std::uint64_t key) const;
 
@@ -34,15 +31,6 @@ class BloomFilter {
   }
   [[nodiscard]] std::uint64_t insert_count() const noexcept { return inserts_; }
 
-  // Fraction of set bits; feeds the estimated-fpp diagnostics.
-  [[nodiscard]] double fill_ratio() const;
-
-  // fpp estimate from the actual fill ratio: (set_fraction)^k.
-  [[nodiscard]] double estimated_fpp() const;
-
-  // Cardinality estimate from fill ratio: -m/k * ln(1 - X/m).
-  [[nodiscard]] double estimated_cardinality() const;
-
   // Compact little-endian encoding: a 32-byte versioned header, then the
   // bitmap. BlockMeta::serialize embeds it.
   [[nodiscard]] std::string serialize() const;
@@ -51,8 +39,6 @@ class BloomFilter {
   [[nodiscard]] static double bits_per_key(double target_fpp);
 
  private:
-  BloomFilter() = default;
-
   std::vector<std::uint64_t> words_;
   std::uint32_t num_hashes_ = 1;
   std::uint64_t inserts_ = 0;

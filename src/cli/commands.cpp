@@ -399,8 +399,8 @@ int cmd_faults(const Args& args, std::ostream& out) {
     const auto post = dfs::check_post_fault_invariants(fs);
     if (!post.ok) return fail(out, post.violation);
     out << "post-fault fsck: " << post.report.missing_blocks << " missing, "
-        << post.report.under_replicated << " under-replicated — invariants "
-        << "hold\n";
+        << post.report.under_replicated << " under-replicated, "
+        << post.report.corrupt_blocks << " corrupt — invariants hold\n";
     if (args.has("json")) {
       out << "\n" << mapred::report_to_json(sel.report, false) << "\n";
     }
@@ -506,7 +506,8 @@ int cmd_fsck(const Args& args, std::ostream& out) {
     monitor.scan();
     const auto before = dfs::fsck(fs);
     out << "fsck before healing: " << before.missing_blocks << " missing, "
-        << before.under_replicated << " under-replicated\n";
+        << before.under_replicated << " under-replicated, "
+        << before.corrupt_blocks << " corrupt\n";
     const auto queue = monitor.queue();
     if (!queue.empty()) {
       common::TextTable heal({"block", "surviving", "target"});
@@ -531,10 +532,11 @@ int cmd_fsck(const Args& args, std::ostream& out) {
         << m.unrepairable << " unrepairable, mttr " << m.mttr_ticks
         << " tick(s), queue now " << monitor.queue().size() << "\n";
     out << "fsck after healing: " << after.missing_blocks << " missing, "
-        << after.under_replicated << " under-replicated\n";
+        << after.under_replicated << " under-replicated, "
+        << after.corrupt_blocks << " corrupt (no healthy copy)\n";
     // `unrepairable` alone is transient (a later scan may re-queue and heal
     // the block); the exit gate is the post-drain namespace state.
-    if (after.missing_blocks > 0 || after.under_replicated > 0) {
+    if (!after.healthy()) {
       out << "error: namespace is not healthy after healing";
       if (m.unrepairable > 0) {
         out << " (" << m.unrepairable << " repair(s) dropped as unrepairable)";
@@ -584,6 +586,18 @@ int cmd_fsck(const Args& args, std::ostream& out) {
     }
     out << "recovered shard digest matches its pre-crash namespace\n";
 
+    // Corrupt marks are datanode state, not journaled: the datanodes report
+    // their bad copies to the restarted NameNode again (HDFS block reports).
+    std::uint64_t rereported = 0;
+    for (dfs::BlockId id = 0; id < pre_crash->num_blocks(); ++id) {
+      for (const dfs::NodeId n : pre_crash->corrupt_replica_marks(id)) {
+        plane.dfs(victim).corrupt_replica(id, n);
+        ++rereported;
+      }
+    }
+    out << "datanodes re-reported " << rereported
+        << " corrupt replica(s) to the recovered shard\n";
+
     // Open-block audit: the recovered shard's open blocks (count, extent
     // sequence, journaled length, content CRC) must agree with the pre-crash
     // NameNode's committed state.
@@ -602,6 +616,7 @@ int cmd_fsck(const Args& args, std::ostream& out) {
     out << "plane fsck: " << report.combined.total_blocks << " blocks, "
         << report.combined.missing_blocks << " missing, "
         << report.combined.under_replicated << " under-replicated, "
+        << report.combined.corrupt_blocks << " corrupt, "
         << report.combined.open_blocks << " open across " << shards
         << " shard(s)\n";
     if (!report.healthy()) {
@@ -846,7 +861,8 @@ int cmd_ingest(const Args& args, std::ostream& out) {
     const auto report = dfs::fsck(recovered);
     out << "\nfsck: " << report.total_blocks << " blocks, "
         << report.missing_blocks << " missing, " << report.under_replicated
-        << " under-replicated, " << report.open_blocks << " open\n";
+        << " under-replicated, " << report.corrupt_blocks << " corrupt, "
+        << report.open_blocks << " open\n";
     if (!report.healthy() || report.open_blocks != 0) {
       out << "error: namespace unhealthy (or a block left open) after close\n";
       rc = 1;

@@ -48,7 +48,8 @@ graph::BipartiteGraph DataNet::scheduling_graph(std::string_view key) const {
     blocks.push_back(graph::BlockVertex{
         .block_id = share.block_id,
         .weight = share.estimated_bytes,
-        .hosts = dfs_->replicas_snapshot(share.block_id)});
+        .hosts = dfs_->replicas_snapshot(share.block_id),
+        .stripes = meta_.stripe_table(share.block_index)});
   }
   return graph::BipartiteGraph(dfs_->topology().num_nodes(), std::move(blocks));
 }
@@ -68,7 +69,8 @@ graph::BipartiteGraph DataNet::scheduling_graph(
     const dfs::BlockId bid = meta_.block_id(b);
     blocks.push_back(graph::BlockVertex{.block_id = bid,
                                         .weight = weight[b],
-                                        .hosts = dfs_->replicas_snapshot(bid)});
+                                        .hosts = dfs_->replicas_snapshot(bid),
+                                        .stripes = meta_.stripe_table(b)});
   }
   return graph::BipartiteGraph(dfs_->topology().num_nodes(), std::move(blocks));
 }

@@ -59,7 +59,8 @@ class DataNet {
   // Bipartite graph (Section IV-A) for scheduling an analysis of `key`:
   // vertices are the candidate blocks (per ElasticMap), weights the Eq. 6
   // per-block estimates. Blocks with no hash-map entry and no bloom hit are
-  // excluded — DataNet's I/O-skipping optimization.
+  // excluded — DataNet's I/O-skipping optimization. Each vertex carries its
+  // block's stripe table, so the filter also skips stripes inside a block.
   [[nodiscard]] graph::BipartiteGraph scheduling_graph(std::string_view key) const;
 
   // Same for a multi-sub-dataset analysis (e.g. a watchlist of movies):

@@ -97,6 +97,9 @@ struct SelectionResult {
   std::vector<std::uint64_t> node_filtered_bytes;  // actual |s| per node
   mapred::JobReport report;                 // simulated selection-phase timing
   std::uint64_t blocks_scanned = 0;         // candidate blocks actually read
+  // Bytes the filter walked: the read blocks' bytes minus the stripes their
+  // tables let it skip (wall-clock work only; the report charges blocks).
+  std::uint64_t scanned_bytes = 0;
   // Candidate blocks that could not be read from any replica (faulted runs
   // only; report.lost_blocks holds the count, report.retries the attempts).
   std::vector<dfs::BlockId> lost_block_ids;

@@ -6,6 +6,7 @@
 #include "apps/filter.hpp"
 #include "common/thread_pool.hpp"
 #include "dfs/replication_monitor.hpp"
+#include "elasticmap/stripe_table.hpp"
 #include "workload/record.hpp"
 
 namespace datanet::core {
@@ -437,10 +438,18 @@ SelectionResult SelectionRuntime::run_graph(const dfs::MiniDfs& dfs,
     // both selects the key's records and takes the census the report is
     // priced from. Every read, pin and fault/monitor hook stayed on this
     // thread above; only the scans fan out, each into its own task's slots.
+    // Each scan walks only the stripes of its block whose Bloom word admits
+    // the key (the whole block when the graph carries no table).
+    const std::uint64_t key_bits =
+        elasticmap::stripe_bits(workload::subdataset_id(key));
     std::vector<mapred::SplitCensus> task_census(num_tasks);
+    std::vector<std::uint64_t> task_scanned(num_tasks, 0);
     common::parallel_for(cfg.execution_threads, num_tasks, [&](std::size_t j) {
       if (!done[j]) return;
-      task_census[j] = filter_lines(task_data[j], key, task_output[j]);
+      task_census[j] =
+          filter_lines(task_data[j], key, task_output[j],
+                       graph.block(j).stripes.get(), key_bits, task_scanned[j],
+                       common::active_scan_kernel());
     }, /*grain=*/1);  // one block per claim, as in the engine's map stage
 
     // Rebuild the node-local view in task order, so the final buffers are
@@ -459,6 +468,7 @@ SelectionResult SelectionRuntime::run_graph(const dfs::MiniDfs& dfs,
         buffer.append(task_output[j]);
       }
       std::string().swap(task_output[j]);
+      result.scanned_bytes += task_scanned[j];
       splits.push_back(mapred::InputSplit{.node = node,
                                           .data = task_data[j],
                                           .charged_bytes = task_charge[j],
@@ -482,8 +492,9 @@ SelectionResult SelectionRuntime::run_graph(const dfs::MiniDfs& dfs,
   // Post-run DFS health, on clean and timing-only runs too: an
   // under-replicated seed layout is visible without injecting a fault, and
   // kills strand replicas until healing (inline or monitor) catches up.
-  // MiniDfs maintains the fsck count incrementally, so this is O(1) — no
-  // post-run namespace scan (tests assert equality with dfs::fsck).
+  // MiniDfs maintains the count incrementally, so this is O(1) — no
+  // post-run namespace scan (tests assert equality with dfs::fsck, whose
+  // healthy-copy rule agrees while no copy is marked corrupt).
   result.report.under_replicated = dfs.under_replicated_count();
   if (monitor_ != nullptr) {
     const dfs::ReplicationMonitorStats& ms = monitor_->stats();
@@ -560,6 +571,42 @@ mapred::SplitCensus filter_lines(std::string_view data, const std::string& key,
       data, key, &sink, &FilterSink::keep_candidate, kernel);
   sink.census.records = lines.records;
   sink.census.skipped = lines.skipped;
+  return sink.census;
+}
+
+mapred::SplitCensus filter_lines(std::string_view data, const std::string& key,
+                                 std::string& out,
+                                 const elasticmap::StripeTable* stripes,
+                                 std::uint64_t key_bits,
+                                 std::uint64_t& scanned,
+                                 common::ScanKernel kernel) {
+  if (stripes == nullptr || stripes->covered_bytes() != data.size()) {
+    scanned += data.size();
+    return filter_lines(data, key, out, kernel);
+  }
+  FilterSink sink{&key, &out, {}};
+  const auto table = stripes->stripes();
+  std::uint32_t begin = 0;  // start of stripe i
+  for (std::size_t i = 0; i < table.size();) {
+    if ((table[i].bloom & key_bits) != key_bits) {
+      sink.census.records += table[i].records;
+      sink.census.skipped += table[i].skipped;
+      begin = table[i++].end;
+      continue;
+    }
+    // Scan the maximal run of admitting stripes in one kernel call.
+    std::size_t k = i + 1;
+    while (k < table.size() && (table[k].bloom & key_bits) == key_bits) ++k;
+    const std::uint32_t end = table[k - 1].end;
+    const common::LineCensus lines =
+        common::scan_key_lines(data.substr(begin, end - begin), key, &sink,
+                               &FilterSink::keep_candidate, kernel);
+    sink.census.records += lines.records;
+    sink.census.skipped += lines.skipped;
+    scanned += end - begin;
+    begin = end;
+    i = k;
+  }
   return sink.census;
 }
 

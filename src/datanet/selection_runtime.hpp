@@ -22,11 +22,15 @@
 //     sim::EventSimBackend (sim/selection_sim.hpp) drives the same scheduler
 //     with discrete-event pull-on-slot-free ordering instead.
 //
-// Each selected block is scanned once. The attempt loop below runs every
-// read, pin and fault/monitor hook on the calling thread; the filter stage
-// after it scans each done task's final bytes (filter_lines: the key's
-// records plus the census) on cfg.execution_threads threads, each task into
-// its own slots, so results are identical at any thread count.
+// Each selected block is read once, and each of its bytes is scanned at
+// most once. The attempt loop below runs every read, pin and fault/monitor
+// hook on the calling thread; the filter stage after it scans each done
+// task's final bytes (filter_lines: the key's records plus the census) on
+// cfg.execution_threads threads, each task into its own slots, so results
+// are identical at any thread count. When the graph vertex carries its
+// block's stripe table, the filter walks only the stripes whose Bloom word
+// admits the key and counts the rest from the table; output, census, report
+// and simulated clock (which charges whole blocks) are the full scan's.
 //
 // There is exactly one materialize loop, and it is straggler-resilient
 // (core::AttemptTracker): every run — NoFaults or injected faults, with or
@@ -60,6 +64,10 @@
 
 namespace datanet::dfs {
 class ReplicationMonitor;
+}
+
+namespace datanet::elasticmap {
+class StripeTable;
 }
 
 namespace datanet::core {
@@ -282,6 +290,19 @@ mapred::SplitCensus filter_lines(std::string_view data, const std::string& key,
 // Same, pinned to one scan kernel (equivalence fuzz + the kernel bench).
 mapred::SplitCensus filter_lines(std::string_view data, const std::string& key,
                                  std::string& out, common::ScanKernel kernel);
+
+// Same output and census, walking only the stripes of `stripes` whose Bloom
+// word holds every bit of `key_bits` (elasticmap::stripe_bits of the key's
+// id) — one kernel call per maximal run of them — and taking the census of
+// the other stripes from their stored counts. A null table, or one whose
+// covered size differs from data.size(), scans the whole block. Adds the
+// bytes walked to `scanned`.
+mapred::SplitCensus filter_lines(std::string_view data, const std::string& key,
+                                 std::string& out,
+                                 const elasticmap::StripeTable* stripes,
+                                 std::uint64_t key_bits,
+                                 std::uint64_t& scanned,
+                                 common::ScanKernel kernel);
 
 // Reference implementation (full decode of every line, which also takes the
 // census); kept for the equivalence tests and the bench comparison.

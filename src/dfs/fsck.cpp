@@ -5,24 +5,36 @@
 
 namespace datanet::dfs {
 
+namespace {
+
+std::uint32_t healthy_copies(const MiniDfs& dfs, BlockId id) {
+  const auto& reps = dfs.block(id).replicas;
+  return static_cast<std::uint32_t>(
+      std::count_if(reps.begin(), reps.end(),
+                    [&](NodeId n) { return dfs.replica_healthy(id, n); }));
+}
+
+}  // namespace
+
 FsckReport fsck(const MiniDfs& dfs) {
   FsckReport report;
   const std::uint32_t target = dfs.options().replication;
   const std::uint32_t nodes = dfs.topology().num_nodes();
   report.node_block_counts.assign(nodes, 0);
 
+  // Under-replication only counts when spare active nodes exist.
+  const std::uint64_t effective =
+      std::min<std::uint64_t>(target, dfs.num_active_nodes());
   for (BlockId id = 0; id < dfs.num_blocks(); ++id) {
     const auto& reps = dfs.block(id).replicas;
+    const std::uint32_t healthy = healthy_copies(dfs, id);
     ++report.total_blocks;
     if (reps.empty()) {
       ++report.missing_blocks;
-    } else if (reps.size() < target) {
-      // Under-replication only counts when spare active nodes exist.
-      if (reps.size() < std::min<std::size_t>(target, dfs.num_active_nodes())) {
-        ++report.under_replicated;
-      } else {
-        ++report.healthy_blocks;
-      }
+    } else if (healthy == 0) {
+      ++report.corrupt_blocks;
+    } else if (healthy < effective) {
+      ++report.under_replicated;
     } else if (reps.size() > target) {
       ++report.over_replicated;
     } else {
@@ -68,6 +80,7 @@ PlaneFsckReport fsck(const MetaPlane& plane) {
     c.total_blocks += r.total_blocks;
     c.healthy_blocks += r.healthy_blocks;
     c.under_replicated += r.under_replicated;
+    c.corrupt_blocks += r.corrupt_blocks;
     c.missing_blocks += r.missing_blocks;
     c.over_replicated += r.over_replicated;
     c.open_blocks += r.open_blocks;
@@ -108,8 +121,7 @@ std::vector<UnderReplicatedBlock> under_replicated_blocks(const MiniDfs& dfs) {
   const auto target = static_cast<std::uint32_t>(std::min<std::uint64_t>(
       dfs.options().replication, dfs.num_active_nodes()));
   for (BlockId id = 0; id < dfs.num_blocks(); ++id) {
-    const auto surviving =
-        static_cast<std::uint32_t>(dfs.block(id).replicas.size());
+    const std::uint32_t surviving = healthy_copies(dfs, id);
     if (surviving > 0 && surviving < target) {
       out.push_back({id, surviving, target});
     }

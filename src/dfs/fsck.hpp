@@ -12,10 +12,16 @@
 
 namespace datanet::dfs {
 
+// Blocks are classified by their healthy copies (MiniDfs::replica_healthy:
+// on an active node, not marked corrupt, checksum intact), the one predicate
+// fsck, under_replicated_blocks and the plane fsck share. A block whose
+// every remaining copy is unhealthy is corrupt, as HDFS fsck reports CORRUPT
+// apart from under-replicated: no copy is left to heal it from.
 struct FsckReport {
   std::uint64_t total_blocks = 0;
-  std::uint64_t healthy_blocks = 0;        // replicas == target
-  std::uint64_t under_replicated = 0;      // 0 < replicas < target
+  std::uint64_t healthy_blocks = 0;        // healthy copies reach the target
+  std::uint64_t under_replicated = 0;      // 0 < healthy copies < target
+  std::uint64_t corrupt_blocks = 0;        // replicas, but no healthy copy
   std::uint64_t missing_blocks = 0;        // no replicas at all
   std::uint64_t over_replicated = 0;       // replicas > target
   std::uint64_t open_blocks = 0;           // unsealed (mid-ingestion) blocks
@@ -24,7 +30,7 @@ struct FsckReport {
   double replica_balance_cv = 0.0;  // cv of counts over *active* nodes
 
   [[nodiscard]] bool healthy() const {
-    return missing_blocks == 0 && under_replicated == 0;
+    return missing_blocks == 0 && under_replicated == 0 && corrupt_blocks == 0;
   }
 };
 
@@ -46,12 +52,13 @@ struct PlaneFsckReport {
 
 [[nodiscard]] PlaneFsckReport fsck(const MetaPlane& plane);
 
-// One row of the under-replication table: a block with fewer replicas than
-// its effective target (min(configured replication, active nodes) — the same
-// rule fsck counts by, so draining this list leaves fsck clean).
+// One row of the under-replication table: a block with fewer healthy copies
+// than its effective target (min(configured replication, active nodes) — the
+// same rule fsck counts by, so draining this list leaves fsck clean). A
+// block with no healthy copy is corrupt, not listed: nothing can heal it.
 struct UnderReplicatedBlock {
   BlockId block = 0;
-  std::uint32_t surviving = 0;  // current replica count
+  std::uint32_t surviving = 0;  // healthy copies
   std::uint32_t target = 0;     // effective target
 };
 

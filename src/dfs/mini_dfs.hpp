@@ -242,10 +242,11 @@ class MiniDfs {
   }
 
   // O(1) count of under-replicated blocks, maintained incrementally at every
-  // replica-set mutation. Matches dfs::fsck exactly: a block counts iff
-  // 0 < replicas < min(target replication, active nodes) — so post-run
-  // health reporting never rescans the namespace. Atomic: job reports read
-  // it from reader threads while the monitor heals.
+  // replica-set mutation: a block counts iff 0 < replicas < min(target
+  // replication, active nodes) — so post-run health reporting never rescans
+  // the namespace. dfs::fsck counts healthy copies instead; the two agree
+  // whenever no copy is marked corrupt and every block's checksum holds.
+  // Atomic: job reports read it from reader threads while the monitor heals.
   [[nodiscard]] std::uint64_t under_replicated_count() const noexcept {
     return cs_->under_replicated.load(std::memory_order_relaxed);
   }

@@ -1,6 +1,5 @@
 #include "elasticmap/cost_model.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -34,21 +33,6 @@ std::uint64_t elasticmap_cost_bytes(std::uint64_t num_subdatasets,
                                     const CostModelParams& p) {
   return static_cast<std::uint64_t>(
       std::ceil(elasticmap_cost_bits(num_subdatasets, p) / 8.0));
-}
-
-double alpha_for_budget(std::uint64_t num_subdatasets, std::uint64_t budget_bytes,
-                        const CostModelParams& p) {
-  CostModelParams lo = p;
-  lo.alpha = 0.0;
-  CostModelParams hi = p;
-  hi.alpha = 1.0;
-  const double budget_bits = static_cast<double>(budget_bytes) * 8.0;
-  if (elasticmap_cost_bits(num_subdatasets, lo) >= budget_bits) return 0.0;
-  if (elasticmap_cost_bits(num_subdatasets, hi) <= budget_bits) return 1.0;
-  // Cost is linear in alpha; solve directly.
-  const double c0 = elasticmap_cost_bits(num_subdatasets, lo);
-  const double c1 = elasticmap_cost_bits(num_subdatasets, hi);
-  return std::clamp((budget_bits - c0) / (c1 - c0), 0.0, 1.0);
 }
 
 }  // namespace datanet::elasticmap

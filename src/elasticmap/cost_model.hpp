@@ -25,10 +25,4 @@ struct CostModelParams {
 [[nodiscard]] std::uint64_t elasticmap_cost_bytes(std::uint64_t num_subdatasets,
                                                   const CostModelParams& p);
 
-// Given a per-block memory budget, the largest alpha the model affords
-// (clamped to [0, 1]).
-[[nodiscard]] double alpha_for_budget(std::uint64_t num_subdatasets,
-                                      std::uint64_t budget_bytes,
-                                      const CostModelParams& p);
-
 }  // namespace datanet::elasticmap

@@ -20,16 +20,19 @@ ElasticMapArray::ElasticMapArray(std::string path, BuildOptions options)
 namespace {
 
 // Single scan of one block: accumulate S_j and bucket counts, separate
-// dominant from tail, and build the BlockMeta. `scanned_bytes` (out)
-// receives the block's total record bytes.
+// dominant from tail, and build the BlockMeta; the same line walk builds the
+// block's stripe table (`stripes`, out). `scanned_bytes` (out) receives the
+// block's total record bytes.
 BlockMeta scan_block(const dfs::MiniDfs& dfs, dfs::BlockId bid,
                      const SeparatorOptions& sep, const BuildOptions& options,
-                     std::uint64_t* scanned_bytes) {
+                     std::uint64_t* scanned_bytes,
+                     std::shared_ptr<const StripeTable>* stripes) {
   DominantSeparator separator(sep);
-  workload::for_each_record(dfs.read_block(bid),
-                            [&](const workload::RecordView& rv) {
-                              separator.add(rv.id(), rv.encoded_size());
-                            });
+  *stripes = std::make_shared<const StripeTable>(StripeTable::scan(
+      dfs.read_block(bid),
+      [&](workload::SubDatasetId id, std::uint64_t size) {
+        separator.add(id, size);
+      }));
   *scanned_bytes = separator.total_bytes();
 
   const std::uint64_t threshold = separator.threshold_for_fraction(options.alpha);
@@ -95,12 +98,15 @@ std::uint64_t ElasticMapArray::extend(const dfs::MiniDfs& dfs) {
   // and the outcome is identical at any thread count.
   std::vector<std::optional<BlockMeta>> slots(fresh);
   std::vector<std::uint64_t> scanned(fresh, 0);
+  std::vector<std::shared_ptr<const StripeTable>> tables(fresh);
   common::parallel_for(options_.build_threads, fresh, [&](std::size_t i) {
-    slots[i] = scan_block(dfs, blocks[covered + i], sep, options_, &scanned[i]);
+    slots[i] = scan_block(dfs, blocks[covered + i], sep, options_, &scanned[i],
+                          &tables[i]);
   });
   for (std::size_t i = 0; i < fresh; ++i) {
     metas_.push_back(std::move(*slots[i]));
     block_ids_.push_back(blocks[covered + i]);
+    stripes_.push_back(std::move(tables[i]));
     raw_bytes_ += scanned[i];
   }
   return fresh;
@@ -124,6 +130,12 @@ const BlockMeta& ElasticMapArray::block_meta(std::uint64_t block_index) const {
 dfs::BlockId ElasticMapArray::block_id(std::uint64_t block_index) const {
   if (block_index >= block_ids_.size()) throw std::out_of_range("block_id");
   return block_ids_[block_index];
+}
+
+const std::shared_ptr<const StripeTable>& ElasticMapArray::stripe_table(
+    std::uint64_t block_index) const {
+  if (block_index >= stripes_.size()) throw std::out_of_range("stripe_table");
+  return stripes_[block_index];
 }
 
 std::vector<BlockShare> ElasticMapArray::distribution(

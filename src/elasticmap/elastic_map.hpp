@@ -5,11 +5,13 @@
 // distribution-aware scheduler queries.
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "dfs/mini_dfs.hpp"
 #include "elasticmap/block_meta.hpp"
+#include "elasticmap/stripe_table.hpp"
 #include "workload/record.hpp"
 
 namespace datanet::elasticmap {
@@ -69,6 +71,13 @@ class ElasticMapArray {
   [[nodiscard]] dfs::BlockId block_id(std::uint64_t block_index) const;
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
+  // The block's stripe table, built by the same scan as its BlockMeta and
+  // never null. Shared and immutable: copies of this array (the DataNet
+  // delta constructor) and scheduling graphs hold the same table. Not part
+  // of memory_bytes().
+  [[nodiscard]] const std::shared_ptr<const StripeTable>& stripe_table(
+      std::uint64_t block_index) const;
+
   // Estimated per-block distribution of a sub-dataset; blocks with no
   // hash-map entry and no bloom hit are omitted — the I/O-skipping
   // optimization of Section V-B-1.
@@ -103,6 +112,7 @@ class ElasticMapArray {
   BuildOptions options_;
   std::vector<BlockMeta> metas_;
   std::vector<dfs::BlockId> block_ids_;
+  std::vector<std::shared_ptr<const StripeTable>> stripes_;
   std::uint64_t raw_bytes_ = 0;
 };
 

@@ -6,9 +6,14 @@
 // flow-based scheduler operate on.
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "dfs/mini_dfs.hpp"
+
+namespace datanet::elasticmap {
+class StripeTable;
+}
 
 namespace datanet::graph {
 
@@ -16,6 +21,10 @@ struct BlockVertex {
   dfs::BlockId block_id = 0;
   std::uint64_t weight = 0;          // |b ∩ s| (estimated or exact bytes)
   std::vector<dfs::NodeId> hosts;    // replicas
+  // The block's stripe table from the ElasticMap scan (DataNet graphs), so
+  // the materialize filter can skip stripes the key cannot be in; null
+  // (content-blind graphs) means a whole-block scan.
+  std::shared_ptr<const elasticmap::StripeTable> stripes;
 };
 
 class BipartiteGraph {

@@ -31,25 +31,21 @@ double gini(std::span<const std::uint64_t> xs) {
   return gini(std::span<const double>(d));
 }
 
-double shannon_entropy_bits(std::span<const double> xs) {
+double normalized_entropy(std::span<const double> xs) {
+  if (xs.size() <= 1) return 0.0;
   double total = 0.0;
   for (const double x : xs) {
     if (x < 0.0) throw std::invalid_argument("entropy: negative value");
     total += x;
   }
   if (total <= 0.0) return 0.0;
-  double h = 0.0;
+  double h = 0.0;  // Shannon entropy in bits
   for (const double x : xs) {
     if (x <= 0.0) continue;
     const double p = x / total;
     h -= p * std::log2(p);
   }
-  return h;
-}
-
-double normalized_entropy(std::span<const double> xs) {
-  if (xs.size() <= 1) return 0.0;
-  return shannon_entropy_bits(xs) / std::log2(static_cast<double>(xs.size()));
+  return h / std::log2(static_cast<double>(xs.size()));
 }
 
 double concentration_ratio(std::span<const std::uint64_t> xs,

@@ -17,10 +17,8 @@ namespace datanet::stats {
 [[nodiscard]] double gini(std::span<const double> xs);
 [[nodiscard]] double gini(std::span<const std::uint64_t> xs);
 
-// Shannon entropy of the normalized distribution, in bits.
-[[nodiscard]] double shannon_entropy_bits(std::span<const double> xs);
-
-// Entropy divided by log2(n): 1 = uniform, -> 0 = concentrated. n <= 1 -> 0.
+// Shannon entropy of the normalized distribution divided by log2(n):
+// 1 = uniform, -> 0 = concentrated. n <= 1 -> 0.
 [[nodiscard]] double normalized_entropy(std::span<const double> xs);
 
 // Fraction of the total mass held by the largest ceil(top_fraction * n)

@@ -9,6 +9,20 @@
 
 namespace datanet::workload {
 
+namespace {
+
+// Baseline relative frequency of each event type, in github_event_types()'s
+// order: a rough shape of the public archive, where pushes dominate over a
+// long tail of rare administrative events.
+const std::vector<double>& github_event_weights() {
+  static const std::vector<double> kWeights = {
+      52.0, 10.0, 8.0, 7.0, 4.5, 4.0, 3.5, 1.5, 1.2, 0.8, 0.7,
+      0.6,  0.5,  0.4, 4.0, 0.3, 0.25, 0.2, 0.2, 0.15, 0.1, 0.1};
+  return kWeights;
+}
+
+}  // namespace
+
 const std::vector<std::string>& github_event_types() {
   static const std::vector<std::string> kTypes = {
       "PushEvent",          "CreateEvent",
@@ -24,15 +38,6 @@ const std::vector<std::string>& github_event_types() {
       "DeploymentEvent",    "TeamAddEvent",
       "DownloadEvent"};
   return kTypes;
-}
-
-const std::vector<double>& github_event_weights() {
-  // Rough shape of the public archive: pushes dominate, long tail of rare
-  // administrative events. Same order as github_event_types().
-  static const std::vector<double> kWeights = {
-      52.0, 10.0, 8.0, 7.0, 4.5, 4.0, 3.5, 1.5, 1.2, 0.8, 0.7,
-      0.6,  0.5,  0.4, 4.0, 0.3, 0.25, 0.2, 0.2, 0.15, 0.1, 0.1};
-  return kWeights;
 }
 
 GithubLogGenerator::GithubLogGenerator(GithubGenOptions options)

@@ -28,10 +28,6 @@ struct GithubGenOptions {
 // The canonical public GitHub event types.
 [[nodiscard]] const std::vector<std::string>& github_event_types();
 
-// Baseline relative frequency of each type (same order as the list above);
-// PushEvent dominates, as in the real archive.
-[[nodiscard]] const std::vector<double>& github_event_weights();
-
 class GithubLogGenerator {
  public:
   explicit GithubLogGenerator(GithubGenOptions options);

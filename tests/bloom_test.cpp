@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <tuple>
 
@@ -53,22 +54,9 @@ TEST(Bloom, MemoryScalesWithKeysAndFpp) {
   EXPECT_GT(tight.memory_bytes(), small.memory_bytes());
 }
 
-TEST(Bloom, WithGeometry) {
-  auto f = db::BloomFilter::with_geometry(256, 3);
-  EXPECT_EQ(f.num_bits(), 256u);
-  EXPECT_EQ(f.num_hashes(), 3u);
-  f.insert(7);
-  EXPECT_TRUE(f.maybe_contains(7));
-}
-
-TEST(Bloom, WithGeometryRejectsZero) {
-  EXPECT_THROW(db::BloomFilter::with_geometry(0, 3), std::invalid_argument);
-  EXPECT_THROW(db::BloomFilter::with_geometry(64, 0), std::invalid_argument);
-}
-
 TEST(Bloom, MergeUnion) {
-  db::BloomFilter a = db::BloomFilter::with_geometry(1024, 4);
-  db::BloomFilter b = db::BloomFilter::with_geometry(1024, 4);
+  db::BloomFilter a(100, 0.01);
+  db::BloomFilter b(100, 0.01);
   a.insert(1);
   b.insert(2);
   a.merge(b);
@@ -78,30 +66,16 @@ TEST(Bloom, MergeUnion) {
 }
 
 TEST(Bloom, MergeRejectsGeometryMismatch) {
-  db::BloomFilter a = db::BloomFilter::with_geometry(1024, 4);
-  db::BloomFilter b = db::BloomFilter::with_geometry(512, 4);
-  db::BloomFilter c = db::BloomFilter::with_geometry(1024, 5);
+  db::BloomFilter a(1000, 0.01);
+  db::BloomFilter b(500, 0.01);
+  ASSERT_NE(a.num_bits(), b.num_bits());
+  // Twice the keys at half the bits per key: the same bit count, a different
+  // hash count.
+  db::BloomFilter c(2000, 0.1);
+  ASSERT_EQ(a.num_bits(), c.num_bits());
+  ASSERT_NE(a.num_hashes(), c.num_hashes());
   EXPECT_THROW(a.merge(b), std::invalid_argument);
   EXPECT_THROW(a.merge(c), std::invalid_argument);
-}
-
-TEST(Bloom, FillRatioGrowsWithInserts) {
-  db::BloomFilter f(1000, 0.01);
-  EXPECT_DOUBLE_EQ(f.fill_ratio(), 0.0);
-  datanet::common::Rng rng(77);
-  for (int i = 0; i < 500; ++i) f.insert(rng());
-  const double half = f.fill_ratio();
-  EXPECT_GT(half, 0.0);
-  for (int i = 0; i < 500; ++i) f.insert(rng());
-  EXPECT_GT(f.fill_ratio(), half);
-  EXPECT_LT(f.fill_ratio(), 1.0);
-}
-
-TEST(Bloom, EstimatedCardinalityTracksInserts) {
-  db::BloomFilter f(5000, 0.01);
-  datanet::common::Rng rng(42);
-  for (int i = 0; i < 3000; ++i) f.insert(rng());
-  EXPECT_NEAR(f.estimated_cardinality(), 3000.0, 150.0);
 }
 
 TEST(Bloom, FppClampedToValidRange) {
@@ -136,8 +110,6 @@ TEST_P(BloomFppSweep, MeasuredFppWithinTwoXOfTarget) {
   const double measured = static_cast<double>(fp) / kProbes;
   EXPECT_LT(measured, std::max(fpp * 2.5, 0.0008))
       << "n=" << n << " target=" << fpp;
-  // The estimate derived from the fill ratio should be in the same ballpark.
-  EXPECT_LT(f.estimated_fpp(), fpp * 3);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -152,7 +124,15 @@ class BloomNoFalseNegatives
 
 TEST_P(BloomNoFalseNegatives, AllInsertedFound) {
   const auto [bits, hashes] = GetParam();
-  auto f = db::BloomFilter::with_geometry(bits, hashes);
+  // The sizing constructor's inverse: k = (m/n) ln 2 gives the key count n,
+  // and m/n bits per key give the target fpp.
+  constexpr double kLn2 = 0.6931471805599453;
+  const double n = std::max(1.0, std::round(static_cast<double>(bits) * kLn2 /
+                                            static_cast<double>(hashes)));
+  const double fpp = std::exp(-(static_cast<double>(bits) / n) * kLn2 * kLn2);
+  db::BloomFilter f(static_cast<std::uint64_t>(n), fpp);
+  EXPECT_NEAR(static_cast<double>(f.num_bits()), static_cast<double>(bits),
+              0.02 * static_cast<double>(bits) + 64);
   datanet::common::Rng rng(bits + hashes);
   std::vector<std::uint64_t> keys;
   for (int i = 0; i < 200; ++i) {

@@ -288,6 +288,34 @@ TEST(Cli, FsckCommandHealsAndRecovers) {
   EXPECT_NE(out.find("recovered shard digest matches"), std::string::npos);
 }
 
+TEST(Cli, FsckReportsABlockWithNoHealthyCopyAsCorrupt) {
+  // At 8 nodes this input's fault plan leaves one block whose every copy is
+  // marked corrupt: it reads corrupt (not under-replicated) before and after
+  // healing and across the crash/recover round trip, and the drill fails.
+  TempDir tmp;
+  const auto log = tmp.file("corrupt.log");
+  std::string out;
+  ASSERT_EQ(run({"generate", "--out", log.c_str(), "--records", "6000",
+                 "--seed", "4"},
+                &out),
+            0);
+  EXPECT_EQ(run({"fsck", "--in", log.c_str(), "--workdir",
+                 tmp.file("nn").c_str(), "--nodes", "8"},
+                &out),
+            1)
+      << out;
+  EXPECT_NE(out.find("0 unrepairable"), std::string::npos) << out;
+  EXPECT_NE(out.find("fsck after healing: 0 missing, 0 under-replicated, "
+                     "1 corrupt (no healthy copy)"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("0 under-replicated, 1 corrupt, 1 open"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("error: namespace is not healthy after healing"),
+            std::string::npos);
+}
+
 TEST(Cli, FsckRequiresIn) {
   std::string out;
   EXPECT_EQ(run({"fsck"}, &out), 1);

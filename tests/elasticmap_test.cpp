@@ -53,22 +53,6 @@ TEST(CostModel, BytesRoundsUp) {
                 std::ceil(de::elasticmap_cost_bits(1, p) / 8.0)));
 }
 
-TEST(CostModel, AlphaForBudgetInverts) {
-  de::CostModelParams p;
-  for (double target : {0.2, 0.5, 0.8}) {
-    p.alpha = target;
-    const auto budget = de::elasticmap_cost_bytes(5000, p);
-    const double recovered = de::alpha_for_budget(5000, budget, p);
-    EXPECT_NEAR(recovered, target, 0.01);
-  }
-}
-
-TEST(CostModel, AlphaForBudgetClamps) {
-  de::CostModelParams p;
-  EXPECT_DOUBLE_EQ(de::alpha_for_budget(1000, 0, p), 0.0);
-  EXPECT_DOUBLE_EQ(de::alpha_for_budget(1000, 1 << 30, p), 1.0);
-}
-
 TEST(CostModel, RejectsBadParams) {
   de::CostModelParams p;
   p.alpha = 1.5;

@@ -629,7 +629,8 @@ TEST(ReplicationMonitor, ScrubDropsMarkedCopiesWithHealthySiblings) {
   // turns the marks into under-replication the queue can heal.
   dfs.corrupt_replica(0, dfs.block(0).replicas[0]);
   dfs.corrupt_replica(2, dfs.block(2).replicas[1]);
-  ASSERT_TRUE(dd::fsck(dfs).healthy()) << "marks alone don't change counts";
+  // A marked copy is not a healthy one: fsck classifies by healthy copies.
+  ASSERT_EQ(dd::fsck(dfs).under_replicated, 2u);
 
   dd::ReplicationMonitor monitor(dfs, {.max_repairs_per_tick = 4});
   monitor.drain();
@@ -649,11 +650,40 @@ TEST(ReplicationMonitor, MediaCorruptBlockIsUnrepairableButDrainTerminates) {
   dd::ReplicationMonitor monitor(dfs, {.max_repairs_per_tick = 4});
   const auto ticks = monitor.drain();
   EXPECT_LT(ticks, 100u) << "drain must not spin on an unhealable block";
-  EXPECT_GT(monitor.stats().unrepairable, 0u);
+  // A block with no healthy copy is corrupt, never queued: no repair of it
+  // is attempted and dropped.
+  EXPECT_EQ(monitor.stats().unrepairable, 0u);
+  const auto report = dd::fsck(dfs);
+  EXPECT_EQ(report.corrupt_blocks, 1u);
+  EXPECT_FALSE(report.healthy());
   // The healthy remainder of the cluster still converged.
-  for (const auto& u : dd::under_replicated_blocks(dfs)) {
-    EXPECT_EQ(u.block, 0u) << "only the destroyed block may stay degraded";
+  EXPECT_TRUE(dd::under_replicated_blocks(dfs).empty());
+  EXPECT_EQ(report.under_replicated, 0u);
+}
+
+TEST(ReplicationMonitor, BlockWithOnlyCorruptCopiesIsNeverQueued) {
+  auto dfs = deferred_cluster(8, 3);
+  // Every copy of block 1 is marked bad: the scrub pass keeps them (no
+  // healthy sibling to copy from), and the block reads corrupt — neither
+  // under-replicated nor queued — on every scan.
+  for (const dd::NodeId n : dfs.block(1).replicas) dfs.corrupt_replica(1, n);
+  dfs.decommission(dfs.block(3).replicas[0]);  // real work for the queue
+  dd::ReplicationMonitor monitor(dfs, {.max_repairs_per_tick = 1});
+  for (int round = 0; round < 6; ++round) {
+    monitor.scan();
+    for (const auto& item : monitor.queue()) {
+      EXPECT_NE(item.block, 1u) << "round " << round;
+    }
+    monitor.tick();
   }
+  monitor.drain();
+  EXPECT_EQ(monitor.stats().unrepairable, 0u);
+  EXPECT_EQ(monitor.stats().scrubbed_replicas, 0u);
+  EXPECT_EQ(dfs.corrupt_replica_marks(1).size(), 3u);
+  const auto report = dd::fsck(dfs);
+  EXPECT_EQ(report.corrupt_blocks, 1u);
+  EXPECT_EQ(report.under_replicated, 0u);
+  EXPECT_EQ(report.missing_blocks, 0u);
 }
 
 TEST(ReplicationMonitor, HealingIsJournaledForRecovery) {

@@ -49,14 +49,12 @@ TEST(Concentration, GiniEdgeCasesAndValidation) {
 
 TEST(Concentration, EntropyUniformIsLogN) {
   const std::vector<double> even(16, 2.0);
-  EXPECT_NEAR(ds::shannon_entropy_bits(even), 4.0, 1e-12);
   EXPECT_NEAR(ds::normalized_entropy(even), 1.0, 1e-12);
 }
 
 TEST(Concentration, EntropyPointMassIsZero) {
   std::vector<double> xs(8, 0.0);
   xs[0] = 10.0;
-  EXPECT_DOUBLE_EQ(ds::shannon_entropy_bits(xs), 0.0);
   EXPECT_DOUBLE_EQ(ds::normalized_entropy(xs), 0.0);
 }
 
